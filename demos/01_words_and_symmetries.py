@@ -3,7 +3,7 @@
 Run:  python demos/01_words_and_symmetries.py
 """
 
-from symrich import Alphabet, DigitSumSource, FixedPointSource, SymmetryMap, close, dihedral_group
+from symrich import Alphabet, DigitSumSource, FixedPointSource, SymmetryGroup, SymmetryMap, dihedral_group
 from symrich.presets import octa_group, octa_source
 
 # -- prefix generators --------------------------------------------------------------
@@ -39,7 +39,7 @@ print("E after R is a morphism:", not ER.antimorphic, "; ER(0110) =", ER.apply("
 
 # -- groups -------------------------------------------------------------------------
 
-G = close([R, E])
+G = SymmetryGroup.close([R, E])
 print("\nclosure of {R, E}:", [e.name for e in G.elements])
 print("involutive antimorphisms:", [e.name for e in G.involutive_antimorphisms])
 print("orbit of 011:", G.equivalence_class("011"))

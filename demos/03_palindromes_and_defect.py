@@ -8,7 +8,6 @@ from symrich import (
     g_defect,
     g_lps,
     g_occurrences,
-    g_palindrome,
     prefix_table_csv,
 )
 from symrich.presets import binary_full_group, thue_morse_source
@@ -18,8 +17,7 @@ p = "01101001100"  # an 11-letter prefix of the binary digit-sum word
 
 # a word is a generalized palindrome when SOME antimorphism of the group fixes it
 for w in ("001100", "01", "011"):
-    witness = g_palindrome(group, w)
-    print(f"{w}: fixers = {[t.name for t in witness.fixers]}")
+    print(f"{w}: fixers = {[t.name for t in group.antimorphic_fixers(w)]}")
 
 # occurrences are counted up to the group orbit
 print("\norbit of 011:", group.equivalence_class("011"))

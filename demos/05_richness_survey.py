@@ -18,7 +18,7 @@ from symrich.presets import (
     thue_morse_source,
 )
 from symrich.symmetry import dihedral_group
-from symrich.verify import repro_hexa, repro_octa
+from symrich.repro import repro_hexa, repro_octa
 from symrich.words import PeriodicSource
 
 runs = [

@@ -7,6 +7,8 @@ generalized palindromes and their return words, defect profiles, Rauzy and
 symmetry graphs, and cross-verified richness verdicts.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AlphabetError,
     ClosureError,
@@ -35,7 +37,6 @@ from .index import ComplexityTable, LanguageIndex, factor_sets, stability_check
 from .palindromes import (
     ClassicalRichness,
     DefectProfile,
-    PalindromeWitness,
     ThetaRichness,
     classical_palindromes,
     classical_richness,
@@ -44,27 +45,23 @@ from .palindromes import (
     g_defect,
     g_lps,
     g_occurrences,
-    g_palindrome,
     gamma_g,
     is_g_unioccurrent,
-    palindrome_fixers,
     prefix_palindrome_table,
     prefix_table_csv,
     theta_lps,
     theta_palindromic_factors,
     theta_richness,
 )
-from .symmetry import SymmetryGroup, SymmetryMap, close, compose, dihedral_group
+from .repro import CaseStudyReport, repro_hexa, repro_octa
+from .symmetry import SymmetryGroup, SymmetryMap, dihedral_group, reversal_group
 from .verify import (
     AlternationResult,
-    CaseStudyReport,
     DefectSumCheck,
     RichnessReport,
     SubgroupResult,
     alternation_check,
     defect_sum_check,
-    repro_hexa,
-    repro_octa,
     subgroup_scan,
     verify,
     verify_text,
@@ -81,4 +78,7 @@ from .words import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

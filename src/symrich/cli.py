@@ -41,7 +41,8 @@ from .graphs import directed_symmetry_graph, rauzy_graph, undirected_symmetry_gr
 from .index import LanguageIndex
 from .palindromes import complete_g_return_words, g_lps, prefix_table_csv
 from .symmetry import SymmetryGroup, SymmetryMap, dihedral_group
-from .verify import INCONSISTENT, min_distinguishing, repro_hexa, repro_octa, subgroup_scan, verify
+from .repro import repro_hexa, repro_octa
+from .verify import INCONSISTENT, min_distinguishing, subgroup_scan, verify
 from .words import (
     Alphabet,
     DigitSumSource,
@@ -65,6 +66,13 @@ class AnalysisConfig:
     n_max: int
     threshold: int
     out_format: str
+
+
+def _as_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def _as_glyph(value, what: str) -> str:
@@ -110,7 +118,8 @@ def _parse_source(raw, alphabet: Alphabet) -> WordSource:
         seed = _as_glyph(raw.get("seed"), "word.seed")
         return FixedPointSource(alphabet, rules, seed)
     if kind == "digit-sum":
-        source = DigitSumSource(int(raw.get("base", 0)), int(raw.get("modulus", 0)))
+        source = DigitSumSource(_as_int(raw.get("base", 0), "word.base"),
+                                _as_int(raw.get("modulus", 0), "word.modulus"))
         if source.alphabet.glyphs != alphabet.glyphs:
             raise ConfigError(
                 f"digit-sum word needs alphabet {source.alphabet}, config declares {alphabet}"
@@ -157,9 +166,9 @@ def load_config(path: str) -> AnalysisConfig:
     analysis = raw.get("analysis") or {}
     if not isinstance(analysis, dict):
         raise ConfigError("config section 'analysis' must be a mapping")
-    length = int(analysis.get("length", 2000))
-    n_max = int(analysis.get("n_max", 30))
-    threshold = int(analysis.get("threshold", 1))
+    length = _as_int(analysis.get("length", 2000), "analysis.length")
+    n_max = _as_int(analysis.get("n_max", 30), "analysis.n_max")
+    threshold = _as_int(analysis.get("threshold", 1), "analysis.threshold")
     out_format = str(analysis.get("format", "report"))
     return AnalysisConfig(alphabet, source, group, length, n_max, threshold, out_format)
 
@@ -350,12 +359,29 @@ REPRO_PRESETS = {
 }
 
 
-def _cmd_repro(args) -> tuple[str, int]:
-    handler = REPRO_PRESETS[args.preset]
-    result = handler(args)
-    if isinstance(result, tuple):
-        return result
-    return result, 0
+#: command name -> handler returning the output, or (output, exit code)
+COMMANDS = {
+    "word": _cmd_word,
+    "group": _cmd_group,
+    "complexity": _cmd_complexity,
+    "defect": _cmd_defect,
+    "returns": _cmd_returns,
+    "lps": _cmd_lps,
+    "graph": _cmd_graph,
+    "verify": _cmd_verify,
+    "repro": lambda args: REPRO_PRESETS[args.preset](args),
+}
+
+
+def _emit(output: str, path: str | None) -> None:
+    if not path:
+        sys.stdout.write(output)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(output)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}")
 
 
 # -- argument parsing -------------------------------------------------------------------
@@ -401,24 +427,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "word":
-            output, code = _cmd_word(args), 0
-        elif args.command == "group":
-            output, code = _cmd_group(args), 0
-        elif args.command == "complexity":
-            output, code = _cmd_complexity(args), 0
-        elif args.command == "defect":
-            output, code = _cmd_defect(args), 0
-        elif args.command == "returns":
-            output, code = _cmd_returns(args), 0
-        elif args.command == "lps":
-            output, code = _cmd_lps(args), 0
-        elif args.command == "graph":
-            output, code = _cmd_graph(args), 0
-        elif args.command == "verify":
-            output, code = _cmd_verify(args)
-        else:
-            output, code = _cmd_repro(args)
+        result = COMMANDS[args.command](args)
+        output, code = result if isinstance(result, tuple) else (result, 0)
+        _emit(output, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -431,12 +442,6 @@ def main(argv: list[str] | None = None) -> int:
     except SymrichError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(output)
-    else:
-        sys.stdout.write(output)
     return code
 
 

@@ -16,29 +16,6 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, GroupError, SourceError
 from .symmetry import SymmetryGroup, SymmetryMap
 
-# -- palindromes and fixers -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PalindromeWitness:
-    """A word together with every antimorphism of the group fixing it."""
-
-    word: str
-    fixers: tuple[SymmetryMap, ...]
-
-    @property
-    def is_palindrome(self) -> bool:
-        return bool(self.fixers)
-
-
-def palindrome_fixers(group: SymmetryGroup, word: str) -> tuple[SymmetryMap, ...]:
-    return group.antimorphic_fixers(word)
-
-
-def g_palindrome(group: SymmetryGroup, word: str) -> PalindromeWitness:
-    return PalindromeWitness(word, palindrome_fixers(group, word))
-
-
 # -- occurrences ------------------------------------------------------------------
 
 
@@ -100,17 +77,23 @@ def _suffix_fixed(word: str, translated: str, start: int, end: int) -> bool:
     )
 
 
+def _lps_len(word: str, translations: list[str], end: int) -> int:
+    """Length of the longest suffix of ``word[:end]`` fixed by one of the
+    antimorphisms whose letterwise images of ``word`` are ``translations``.
+
+    This is the one scan behind every longest-palindromic-suffix query.
+    """
+    for m in range(end, 0, -1):
+        for tr in translations:
+            if _suffix_fixed(word, tr, end - m, end):
+                return m
+    return 0
+
+
 def g_lps(group: SymmetryGroup, word: str) -> str:
     """Longest suffix of ``word`` fixed by some antimorphism of the group (possibly ε)."""
     n = len(word)
-    if n == 0:
-        return ""
-    translations = [t.translated(word) for t in group.antimorphisms]
-    for m in range(n, 0, -1):
-        for tr in translations:
-            if _suffix_fixed(word, tr, n - m, n):
-                return word[n - m:]
-    return ""
+    return word[n - _lps_len(word, [t.translated(word) for t in group.antimorphisms], n):]
 
 
 def theta_lps(theta: SymmetryMap, word: str) -> str:
@@ -118,11 +101,7 @@ def theta_lps(theta: SymmetryMap, word: str) -> str:
     if not theta.antimorphic:
         raise GroupError(f"{theta.name} is not an antimorphism")
     n = len(word)
-    tr = theta.translated(word)
-    for m in range(n, 0, -1):
-        if _suffix_fixed(word, tr, n - m, n):
-            return word[n - m:]
-    return ""
+    return word[n - _lps_len(word, [theta.translated(word)], n):]
 
 
 # -- letter classes and gamma ------------------------------------------------------
@@ -144,7 +123,8 @@ class DefectProfile:
     """Per-prefix defect data for one word under one group.
 
     Index i of each array refers to the prefix of length i; lacuna positions
-    are 1-based letter indices at which the defect increments.
+    are 1-based letter indices at which the defect increments.  ``lps[i]`` is
+    the length of the longest G-palindromic suffix of the length-i prefix.
     """
 
     word: str
@@ -152,6 +132,7 @@ class DefectProfile:
     pal_classes: tuple[int, ...]
     gamma: tuple[int, ...]
     lacunas: tuple[int, ...]
+    lps: tuple[int, ...]
 
     @property
     def final(self) -> int:
@@ -182,6 +163,7 @@ def defect_profile(group: SymmetryGroup, word: str) -> DefectProfile:
     defect = [0]
     pal = [1]  # the empty-word class is always present
     gamma = [0]
+    lps = [0]
     lacunas: list[int] = []
     seen_classes: set[frozenset[str]] = set()
     n = len(word)
@@ -191,11 +173,8 @@ def defect_profile(group: SymmetryGroup, word: str) -> DefectProfile:
         new_class = letter_class[a] not in seen_classes
         seen_classes.add(letter_class[a])
 
-        lps_len = 0
-        for m in range(i, 0, -1):
-            if any(_suffix_fixed(word, tr, i - m, i) for tr in translations):
-                lps_len = m
-                break
+        lps_len = _lps_len(word, translations, i)
+        lps.append(lps_len)
 
         lps_unioccurrent = False
         if lps_len:
@@ -221,15 +200,16 @@ def defect_profile(group: SymmetryGroup, word: str) -> DefectProfile:
                 f"defect bookkeeping out of sync at position {i} of {word!r}"
             )
 
-    return DefectProfile(word, tuple(defect), tuple(pal), tuple(gamma), tuple(lacunas))
+    return DefectProfile(word, tuple(defect), tuple(pal), tuple(gamma), tuple(lacunas), tuple(lps))
 
 
 def g_defect(group: SymmetryGroup, word: str) -> DefectProfile:
     """Defect profile computed twice: by formula and by lacuna count.
 
-    The formula side enumerates palindromic factor classes directly (suffix
-    by suffix, quadratic), independent of the lacuna machinery; the two must
-    agree at every prefix.  Use :func:`defect_profile` alone for long texts.
+    Brute-force oracle for :func:`defect_profile`.  The formula side
+    enumerates palindromic factor classes directly (suffix by suffix,
+    quadratic), independent of the lacuna machinery; the two must agree at
+    every prefix.  Use :func:`defect_profile` alone for long texts.
     """
     profile = defect_profile(group, word)
 
@@ -267,7 +247,10 @@ def g_defect(group: SymmetryGroup, word: str) -> DefectProfile:
 
 
 def classical_palindromes(word: str) -> set[str]:
-    """Distinct reversal-fixed factors, including the empty word."""
+    """Distinct reversal-fixed factors, including the empty word.
+
+    Brute-force oracle: enumerates every factor.
+    """
     pals = {""}
     for n in range(1, len(word) + 1):
         for i in range(len(word) - n + 1):
@@ -278,7 +261,10 @@ def classical_palindromes(word: str) -> set[str]:
 
 
 def theta_palindromic_factors(theta: SymmetryMap, word: str) -> set[str]:
-    """Distinct theta-fixed factors of ``word``, including the empty word."""
+    """Distinct theta-fixed factors of ``word``, including the empty word.
+
+    Brute-force oracle for the theta counts of :func:`prefix_palindrome_table`.
+    """
     if not theta.antimorphic:
         raise GroupError(f"{theta.name} is not an antimorphism")
     tr = theta.translated(word)
@@ -310,7 +296,10 @@ def classical_richness(word: str) -> ClassicalRichness:
 
 
 def theta_richness(theta: SymmetryMap, word: str) -> ThetaRichness:
-    """Richness with respect to one involutive antimorphism."""
+    """Richness with respect to one involutive antimorphism.
+
+    Brute-force oracle: counts through :func:`theta_palindromic_factors`.
+    """
     if not theta.antimorphic:
         raise GroupError(f"{theta.name} is not an antimorphism")
     if not theta.is_involution():
@@ -342,27 +331,21 @@ def prefix_palindrome_table(group: SymmetryGroup, text: str) -> list[PrefixRow]:
 
     Counts advance by the longest-palindromic-suffix rule: extending a word
     by one letter adds at most one new theta-palindrome, the theta-lps, and
-    it is new iff it does not occur earlier.
+    it is new iff it does not occur earlier.  Under the group {id, theta}
+    every theta-palindrome is its own orbit, so that count is the
+    palindromic class count of the defect profile for that group.
     """
-    thetas = group.involutive_antimorphisms
-    translations = [t.translated(text) for t in thetas]
     profile = defect_profile(group, text)
+    counts = [
+        defect_profile(SymmetryGroup.close([t]), text).pal_classes
+        for t in group.involutive_antimorphisms
+    ]
     lacuna_set = set(profile.lacunas)
-
-    counts = [1] * len(thetas)
-    rows = [PrefixRow(0, tuple(counts), "", 0, False)]
-    for i in range(1, len(text) + 1):
-        for k, tr in enumerate(translations):
-            lps_len = 0
-            for m in range(i, 0, -1):
-                if _suffix_fixed(text, tr, i - m, i):
-                    lps_len = m
-                    break
-            if lps_len and text.find(text[i - lps_len:i], 0, i - 1) == -1:
-                counts[k] += 1
-        lps = g_lps(group, text[:i])
-        rows.append(PrefixRow(i, tuple(counts), lps, profile.defect[i], i in lacuna_set))
-    return rows
+    return [
+        PrefixRow(i, tuple(c[i] for c in counts), text[i - profile.lps[i]:i],
+                  profile.defect[i], i in lacuna_set)
+        for i in range(len(text) + 1)
+    ]
 
 
 def prefix_table_csv(group: SymmetryGroup, text: str) -> str:

@@ -9,6 +9,7 @@ fixed point ("octa") and its 6-letter morphic image ("hexa").
 from __future__ import annotations
 
 from .symmetry import SymmetryGroup, SymmetryMap, dihedral_group
+from .symmetry import reversal_group  # noqa: F401  (re-exported beside the bundled groups)
 from .words import Alphabet, DigitSumSource, FixedPointSource, LiteralSource, apply_morphism
 
 # -- binary / dihedral classics ---------------------------------------------------
@@ -39,10 +40,6 @@ def digit_sum_morphism(base: int, modulus: int) -> dict[str, str]:
         alphabet.glyphs[l]: "".join(alphabet.glyphs[(l + j) % modulus] for j in range(base))
         for l in range(modulus)
     }
-
-
-def reversal_group(alphabet: Alphabet) -> SymmetryGroup:
-    return SymmetryGroup.close([SymmetryMap.reversal(alphabet)])
 
 
 def exchange_group() -> SymmetryGroup:

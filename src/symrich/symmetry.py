@@ -97,11 +97,6 @@ class SymmetryMap:
         return self.name
 
 
-def compose(f: SymmetryMap, g: SymmetryMap) -> SymmetryMap:
-    """Composition f∘g: apply ``g`` first, then ``f``."""
-    return f.compose(g)
-
-
 class SymmetryGroup:
     """A composition-closed set of symmetry maps with identity and inverses.
 
@@ -294,9 +289,9 @@ class SymmetryGroup:
         )
 
 
-def close(generators) -> SymmetryGroup:
-    """Module-level alias for :meth:`SymmetryGroup.close`."""
-    return SymmetryGroup.close(generators)
+def reversal_group(alphabet: Alphabet) -> SymmetryGroup:
+    """{identity, reversal} on ``alphabet``."""
+    return SymmetryGroup.close([SymmetryMap.reversal(alphabet)])
 
 
 def dihedral_group(m: int) -> SymmetryGroup:

@@ -30,8 +30,9 @@ from symrich.presets import (
     reversal_group,
     thue_morse_source,
 )
+from symrich.repro import repro_hexa, repro_octa
 from symrich.symmetry import SymmetryGroup, SymmetryMap, dihedral_group
-from symrich.verify import REFUTED, RICH, repro_hexa, repro_octa
+from symrich.verify import REFUTED, RICH
 from symrich.words import Alphabet, PeriodicSource
 
 TABLE_ROWS = [

@@ -129,6 +129,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "--config", str(path), "word")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("field, old, new", [
+        ("analysis.length", "length: 600", "length: abc"),
+        ("analysis.n_max", "n_max: 10", "n_max: ten"),
+        ("analysis.threshold", "n_max: 10", "n_max: 10\n  threshold: [1]"),
+        ("word.base", "base: 2", "base: x"),
+        ("word.modulus", "modulus: 2", "modulus: two"),
+    ])
+    def test_non_integer_field(self, capsys, tmp_path, field, old, new):
+        path = tmp_path / "bad_int.yaml"
+        path.write_text(TM_CONFIG.replace(old, new))
+        code, out, err = run(capsys, "--config", str(path), "word")
+        assert code == EXIT_CONFIG and field in err and out == ""
+
+    def test_unwritable_out_path(self, capsys, tm_config, tmp_path):
+        target = tmp_path / "missing-dir" / "out.csv"
+        code, out, err = run(capsys, "--config", tm_config, "--out", str(target), "complexity")
+        assert code == EXIT_CONFIG and str(target) in err and out == ""
+
     def test_bad_generator_map(self, capsys, tmp_path):
         path = tmp_path / "bad_map.yaml"
         path.write_text(TM_CONFIG.replace('"0 -> 1", "1 -> 0"', '"0 -> 0", "1 -> 0"'))
@@ -187,6 +205,12 @@ class TestRepro:
         code, out, _ = run(capsys, "--length", "600", "--nmax", "12", "repro", "ex8")
         assert code == 0
         assert "overall ok: True" in out
+
+    def test_ex8_checks_the_doubled_prefix(self, capsys):
+        # length 20 is unstable at n_max 12, so verify doubles the prefix to 160
+        code, out, _ = run(capsys, "--length", "20", "--nmax", "12", "repro", "ex8")
+        assert code == 0
+        assert "prefix length 160" in out and "FAIL" not in out
 
     def test_ex6_scaled_down(self, capsys):
         code, out, _ = run(capsys, "--length", "700", "--nmax", "13", "repro", "ex6")

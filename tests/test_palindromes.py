@@ -10,7 +10,6 @@ from symrich import (
     g_defect,
     g_lps,
     g_occurrences,
-    g_palindrome,
     gamma_g,
     is_g_unioccurrent,
     prefix_palindrome_table,
@@ -19,7 +18,7 @@ from symrich import (
     theta_richness,
 )
 from symrich.presets import BINARY, exchange_group
-from symrich.symmetry import SymmetryMap, close
+from symrich.symmetry import SymmetryGroup, SymmetryMap
 
 R = SymmetryMap.reversal(BINARY)
 E = SymmetryMap(BINARY, ("1", "0"), antimorphic=True)
@@ -40,20 +39,20 @@ def brute_pal_class_count(group, word):
 
 class TestWitnesses:
     def test_fixed_by_reversal_only(self, i2_2):
-        w = g_palindrome(i2_2, "001100")
-        assert [t.name for t in w.fixers] == ["a:01"]
+        fixers = i2_2.antimorphic_fixers("001100")
+        assert [t.name for t in fixers] == ["a:01"]
 
     def test_fixed_by_exchange_only(self, i2_2):
-        w = g_palindrome(i2_2, "01")
-        assert [t.name for t in w.fixers] == ["a:10"]
+        fixers = i2_2.antimorphic_fixers("01")
+        assert [t.name for t in fixers] == ["a:10"]
 
     def test_empty_word_fixed_by_all_antimorphisms(self, i2_2):
-        w = g_palindrome(i2_2, "")
-        assert len(w.fixers) == len(i2_2.antimorphisms)
+        fixers = i2_2.antimorphic_fixers("")
+        assert len(fixers) == len(i2_2.antimorphisms)
 
     def test_fixers_involutive_when_all_letters_present(self, i2_3):
         for word in ("012210", "0120210", "21012"):
-            for t in g_palindrome(i2_3, word).fixers:
+            for t in i2_3.antimorphic_fixers(word):
                 assert t.is_involution()
 
 
@@ -129,7 +128,7 @@ class TestDefect:
     def test_classical_abca(self):
         from symrich import Alphabet
 
-        g = close([SymmetryMap.reversal(Alphabet.from_string("abc"))])
+        g = SymmetryGroup.close([SymmetryMap.reversal(Alphabet.from_string("abc"))])
         profile = g_defect(g, "abca")
         assert profile.final == 1
         assert profile.lacunas == (4,)

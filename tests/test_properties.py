@@ -14,7 +14,10 @@ from symrich import (
     classical_palindromes,
     defect_profile,
     g_defect,
+    g_lps,
     gamma_g,
+    prefix_palindrome_table,
+    theta_lps,
     theta_palindromic_factors,
     theta_richness,
 )
@@ -143,6 +146,46 @@ class TestDefectProperties:
             assert a <= b <= a + 1
 
 
+def brute_lps(antimorphisms, word):
+    """Oracle: the longest suffix of ``word`` fixed by one of the antimorphisms."""
+    return next(
+        (word[i:] for i in range(len(word)) if any(t.apply(word[i:]) == word[i:] for t in antimorphisms)),
+        "",
+    )
+
+
+class TestLpsDifferential:
+    """The single lps scan against brute-force oracles, on groups whose
+    antimorphisms need not be involutions."""
+
+    @given(gw=group_and_word_st())
+    @settings(max_examples=150, deadline=None)
+    def test_g_lps_and_theta_lps(self, gw):
+        group, word = gw
+        assert g_lps(group, word) == brute_lps(group.antimorphisms, word)
+        for theta in group.antimorphisms:
+            assert theta_lps(theta, word) == brute_lps([theta], word)
+
+    @given(gw=group_and_word_st(max_size=25))
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_table_columns(self, gw):
+        group, word = gw
+        thetas = group.involutive_antimorphisms
+        rows = prefix_palindrome_table(group, word)
+        assert [row.n for row in rows] == list(range(len(word) + 1))
+        for row in rows:
+            prefix = word[:row.n]
+            assert row.theta_counts == tuple(len(theta_palindromic_factors(t, prefix)) for t in thetas)
+            assert row.g_lps == g_lps(group, prefix)
+
+    @given(gw=group_and_word_st())
+    @settings(max_examples=150, deadline=None)
+    def test_profile_lps_column(self, gw):
+        group, word = gw
+        profile = defect_profile(group, word)
+        assert profile.lps == tuple(len(g_lps(group, word[:i])) for i in range(len(word) + 1))
+
+
 class TestRichnessBounds:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -237,9 +280,7 @@ class TestWitnessInvariants:
     @given(gw=group_and_word_st(max_size=15))
     @settings(max_examples=100, deadline=None)
     def test_fixers_involutive_on_full_support_words(self, gw):
-        from symrich import palindrome_fixers
-
         group, word = gw
         assume(set(word) == set(group.alphabet.glyphs))
-        for theta in palindrome_fixers(group, word):
+        for theta in group.antimorphic_fixers(word):
             assert theta.is_involution()

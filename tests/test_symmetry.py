@@ -1,6 +1,6 @@
 import pytest
 
-from symrich import Alphabet, GroupError, SymmetryGroup, SymmetryMap, close, compose, dihedral_group
+from symrich import Alphabet, GroupError, SymmetryGroup, SymmetryMap, dihedral_group
 from symrich.presets import (
     BINARY,
     binary_full_group,
@@ -40,15 +40,15 @@ class TestSymmetryMap:
             SymmetryMap(BINARY, ("0", "0"), False)
 
     def test_compose_involution(self):
-        assert compose(R, R).is_identity()
+        assert R.compose(R).is_identity()
 
     def test_compose_orientation(self):
-        er = compose(E, R)
+        er = E.compose(R)
         assert not er.antimorphic
         assert er.apply("0110") == "1001"
 
     def test_compose_of_octa_generators_is_morphic(self):
-        c = compose(octa_theta(0), octa_theta(1))
+        c = octa_theta(0).compose(octa_theta(1))
         assert not c.antimorphic and not c.is_identity()
         # table composition: theta1 first, then theta0 on letters
         t0, t1 = octa_theta(0), octa_theta(1)
@@ -57,21 +57,21 @@ class TestSymmetryMap:
 
     def test_inverse(self):
         theta = octa_theta(1)
-        assert compose(theta.inverse(), theta).is_identity()
+        assert theta.inverse().compose(theta).is_identity()
 
     def test_alphabet_mismatch_rejected(self):
         other = SymmetryMap.reversal(Alphabet.from_string("012"))
         with pytest.raises(GroupError):
-            compose(R, other)
+            R.compose(other)
 
 
 class TestClosure:
     def test_reversal_group(self):
-        g = close([R])
+        g = SymmetryGroup.close([R])
         assert [e.name for e in g.elements] == ["m:01", "a:01"]
 
     def test_binary_full_group(self):
-        g = close([E, R])
+        g = SymmetryGroup.close([E, R])
         assert g.order == 4
         assert {e.name for e in g.elements} == {"m:01", "m:10", "a:01", "a:10"}
         assert [e.name for e in g.involutive_antimorphisms] == ["a:01", "a:10"]
@@ -84,7 +84,7 @@ class TestClosure:
     def test_hexa_group_elementary_abelian(self):
         g = hexa_group()
         assert g.order == 8 and g.is_abelian()
-        assert all(compose(e, e).is_identity() for e in g.elements)
+        assert all(e.compose(e).is_identity() for e in g.elements)
 
     def test_close_idempotent(self):
         g = octa_group()
@@ -97,7 +97,7 @@ class TestClosure:
 
     def test_morphism_only_group_flagged(self):
         ex = SymmetryMap(BINARY, ("1", "0"), antimorphic=False)
-        g = close([ex])
+        g = SymmetryGroup.close([ex])
         assert not g.has_antimorphism
         assert not g.is_balanced
 
@@ -141,7 +141,7 @@ class TestDistinguishing:
         assert g.is_distinguishing(list("01234567"))
 
     def test_hexa_subgroup2_needs_length_2(self):
-        h2 = close([hexa_psi(2), hexa_psi(0)])
+        h2 = SymmetryGroup.close([hexa_psi(2), hexa_psi(0)])
         assert not h2.is_distinguishing(["0"])
 
     def test_hexa_subgroup2_at_length_2(self, t33_text):
@@ -149,7 +149,7 @@ class TestDistinguishing:
         from symrich import LanguageIndex
         from symrich.presets import hexa_text
 
-        h2 = close([hexa_psi(2), hexa_psi(0)])
+        h2 = SymmetryGroup.close([hexa_psi(2), hexa_psi(0)])
         index = LanguageIndex(hexa_text(500), 4)
         assert h2.is_distinguishing(index.factors(2))
 
