@@ -70,9 +70,12 @@ class AnalysisConfig:
 
 def _as_int(value, what: str) -> int:
     try:
-        return int(value)
-    except (TypeError, ValueError):
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if isinstance(value, float) and number != value:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return number
 
 
 def _as_glyph(value, what: str) -> str:

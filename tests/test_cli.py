@@ -142,6 +142,25 @@ class TestExitCodes:
         code, out, err = run(capsys, "--config", str(path), "word")
         assert code == EXIT_CONFIG and field in err and out == ""
 
+    @pytest.mark.parametrize("field, old, new", [
+        ("analysis.length", "length: 600", "length: 600.5"),
+        ("analysis.length", "length: 600", "length: .inf"),
+        ("analysis.n_max", "n_max: 10", "n_max: 9.99"),
+        ("analysis.threshold", "n_max: 10", "n_max: 10\n  threshold: 1.5"),
+        ("word.base", "base: 2", "base: 2.5"),
+        ("word.modulus", "modulus: 2", "modulus: 2.5"),
+    ])
+    def test_non_integral_number(self, capsys, tmp_path, field, old, new):
+        path = tmp_path / "bad_number.yaml"
+        path.write_text(TM_CONFIG.replace(old, new))
+        code, out, err = run(capsys, "--config", str(path), "word")
+        assert code == EXIT_CONFIG and field in err and out == ""
+
+    def test_integral_float_reads_as_integer(self, capsys, tm_config, tmp_path):
+        path = tmp_path / "float_int.yaml"
+        path.write_text(TM_CONFIG.replace("length: 600", "length: 600.0").replace("modulus: 2", "modulus: 2.0"))
+        assert run(capsys, "--config", str(path), "word") == run(capsys, "--config", tm_config, "word")
+
     def test_unwritable_out_path(self, capsys, tm_config, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"
         code, out, err = run(capsys, "--config", tm_config, "--out", str(target), "complexity")

@@ -147,15 +147,41 @@ class TestDefectProperties:
 
 
 def brute_lps(antimorphisms, word):
-    """Oracle: the longest suffix of ``word`` fixed by one of the antimorphisms."""
-    return next(
-        (word[i:] for i in range(len(word)) if any(t.apply(word[i:]) == word[i:] for t in antimorphisms)),
-        "",
-    )
+    """Oracle: the longest suffix of ``word`` fixed by one of the antimorphisms.
+
+    Each suffix is compared whole with its image, which for an antimorphism
+    theta is the prefix of theta(word) of the same length.
+    """
+    n = len(word)
+    images = [t.apply(word) for t in antimorphisms]
+    return next((word[i:] for i in range(n) if any(word[i:] == im[:n - i] for im in images)), "")
+
+
+@st.composite
+def closure_word_st(draw, group, max_size=40):
+    """A word grown by appending a letter and closing under a random
+    antimorphism of the group, repeatedly, then cut to ``max_size``.
+
+    Each closure is the shortest theta-palindrome with the word as a prefix;
+    when none exists (a letter not fixed by theta squared) the word is kept.
+    Such words hold long palindromes of several antimorphisms, so their
+    eertrees are deep and their orbit-image links span trees.
+    """
+    word = ""
+    for _ in range(draw(st.integers(1, 12))):
+        word += draw(st.sampled_from(list(group.alphabet.glyphs)))
+        theta = draw(st.sampled_from(group.antimorphisms))
+        word = next(
+            (w for i in range(len(word) + 1) if theta.apply(w := word + theta.apply(word[:i])) == w),
+            word,
+        )
+        if len(word) >= max_size:
+            break
+    return word[:max_size]
 
 
 class TestLpsDifferential:
-    """The single lps scan against brute-force oracles, on groups whose
+    """The eertree engine against brute-force oracles, on groups whose
     antimorphisms need not be involutions."""
 
     @given(gw=group_and_word_st())
@@ -176,14 +202,50 @@ class TestLpsDifferential:
         for row in rows:
             prefix = word[:row.n]
             assert row.theta_counts == tuple(len(theta_palindromic_factors(t, prefix)) for t in thetas)
-            assert row.g_lps == g_lps(group, prefix)
+            assert row.g_lps == brute_lps(group.antimorphisms, prefix)
 
     @given(gw=group_and_word_st())
     @settings(max_examples=150, deadline=None)
     def test_profile_lps_column(self, gw):
         group, word = gw
         profile = defect_profile(group, word)
-        assert profile.lps == tuple(len(g_lps(group, word[:i])) for i in range(len(word) + 1))
+        assert profile.lps == tuple(
+            len(brute_lps(group.antimorphisms, word[:i])) for i in range(len(word) + 1)
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_closure_words(self, data):
+        group = data.draw(group_st())
+        word = data.draw(closure_word_st(group))
+        profile = g_defect(group, word)  # raises on any disagreement with the formula
+        assert profile.lps == tuple(
+            len(brute_lps(group.antimorphisms, word[:i])) for i in range(len(word) + 1)
+        )
+        for theta in group.antimorphisms:
+            assert theta_lps(theta, word) == brute_lps([theta], word)
+
+
+class TestLpsRegressions:
+    """Fixed cases that a one-sided extension test or a root without fallback gets wrong."""
+
+    def test_non_involutive_extension_needs_both_tests(self):
+        ternary = Alphabet.from_size(3)
+        theta = SymmetryMap.from_mapping(ternary, {"0": "1", "1": "2", "2": "0"}, antimorphic=True)
+        assert theta_lps(theta, "10") == ""
+        group = SymmetryGroup.close([theta])
+        for word in ("10", "0120", "1010201"):
+            assert defect_profile(group, word) == g_defect(group, word)
+            assert g_lps(group, word) == brute_lps(group.antimorphisms, word)
+
+    def test_exchange_without_fixed_letters(self):
+        group = SymmetryGroup.close(
+            [SymmetryMap.from_mapping(Alphabet.from_size(2), {"0": "1", "1": "0"}, antimorphic=True)]
+        )
+        assert g_lps(group, "0") == ""
+        assert defect_profile(group, "0101").lps == (0, 0, 2, 2, 4)
+        for word in ("0", "0101", "00110"):
+            assert defect_profile(group, word) == g_defect(group, word)
 
 
 class TestRichnessBounds:
