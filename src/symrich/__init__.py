@@ -33,7 +33,7 @@ from .graphs import (
     tls_verdict,
     undirected_symmetry_graph,
 )
-from .index import ComplexityTable, LanguageIndex, factor_sets, stability_check
+from .index import ComplexityTable, LanguageIndex, stability_check
 from .palindromes import (
     ClassicalRichness,
     DefectProfile,

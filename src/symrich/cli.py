@@ -326,21 +326,32 @@ def _repro_fig7(_args) -> str:
     return undirected_symmetry_graph(group, index, 3).to_dot()
 
 
+def _preset_size(value: int | None, default: int, flag: str) -> int:
+    """A repro preset's --length or --nmax, or the preset's default when not given."""
+    if value is None:
+        return default
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1 for repro presets, got {value}")
+    return value
+
+
 def _repro_ex8(args) -> tuple[str, int]:
-    report = repro_octa(length=args.length or 2000, n_max=args.nmax or 30)
+    report = repro_octa(length=_preset_size(args.length, 2000, "--length"),
+                        n_max=_preset_size(args.nmax, 30, "--nmax"))
     return report.to_text(), 0 if report.ok else EXIT_REFUTED_INVARIANT
 
 
 def _repro_ex6(args) -> tuple[str, int]:
-    report = repro_hexa(length=args.length or 2000, n_max=args.nmax or 30)
+    report = repro_hexa(length=_preset_size(args.length, 2000, "--length"),
+                        n_max=_preset_size(args.nmax, 30, "--nmax"))
     return report.to_text(), 0 if report.ok else EXIT_REFUTED_INVARIANT
 
 
 def _repro_subgroups(args) -> tuple[str, int]:
     results = subgroup_scan(
         presets.hexa_group(),
-        text=presets.hexa_text(args.length or 2000),
-        n_max=args.nmax or 20,
+        text=presets.hexa_text(_preset_size(args.length, 2000, "--length")),
+        n_max=_preset_size(args.nmax, 20, "--nmax"),
         stability=True,
     )
     bad = any(r.identity_ok is False for r in results)

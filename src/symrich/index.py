@@ -1,10 +1,21 @@
 """Factor indexing of a finite prefix.
 
-The index materializes, for every length n up to ``n_max``, the factor set
-of the text with sorted occurrence lists.  Extension sets are derived from
-factor-set membership (a is a left extension of w iff aw is again an indexed
-factor), which keeps the classical counting identities exact on any finite
-text:
+The index sorts the positions 0..|text| of the text once, by their window
+``text[i:i + n_max]``.  The sort is stable, so equal windows keep position
+order.  Neighbours in that order share a common prefix (lcp), capped at
+``n_max`` and at the shorter window; each lcp is found by binary search on
+slice equality.  (Kasai's lcp skip does not apply: with windows cut at
+``n_max``, equal windows are ordered by position, not by the suffix after
+them.)  The factors of length n are then the maximal runs of neighbours with
+lcp >= n; a window shorter than n is a run of its own and is skipped.  Each
+level maps a factor to its run ``(a, b)`` in the sorted order, and the
+occurrences of the factor are the sorted positions ``order[a:b]``.  Going
+from level n - 1 to level n only adds the run boundaries of lcp n - 1, so the
+levels together cost the number of factors, not |text| * n_max.
+
+Extension sets are derived from factor-set membership (a is a left extension
+of w iff aw is again an indexed factor), which keeps the classical counting
+identities exact on any finite text:
 
 * sum over L_n of (#Lext - 1) = C(n+1) - C(n), likewise for Rext,
 * sum over L_n of b(w) = second difference of C,
@@ -13,32 +24,32 @@ text:
 Occurrence lists are never extended by group closure; closure (when a group
 is supplied) only completes the factor sets and records what it added, which
 must be nothing on a sufficiently long prefix of a closed word.
+
+:func:`stability_check` compares factor sets at the top order only.  Let u
+be a prefix of v and n <= |u|.  If u and v have the same factors of length
+n, they have the same factors of every length m <= n: a length-m factor of v
+at position p >= n - m is a suffix of the length-n factor at p - (n - m),
+and one at p < n - m lies inside the prefix of length n of u.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .errors import GroupError, IndexRangeError
 from .symmetry import SymmetryGroup, SymmetryMap
 from .words import WordSource
 
 
-def factor_sets(text: str, n_max: int) -> list[frozenset[str]]:
-    """Plain factor sets of ``text`` for lengths 0..n_max (no occurrence data)."""
-    if n_max > len(text):
-        raise IndexRangeError(f"n_max={n_max} exceeds text length {len(text)}")
-    out = [frozenset([""])]
-    for n in range(1, n_max + 1):
-        out.append(frozenset(text[i:i + n] for i in range(len(text) - n + 1)))
-    return out
-
-
 class LanguageIndex:
     """Occurrence and extension data for all factors of a text up to ``n_max``.
 
-    Extension queries need room above the factor length: Lext/Rext are
-    available for n <= n_max - 1 and Bext/Pext for n <= n_max - 2.
+    Built on one stable sort of the text's positions by their ``n_max``
+    windows (see the module docstring); the factors of each length are runs
+    of that order.  Extension queries need room above the factor length:
+    Lext/Rext are available for n <= n_max - 1 and Bext/Pext for
+    n <= n_max - 2.
     """
 
     def __init__(self, text: str, n_max: int, group: SymmetryGroup | None = None):
@@ -50,27 +61,49 @@ class LanguageIndex:
         self.n_max = n_max
         self.group = group
 
-        self._occ: list[dict[str, list[int]]] = [{"": list(range(len(text) + 1))}]
-        for n in range(1, n_max + 1):
-            level: dict[str, list[int]] = {}
-            for i in range(len(text) - n + 1):
-                level.setdefault(text[i:i + n], []).append(i)
-            self._occ.append(level)
+        size = len(text) + 1  # position len(text) holds only the empty factor
+        windows = [text[i:i + n_max] for i in range(size)]
+        order = sorted(range(size), key=windows.__getitem__)
+        # cuts[h]: the k whose neighbours order[k - 1], order[k] share exactly h letters
+        cuts: list[list[int]] = [[] for _ in range(n_max)]
+        for k in range(1, size):
+            u, v = windows[order[k - 1]], windows[order[k]]
+            if u == v:  # two full windows: they share n_max letters
+                continue
+            lo, hi = 0, min(len(u), len(v))
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if u[:mid] == v[:mid]:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            cuts[lo].append(k)
+        self._order = order
 
-        self._sets: list[frozenset[str]] = []
+        self._runs: list[dict[str, tuple[int, int]]] = [{"": (0, size)}]
+        self._sets: list[frozenset[str]] = [frozenset([""])]
         self.closure_added: dict[int, frozenset[str]] = {}
-        for n in range(n_max + 1):
-            base = set(self._occ[n])
-            if group is not None and n >= 1:
-                closed = set(base)
+        bounds = [0, size]
+        for n in range(1, n_max + 1):
+            bounds += cuts[n - 1]
+            bounds.sort()  # two sorted runs: a linear merge
+            level = {}
+            for a, b in pairwise(bounds):
+                x = order[a]
+                if x + n <= len(text):
+                    level[text[x:x + n]] = (a, b)
+            self._runs.append(level)
+            base = frozenset(level)
+            if group is not None:
+                closed: set[str] = set()
                 for w in base:
-                    closed.update(group.equivalence_class(w))
-                added = frozenset(closed - base)
+                    if w not in closed:  # else its whole orbit is in already
+                        closed.update([g.apply(w) for g in group.elements])
+                added = closed - base
                 if added:
-                    self.closure_added[n] = added
-                self._sets.append(frozenset(closed))
-            else:
-                self._sets.append(frozenset(base))
+                    self.closure_added[n] = frozenset(added)
+                    base = frozenset(closed)
+            self._sets.append(base)
 
         # extension candidates must cover closure-added letters as well
         letters = set(text)
@@ -109,7 +142,11 @@ class LanguageIndex:
     def occurrences(self, w: str) -> tuple[int, ...]:
         """Sorted start positions of ``w`` in the text (empty for closure-added factors)."""
         self._check_n(len(w))
-        return tuple(self._occ[len(w)].get(w, ()))
+        run = self._runs[len(w)].get(w)
+        if run is None:
+            return ()
+        a, b = run
+        return tuple(sorted(self._order[a:b]))
 
     def _require_factor(self, w: str) -> None:
         if not self.is_factor(w):
@@ -234,11 +271,22 @@ def stability_check(source: WordSource, length: int, n_max: int) -> bool | None:
 
     Returns True when they agree for all n <= n_max (the indexed language is
     stable under doubling), False when they differ, and None when the source
-    cannot produce the doubled prefix (literal words).
+    cannot produce the doubled prefix (literal words).  Only the factors of
+    length n_max are compared; the module docstring shows why that suffices
+    for a prefix-consistent source.
     """
     bound = source.max_prefix()
     if bound is not None and 2 * length > bound:
         return None
-    short = factor_sets(source.prefix(length), n_max)
-    long_ = factor_sets(source.prefix(2 * length), n_max)
-    return short == long_
+    return _stable_under_doubling(source.prefix(length), source.prefix(2 * length), n_max)
+
+
+def _stable_under_doubling(short: str, long_: str, n: int) -> bool:
+    """Whether ``long_``, which has ``short`` as a prefix, has no length-n factor
+    outside those of ``short``; by the top-order lemma of the module docstring,
+    then none of any length <= n."""
+    if n > len(short):
+        raise IndexRangeError(f"n_max={n} exceeds text length {len(short)}")
+    start = len(short) - n + 1  # windows starting before this lie inside short
+    seen = {short[i:i + n] for i in range(start)}
+    return seen.issuperset(long_[i:i + n] for i in range(start, len(long_) - n + 1))

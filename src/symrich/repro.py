@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .index import LanguageIndex, factor_sets
+from .index import LanguageIndex, _stable_under_doubling
 from .presets import (
     HEXA_ETA,
     HEXA_MU,
@@ -150,7 +150,7 @@ def repro_hexa(length: int = 2000, n_max: int = 30) -> CaseStudyReport:
     """The 6-letter image word against its order-8 group and its subgroups."""
     group = hexa_group()
     text = hexa_text(length)
-    stability = factor_sets(text, n_max + 2) == factor_sets(hexa_text(2 * length), n_max + 2)
+    stability = _stable_under_doubling(text, hexa_text(2 * length), n_max + 2)
     index = LanguageIndex(text, n_max + 2, group)
     report = verify_text(group, text, n_max=n_max, threshold=1, stability=stability,
                          index=index, word_id="hexa", group_id="hexa-group")

@@ -8,6 +8,7 @@ elements), so compositions and inverses are fully tabulated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -251,10 +252,20 @@ class SymmetryGroup:
         return any(t.apply(word) == word for t in self.antimorphisms)
 
     def letter_classes(self) -> dict[str, frozenset[str]]:
-        return {g: frozenset(self.equivalence_class(g)) for g in self.alphabet}
+        """Per letter: its orbit under the group."""
+        return dict(self._letter_classes)
 
     def letter_fixed(self) -> dict[str, bool]:
         """Per letter: is it fixed by some antimorphism of the group."""
+        return dict(self._letter_fixed)
+
+    # the group is immutable, so both letter maps are computed once
+    @functools.cached_property
+    def _letter_classes(self) -> dict[str, frozenset[str]]:
+        return {g: frozenset(self.equivalence_class(g)) for g in self.alphabet}
+
+    @functools.cached_property
+    def _letter_fixed(self) -> dict[str, bool]:
         return {
             g: any(t.image_of(g) == g for t in self.antimorphisms)
             for g in self.alphabet

@@ -16,6 +16,7 @@ can refute but never fully certify them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ConsistencyError, GroupError, InsufficientPrefixError
 from .graphs import (
@@ -74,7 +75,8 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
         for w in index.sorted_factors(n):
             classes.setdefault(group.class_representative(w), []).append(w)
         for rep in sorted(classes):
-            occ = sorted({q for m in classes[rep] for q in index.occurrences(m)})
+            # distinct factors of one length never share a start position
+            occ = sorted(chain.from_iterable(map(index.occurrences, classes[rep])))
             returns = tuple(sorted({text[i:j + n] for i, j in zip(occ, occ[1:])}))
             violations = tuple(v for v in returns if not group.is_g_palindrome(v))
             checked = len(occ) >= 3 or (len(occ) >= 2 and occ[-1] + n == len(text))

@@ -187,6 +187,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "--config", tm_config, "--length", "8", "complexity")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--nmax", "-1"), ("--nmax", "0"), ("--length", "0"), ("--length", "-5"),
+    ])
+    @pytest.mark.parametrize("preset", ["ex8", "ex6", "subgroups"])
+    def test_repro_size_below_one(self, capsys, preset, flag, value):
+        code, out, err = run(capsys, flag, value, "repro", preset)
+        assert code == EXIT_CONFIG and flag in err and out == ""
+
 
 class TestRepro:
     def test_table1_golden_determinism(self, capsys):

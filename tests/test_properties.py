@@ -6,9 +6,14 @@ searches adversarially over random words, maps, and small groups.
 
 from hypothesis import assume, given, settings, strategies as st
 
+import pytest
+
 from symrich import (
     Alphabet,
+    IndexRangeError,
     LanguageIndex,
+    LiteralSource,
+    PeriodicSource,
     SymmetryGroup,
     SymmetryMap,
     classical_palindromes,
@@ -17,11 +22,13 @@ from symrich import (
     g_lps,
     gamma_g,
     prefix_palindrome_table,
+    stability_check,
     theta_lps,
     theta_palindromic_factors,
     theta_richness,
 )
 from symrich.symmetry import dihedral_group
+from symrich.verify import CrwRecord, _return_word_shape_ok, crw_records
 from symrich.words import DigitSumSource
 
 
@@ -336,6 +343,114 @@ class TestIndexedIdentities:
                         assert index.is_right_special(img)
                     if index.is_right_special(w):
                         assert index.is_left_special(img)
+
+
+@st.composite
+def indexed_word_st(draw, max_size=60):
+    """A word, an order n_max <= |word|, and a group over its alphabet or None."""
+    group = draw(st.none() | group_st())
+    alphabet = group.alphabet if group is not None else draw(alphabet_st())
+    if draw(st.booleans()):
+        word = draw(word_st(alphabet, max_size=max_size))
+    else:  # a repeated block: long runs of equal windows in the sorted order
+        block = draw(word_st(alphabet, min_size=1, max_size=5))
+        word = (block * max_size)[:draw(st.integers(0, max_size))]
+    return word, draw(st.integers(0, len(word))), group
+
+
+def brute_windows(text, n):
+    return {text[i:i + n] for i in range(len(text) - n + 1)}
+
+
+def set_union_crw_records(group, index, text, n_lo, n_hi):
+    """Oracle for crw_records: merges a class's occurrences through a set."""
+    records = []
+    for n in range(n_lo, n_hi + 1):
+        classes = {}
+        for w in index.sorted_factors(n):
+            classes.setdefault(group.class_representative(w), []).append(w)
+        for rep in sorted(classes):
+            occ = sorted({q for m in classes[rep] for q in index.occurrences(m)})
+            returns = tuple(sorted({text[i:j + n] for i, j in zip(occ, occ[1:])}))
+            violations = tuple(v for v in returns if not group.is_g_palindrome(v))
+            checked = len(occ) >= 3 or (len(occ) >= 2 and occ[-1] + n == len(text))
+            shape_ok = all(_return_word_shape_ok(group, v, n) for v in returns)
+            records.append(CrwRecord(n, rep, len(occ), checked, returns, violations, shape_ok))
+    return records
+
+
+def all_orders_stable(source, length, n_max):
+    """Oracle for stability_check: compares the factor sets at every order."""
+    bound = source.max_prefix()
+    if bound is not None and 2 * length > bound:
+        return None
+    short, long_ = source.prefix(length), source.prefix(2 * length)
+    return all(brute_windows(short, m) == brute_windows(long_, m) for m in range(n_max + 1))
+
+
+class TestIndexDifferential:
+    """The sorted-window index, the top-order stability check and the
+    return-word merge against brute-force windows."""
+
+    @given(case=indexed_word_st())
+    @settings(max_examples=150, deadline=None)
+    def test_index_matches_windows(self, case):
+        word, n_max, group = case
+        index = LanguageIndex(word, n_max, group)
+        added = {}
+        for n in range(n_max + 1):
+            base = brute_windows(word, n)
+            closed = base if group is None else {g.apply(w) for w in base for g in group.elements}
+            assert index.factors(n) == closed
+            if closed != base:
+                added[n] = closed - base
+            for w in closed:
+                assert index.occurrences(w) == tuple(
+                    i for i in range(len(word) - n + 1) if word[i:i + n] == w
+                )
+        assert index.closure_added == added
+        assert index.complexities() == [len(index.factors(n)) for n in range(n_max + 1)]
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stability_matches_all_orders(self, data):
+        alphabet = data.draw(alphabet_st())
+        word = data.draw(word_st(alphabet, min_size=1, max_size=30))
+        source = data.draw(st.sampled_from(
+            [LiteralSource(alphabet, word), PeriodicSource(alphabet, word)]
+        ))
+        length = data.draw(st.integers(1, 40))
+        n_max = data.draw(st.integers(0, length))
+        expected = all_orders_stable(source, length, n_max)
+        assert stability_check(source, length, n_max) is expected
+
+    def test_stability_outcomes_and_edges(self):
+        binary = Alphabet.from_size(2)
+        for source, length, n_max, expected in [
+            (PeriodicSource(binary, "0"), 3, 3, True),  # n_max == length
+            (PeriodicSource(binary, "01"), 2, 2, False),  # "10" first appears after 2 letters
+            (PeriodicSource(binary, "0110"), 7, 4, True),
+            (LiteralSource(binary, "0110"), 2, 2, False),
+            (LiteralSource(binary, "0101"), 2, 1, True),
+            (LiteralSource(binary, "0101"), 3, 1, None),
+        ]:
+            assert stability_check(source, length, n_max) is expected
+            assert all_orders_stable(source, length, n_max) is expected
+        # a bounded source that cannot double answers None before the order is checked
+        assert stability_check(LiteralSource(binary, "0101"), 3, 9) is None
+        with pytest.raises(IndexRangeError):
+            stability_check(PeriodicSource(binary, "01"), 3, 4)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_crw_records_match_set_union(self, data):
+        group = data.draw(group_st())
+        word = data.draw(word_st(group.alphabet, min_size=1) | closure_word_st(group))
+        n_max = data.draw(st.integers(1, len(word)))
+        index = LanguageIndex(word, n_max, group)
+        assert crw_records(group, index, word, 1, n_max) == set_union_crw_records(
+            group, index, word, 1, n_max
+        )
 
 
 class TestWitnessInvariants:

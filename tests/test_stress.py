@@ -7,7 +7,7 @@ chain are all checked inside these runs.
 
 import pytest
 
-from symrich import defect_profile, verify
+from symrich import LanguageIndex, defect_profile, verify
 from symrich.presets import BINARY, binary_full_group, fibonacci_source, reversal_group, thue_morse_source
 from symrich.verify import RICH
 
@@ -23,3 +23,15 @@ def test_thue_morse_order_four_verify():
 
 def test_fibonacci_reversal_defect():
     assert defect_profile(reversal_group(BINARY), fibonacci_source().prefix(64000)).final == 0
+
+
+def test_thue_morse_index_at_order_62():
+    text = thue_morse_source().prefix(64000)
+    index = LanguageIndex(text, 62, binary_full_group())
+    assert index.g_closed
+    for n in (1, 31, 62):
+        assert index.factors(n) == {text[i:i + n] for i in range(len(text) - n + 1)}
+    specials = index.specials(30)
+    assert specials
+    for w in specials:
+        assert index.occurrences(w) == tuple(i for i in range(len(text) - 29) if text.startswith(w, i))
