@@ -78,6 +78,12 @@ def _as_int(value, what: str) -> int:
     return number
 
 
+def _nonnegative(value: int, what: str) -> int:
+    if value < 0:
+        raise ConfigError(f"{what} must be nonnegative, got {value}")
+    return value
+
+
 def _as_glyph(value, what: str) -> str:
     text = str(value)
     if len(text) != 1:
@@ -169,8 +175,8 @@ def load_config(path: str) -> AnalysisConfig:
     analysis = raw.get("analysis") or {}
     if not isinstance(analysis, dict):
         raise ConfigError("config section 'analysis' must be a mapping")
-    length = _as_int(analysis.get("length", 2000), "analysis.length")
-    n_max = _as_int(analysis.get("n_max", 30), "analysis.n_max")
+    length = _nonnegative(_as_int(analysis.get("length", 2000), "analysis.length"), "analysis.length")
+    n_max = _nonnegative(_as_int(analysis.get("n_max", 30), "analysis.n_max"), "analysis.n_max")
     threshold = _as_int(analysis.get("threshold", 1), "analysis.threshold")
     out_format = str(analysis.get("format", "report"))
     return AnalysisConfig(alphabet, source, group, length, n_max, threshold, out_format)
@@ -178,9 +184,9 @@ def load_config(path: str) -> AnalysisConfig:
 
 def _apply_overrides(config: AnalysisConfig, args) -> AnalysisConfig:
     if args.length is not None:
-        config.length = args.length
+        config.length = _nonnegative(args.length, "--length")
     if args.nmax is not None:
-        config.n_max = args.nmax
+        config.n_max = _nonnegative(args.nmax, "--nmax")
     if args.threshold is not None:
         config.threshold = args.threshold
     if args.format is not None:

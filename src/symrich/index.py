@@ -95,10 +95,15 @@ class LanguageIndex:
             self._runs.append(level)
             base = frozenset(level)
             if group is not None:
-                closed: set[str] = set()
-                for w in base:
-                    if w not in closed:  # else its whole orbit is in already
-                        closed.update([g.apply(w) for g in group.elements])
+                # every factor has length n, so the image of the joined level under g
+                # cuts back into the images of the factors (in reverse order for an
+                # antimorphism) with no separator
+                joined = "".join(level)
+                closed = set(base)
+                for g in group.elements:
+                    if not g.is_identity():
+                        image = g.apply(joined)
+                        closed.update([image[i:i + n] for i in range(0, len(image), n)])
                 added = closed - base
                 if added:
                     self.closure_added[n] = frozenset(added)

@@ -16,7 +16,9 @@ links from each node to the nodes of its orbit images in the other trees.
 The G-lps of a prefix is the longest of the per-tree lps, and it is
 G-unioccurrent iff its node is new there and no orbit image is older, the
 group form of the rule of Droubay, Justin & Pirillo.  A whole profile thus
-takes time linear in |w| * |G|.  The quadratic routines kept here
+takes time linear in |w| * |G|; what the trees need from the group is
+tabulated once per group object (:attr:`SymmetryGroup.palindrome_tables`),
+so a call on a short word pays little set-up.  The quadratic routines kept here
 (:func:`g_defect`, :func:`classical_palindromes`,
 :func:`theta_palindromic_factors`, :func:`theta_richness`) are brute-force
 oracles for tests and cross-checks.
@@ -24,10 +26,11 @@ oracles for tests and cross-checks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, GroupError, SourceError
-from .symmetry import SymmetryGroup, SymmetryMap
+from .symmetry import PalindromeTables, SymmetryGroup, SymmetryMap
 
 # -- occurrences ------------------------------------------------------------------
 
@@ -92,24 +95,33 @@ def _suffix_fixed(word: str, translated: str, start: int, end: int) -> bool:
 
 @dataclass(frozen=True)
 class _Scan:
-    """What one pass of :func:`_palindrome_scan` reports, per prefix length i.
+    """The per-antimorphism eertrees of one pass of :func:`_palindrome_scan`.
 
-    ``lps[i]`` is the length of the longest G-palindromic suffix of
-    ``word[:i]``; ``unioccurrent[i]`` says whether that suffix is nonempty and
-    G-unioccurrent in ``word[:i]`` (only filled when a group is given);
-    ``counts[t][i]`` is the number of distinct factors of ``word[:i]`` fixed
-    by the t-th antimorphism, the empty word included.
+    ``ends[t][i]`` is the node of the longest suffix of ``word[:i]`` fixed by
+    the t-th antimorphism.  Per node: ``length`` of its palindrome and the
+    prefix length ``born`` where that palindrome first occurs; ``image``
+    holds its orbit-image row when the scan was linked, else it is empty.
+    The nodes made in tree t are ``first[t]`` .. ``first[t + 1] - 1``, in
+    order of birth.
     """
 
-    lps: list[int]
-    unioccurrent: list[bool]
-    counts: list[list[int]]
+    length: list[int]
+    born: list[int]
+    image: list
+    ends: list[list[int]]
+    first: list[int]
+
+    def longest(self) -> list[int]:
+        """Per prefix length i, the node of the longest G-palindromic suffix of ``word[:i]``."""
+        return [max(column, key=self.length.__getitem__) for column in zip(*self.ends)]
 
 
-def _palindrome_scan(word: str, antimorphisms, group: SymmetryGroup | None = None) -> _Scan:
+def _palindrome_scan(word: str, closing, tables: PalindromeTables | None = None) -> _Scan:
     """One eertree per antimorphism over ``word``, with orbit-image links.
 
-    The tree of theta = (pi, reversal) holds one node per distinct nonempty
+    ``closing`` holds each antimorphism's :attr:`SymmetryMap.closing`, and
+    every glyph of ``word`` must belong to the maps' alphabet.  The tree of
+    theta = (pi, reversal) holds one node per distinct nonempty
     theta-palindromic factor, plus two roots: an imaginary node of length -1
     and the empty word.  Node X is extended at prefix length i + 1 by the
     letter c = word[i] when word[k] == pi(c) and c == pi(word[k]) with
@@ -119,9 +131,9 @@ def _palindrome_scan(word: str, antimorphisms, group: SymmetryGroup | None = Non
     back to the empty node in the same way).  A node is created exactly when
     its palindrome first occurs, and it is then the theta-lps of that prefix.
 
-    With a group (whose antimorphisms must be ``antimorphisms``), node P of
-    the tree of theta is linked, for every element g, to node g(P) of the
-    tree of g theta g^-1: the image of pi(c) X c is the child of
+    With the ``tables`` of a group (whose antimorphisms give ``closing``),
+    node P of the tree of theta is linked, for every element g, to node g(P)
+    of the tree of g theta g^-1: the image of pi(c) X c is the child of
     image(X, g) along sigma(c) for a morphism g with letter map sigma, and
     along sigma(pi(c)) for an antimorphism.  The trees are grown one after
     another over the whole word, and both directions of a link are set when
@@ -130,68 +142,28 @@ def _palindrome_scan(word: str, antimorphisms, group: SymmetryGroup | None = Non
     G-unioccurrent iff its node was born at i and no orbit image was born
     earlier.  Time and space are linear in |word| * |G|.
     """
-    antims = tuple(antimorphisms)
     n = len(word)
-    if not antims:
-        return _Scan([0] * (n + 1), [False] * (n + 1), [])
-    letters = "".join(sorted(set(word)))
-    # pi(c) for every letter c whose theta-palindromes can end in c, i.e. pi(pi(c)) == c
-    closing = [
-        {c: p for c, p, q in zip(letters, t.translated(letters), t.translated(t.translated(letters)))
-         if q == c}
-        for t in antims
-    ]
-
-    length: list[int] = []
-    link: list[int] = []
-    born: list[int] = []
-    edges: list[dict[str, int]] = []
-    image: list[list[int]] = []
-    for t in range(len(antims)):  # node 2t is the imaginary root of tree t, 2t + 1 its empty word
-        length += [-1, 0]
-        link += [2 * t, 2 * t]
-        born += [0, 0]
-        edges += [{}, {}]
-    # stands for an image that never occurs: it is born after the word ends and has no children
+    trees = len(closing)
+    length = [-1, 0] * trees
+    link = [2 * (k // 2) for k in range(2 * trees)]  # both roots fall back to the imaginary one
+    born = [0] * (2 * trees)
+    # node 2 * trees stands for an image that never occurs: born after the word ends, no children
     absent = len(length)
     length.append(0)
     link.append(absent)
     born.append(n + 1)
-    edges.append({})
+    edges: list[dict[str, int]] = [{} for _ in range(absent + 1)]
+    image = list(tables.root_images) if tables is not None else []
 
-    if group is not None:
-        elements = group.elements
-        position = {g: j for j, g in enumerate(elements)}
-        back = [position[group.inverse(g)] for g in elements]
-        # targets[t][j]: tree of g theta_t g^-1, found by its letterwise images of the
-        # glyphs, as g theta_t g^-1 sends sigma(y) to sigma(pi(y));
-        # steps[t][j][c]: edge letter of the image of a node whose last letter is c
-        glyphs = "".join(group.alphabet.glyphs)
-        pis = [t.translated(glyphs) for t in antims]
-        tree_of = {pi: k for k, pi in enumerate(pis)}
-        targets = [
-            [tree_of[glyphs.translate(str.maketrans(g.translated(glyphs), g.translated(pi)))]
-             for g in elements]
-            for pi in pis
-        ]
-        steps = [
-            [dict(zip(close, g.translated("".join(close.values() if g.antimorphic else close))))
-             for g in elements]
-            for close in closing
-        ]
-        for t in range(len(antims)):
-            image.append([2 * u for u in targets[t]])
-            image.append([2 * u + 1 for u in targets[t]])
-        image.append([absent] * len(elements))
-
-    nodes_by_tree: list[list[int]] = []
-    counts: list[list[int]] = []
+    ends: list[list[int]] = []
+    first: list[int] = []
     for t, close in enumerate(closing):
         root, empty = 2 * t, 2 * t + 1
+        if tables is not None:
+            steps, back = tables.last_letter[t], tables.inverse
+        first.append(len(length))
         cur = empty
         nodes = [empty]
-        count = [1]
-        created = 1
         for i, c in enumerate(word):
             p = close.get(c)
             if p is None:
@@ -218,43 +190,39 @@ def _palindrome_scan(word: str, antimorphisms, group: SymmetryGroup | None = Non
                         born.append(i + 1)
                         edges.append({})
                         edges[x][c] = child
-                        created += 1
-                        if group is not None:
+                        if tables is not None:
                             row = [absent] * len(back)
                             image.append(row)
-                            for j, step in enumerate(steps[t]):
+                            for j, step in enumerate(steps):
                                 z = edges[image[x][j]].get(step[c], absent)
                                 if z != absent:
                                     row[j] = z
                                     image[z][back[j]] = child
                     cur = child
             nodes.append(cur)
-            count.append(created)
-        nodes_by_tree.append(nodes)
-        counts.append(count)
+        ends.append(nodes)
+    first.append(len(length))
+    return _Scan(length, born, image, ends, first)
 
-    best = [max(column, key=length.__getitem__) for column in zip(*nodes_by_tree)]
-    lps = [length[x] for x in best]
-    unioccurrent: list[bool] = []
-    if group is not None:
-        # the identity's image of a node is the node itself, so the minimum is at most born[x]
-        unioccurrent = [
-            lps[i] > 0 and min(map(born.__getitem__, image[x])) == i
-            for i, x in enumerate(best)
-        ]
-    return _Scan(lps, unioccurrent, counts)
+
+def _final_lps(word: str, closing) -> str:
+    """The longest suffix of ``word`` fixed by an antimorphism with one of the ``closing`` maps."""
+    scan = _palindrome_scan(word, closing)
+    return word[len(word) - max((scan.length[nodes[-1]] for nodes in scan.ends), default=0):]
 
 
 def g_lps(group: SymmetryGroup, word: str) -> str:
     """Longest suffix of ``word`` fixed by some antimorphism of the group (possibly ε)."""
-    return word[len(word) - _palindrome_scan(word, group.antimorphisms).lps[-1]:]
+    group.alphabet.check_word(word)
+    return _final_lps(word, group.palindrome_tables.closing)
 
 
 def theta_lps(theta: SymmetryMap, word: str) -> str:
     """Longest suffix fixed by one specific antimorphism."""
     if not theta.antimorphic:
         raise GroupError(f"{theta.name} is not an antimorphism")
-    return word[len(word) - _palindrome_scan(word, [theta]).lps[-1]:]
+    theta.alphabet.check_word(word)
+    return _final_lps(word, (theta.closing,))
 
 
 # -- letter classes and gamma ------------------------------------------------------
@@ -308,13 +276,20 @@ def defect_profile(group: SymmetryGroup, word: str) -> DefectProfile:
     analysis and tied to the defect by the identity
     D(i) = i + 1 - #pal_classes(i) - gamma(i), asserted at every step.
     """
-    return _lacuna_profile(group, word, _palindrome_scan(word, group.antimorphisms, group))
+    return _lacuna_profile(group, word, _linked_scan(group, word))
+
+
+def _linked_scan(group: SymmetryGroup, word: str) -> _Scan:
+    """The scan of ``word`` under ``group``, with orbit-image links."""
+    if not group.antimorphisms:
+        raise GroupError("defect analysis requires a group with an antimorphism")
+    group.alphabet.check_word(word)
+    tables = group.palindrome_tables
+    return _palindrome_scan(word, tables.closing, tables)
 
 
 def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan) -> DefectProfile:
-    """The :func:`defect_profile` of ``word`` from a scan of it under ``group``."""
-    if not group.antimorphisms:
-        raise GroupError("defect analysis requires a group with an antimorphism")
+    """The :func:`defect_profile` of ``word`` from a linked scan of it under ``group``."""
     letter_class = group.letter_classes()
     letter_fixed = group.letter_fixed()
 
@@ -324,14 +299,18 @@ def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan) -> DefectProfi
     lacunas: list[int] = []
     seen_classes: set[frozenset[str]] = set()
     n = len(word)
-    unioccurrent = scan.unioccurrent
+    best = scan.longest()
+    born, image = scan.born, scan.image
 
     for i in range(1, n + 1):
         a = word[i - 1]
         new_class = letter_class[a] not in seen_classes
         seen_classes.add(letter_class[a])
 
-        lps_unioccurrent = unioccurrent[i]
+        # a node born at i > 0 is a nonempty palindrome; the identity's image of a
+        # node is the node itself, so the minimum over its images is at most i
+        x = best[i]
+        lps_unioccurrent = born[x] == i and min(map(born.__getitem__, image[x])) == i
         pal_new = 1 if lps_unioccurrent else 0
         gamma_new = 1 if (new_class and not letter_fixed[a]) else 0
         is_lacuna = (not new_class) and (not lps_unioccurrent)
@@ -346,7 +325,8 @@ def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan) -> DefectProfi
                 f"defect bookkeeping out of sync at position {i} of {word!r}"
             )
 
-    return DefectProfile(word, tuple(defect), tuple(pal), tuple(gamma), tuple(lacunas), tuple(scan.lps))
+    lps = tuple(map(scan.length.__getitem__, best))
+    return DefectProfile(word, tuple(defect), tuple(pal), tuple(gamma), tuple(lacunas), lps)
 
 
 def g_defect(group: SymmetryGroup, word: str) -> DefectProfile:
@@ -475,13 +455,17 @@ def prefix_palindrome_table(group: SymmetryGroup, text: str) -> list[PrefixRow]:
     """Per-prefix palindrome counts for each involutive antimorphism, plus
     the G-lps, the G-defect, and a lacuna flag.
 
-    Everything comes from one scan: a theta count is 1 plus the number of
-    nodes the theta-eertree has created by that prefix, since a node is
-    created exactly when its theta-palindrome first occurs.
+    Everything comes from one scan: a theta count at prefix length i is 1
+    plus the number of nodes of the theta-eertree born by i, since a node is
+    born exactly where its theta-palindrome first occurs.
     """
-    scan = _palindrome_scan(text, group.antimorphisms, group)
+    scan = _linked_scan(group, text)
     profile = _lacuna_profile(group, text, scan)
-    counts = [scan.counts[group.antimorphisms.index(t)] for t in group.involutive_antimorphisms]
+    counts = []
+    for theta in group.involutive_antimorphisms:
+        t = group.antimorphisms.index(theta)
+        lo, hi = scan.first[t], scan.first[t + 1]
+        counts.append([1 + bisect_right(scan.born, i, lo, hi) - lo for i in range(len(text) + 1)])
     lacuna_set = set(profile.lacunas)
     return [
         PrefixRow(i, tuple(c[i] for c in counts), text[i - profile.lps[i]:i],

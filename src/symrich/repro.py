@@ -24,7 +24,14 @@ from .presets import (
     octa_source,
     octa_theta,
 )
-from .verify import RICH, RichnessReport, SubgroupResult, subgroup_scan, verify, verify_text
+from .verify import (
+    RICH,
+    RichnessReport,
+    SubgroupResult,
+    _stable_prefix,
+    subgroup_scan,
+    verify_text,
+)
 from .words import apply_morphism
 
 
@@ -72,10 +79,11 @@ def repro_octa(length: int = 2000, n_max: int = 30) -> CaseStudyReport:
     """
     source = octa_source()
     group = octa_group()
-    report = verify(group, source, length, n_max, word_id="octa", group_id="octa-group")
-    # verify may have doubled the prefix; check the text the report analysed
-    text = source.prefix(report.length)
+    # the prefix may have been doubled; the checks read the text the report analyses
+    text, stability = _stable_prefix(source, length, n_max)
     index = LanguageIndex(text, n_max + 2, group)
+    report = verify_text(group, text, n_max=n_max, stability=stability, index=index,
+                         word_id="octa", group_id="octa-group")
     checks: list[CheckLine] = []
 
     c = index.complexities()

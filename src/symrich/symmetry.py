@@ -63,6 +63,17 @@ class SymmetryMap:
     def image_of(self, glyph: str) -> str:
         return self.images[self.alphabet.index(glyph)]
 
+    # the map is immutable, so its closing letters are computed once
+    @functools.cached_property
+    def closing(self) -> dict[str, str]:
+        """pi(c) for every glyph c with pi(pi(c)) == c, where pi is the letter map.
+
+        For an antimorphism theta = (pi, reversal) these are the glyphs that
+        can end a nonempty theta-palindrome, each mapped to the glyph that
+        palindrome starts with.
+        """
+        return {c: p for c, p in zip(self.alphabet.glyphs, self.images) if self.image_of(p) == c}
+
     def translated(self, word: str) -> str:
         """Letterwise image without the antimorphic reversal."""
         return word.translate(self._table)
@@ -102,8 +113,8 @@ class SymmetryGroup:
     """A composition-closed set of symmetry maps with identity and inverses.
 
     Instances are immutable once built.  The canonical element order is
-    morphisms before antimorphisms, each block sorted by image tuple, which
-    puts the identity first.
+    morphisms before antimorphisms, each block sorted by image tuple; the
+    identity comes first only when the alphabet's glyphs are in sorted order.
     """
 
     def __init__(self, elements: tuple[SymmetryMap, ...]):
@@ -271,6 +282,11 @@ class SymmetryGroup:
             for g in self.alphabet
         }
 
+    @functools.cached_property
+    def palindrome_tables(self) -> "PalindromeTables":
+        """The group data of the orbit links between palindrome trees, built once."""
+        return PalindromeTables.of(self)
+
     def is_distinguishing(self, factors) -> bool:
         """Whether distinct antimorphisms act distinctly on every given factor.
 
@@ -297,6 +313,55 @@ class SymmetryGroup:
             f"abelian={self.is_abelian()}, "
             f"involutive antimorphisms={[e.name for e in self.involutive_antimorphisms]}, "
             f"involutively generated={self.is_involutively_generated()}"
+        )
+
+
+@dataclass(frozen=True)
+class PalindromeTables:
+    """What the per-antimorphism palindrome trees of a group need from it.
+
+    ``palindromes._palindrome_scan`` grows one tree per antimorphism theta_t
+    (the t-th of ``group.antimorphisms``) and links each node, for every
+    element g_j (the j-th of ``group.elements``), to the node of its image
+    g_j(P), which is fixed by g_j theta_t g_j^-1.  These tables depend only
+    on the group:
+
+    * ``closing[t]`` is ``theta_t.closing``;
+    * ``inverse[j]`` is the position of g_j^-1;
+    * ``last_letter[t][j][c]``, for c in ``closing[t]``, is the last letter of
+      g_j(u) for every theta_t-palindrome u ending in c: sigma(c) for a
+      morphism g_j with letter map sigma, sigma(pi_t(c)) for an antimorphism;
+    * ``root_images`` are the image rows of the trees' roots, in the node
+      numbering of the scan: node 2t is the imaginary root of tree t and node
+      2t + 1 its empty word, whose images are the roots of the tree of
+      g_j theta_t g_j^-1; node 2T (T trees) stands for an image that never
+      occurs, so its images are itself.
+    """
+
+    closing: tuple[dict[str, str], ...]
+    inverse: tuple[int, ...]
+    last_letter: tuple[tuple[dict[str, str], ...], ...]
+    root_images: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, group: SymmetryGroup) -> "PalindromeTables":
+        elements, antims = group.elements, group.antimorphisms
+        position = {g: j for j, g in enumerate(elements)}
+        tree_of = {t: k for k, t in enumerate(antims)}
+        root_images = []
+        for t in antims:
+            targets = [tree_of[group.compose(g, group.compose(t, group.inverse(g)))] for g in elements]
+            root_images += [tuple(2 * u for u in targets), tuple(2 * u + 1 for u in targets)]
+        root_images.append((2 * len(antims),) * len(elements))
+        return cls(
+            closing=tuple(t.closing for t in antims),
+            inverse=tuple(position[group.inverse(g)] for g in elements),
+            last_letter=tuple(
+                tuple({c: g.image_of(p if g.antimorphic else c) for c, p in t.closing.items()}
+                      for g in elements)
+                for t in antims
+            ),
+            root_images=tuple(root_images),
         )
 
 

@@ -391,6 +391,16 @@ def verify(
     When the factor sets of prefix(L) and prefix(2L) disagree the prefix is
     doubled (up to six times); persistent instability raises.
     """
+    text, stability = _stable_prefix(source, length, n_max, auto_extend)
+    return verify_text(
+        group, text, n_max=n_max, threshold=threshold, stability=stability,
+        word_id=word_id or repr(source), group_id=group_id,
+    )
+
+
+def _stable_prefix(source: WordSource, length: int, n_max: int,
+                   auto_extend: bool = True) -> tuple[str, bool | None]:
+    """The prefix :func:`verify` analyses, and its stability under doubling."""
     if length < n_max + 2:
         raise InsufficientPrefixError(f"length {length} cannot support n_max={n_max}")
     attempts = 6 if auto_extend else 0
@@ -404,11 +414,7 @@ def verify(
             f"factor sets up to length {n_max + 2} still change when doubling the prefix "
             f"beyond {length} letters"
         )
-    text = source.prefix(length)
-    return verify_text(
-        group, text, n_max=n_max, threshold=threshold, stability=stability,
-        word_id=word_id or repr(source), group_id=group_id,
-    )
+    return source.prefix(length), stability
 
 
 # -- subgroup scan -------------------------------------------------------------------

@@ -63,6 +63,8 @@ class Alphabet:
 
     def check_word(self, word: str) -> str:
         """Return ``word`` unchanged, raising if any glyph is foreign."""
+        if self._set.issuperset(word):
+            return word
         for g in word:
             if g not in self._set:
                 raise AlphabetError(

@@ -187,6 +187,32 @@ class TestExitCodes:
         code, _, err = run(capsys, "--config", tm_config, "--length", "8", "complexity")
         assert code == EXIT_CONFIG
 
+    CONFIG_COMMANDS = [
+        ["word"], ["group"], ["complexity"], ["defect"], ["returns", "010"], ["lps", "11"],
+        ["graph", "rauzy", "--n", "3"], ["verify"],
+    ]
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    @pytest.mark.parametrize("flags, named", [
+        (["--nmax", "-1"], "--nmax"),
+        (["--length", "-2"], "--length"),
+        (["--nmax", "-5", "--length", "-2"], "--length"),
+    ])
+    def test_negative_size_flag(self, capsys, tm_config, command, flags, named):
+        code, out, err = run(capsys, "--config", tm_config, *flags, *command)
+        assert code == EXIT_CONFIG and named in err and out == ""
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    @pytest.mark.parametrize("field, old, new", [
+        ("analysis.length", "length: 600", "length: -600"),
+        ("analysis.n_max", "n_max: 10", "n_max: -1"),
+    ])
+    def test_negative_size_field(self, capsys, tmp_path, command, field, old, new):
+        path = tmp_path / "negative.yaml"
+        path.write_text(TM_CONFIG.replace(old, new))
+        code, out, err = run(capsys, "--config", str(path), *command)
+        assert code == EXIT_CONFIG and field in err and out == ""
+
     @pytest.mark.parametrize("flag, value", [
         ("--nmax", "-1"), ("--nmax", "0"), ("--length", "0"), ("--length", "-5"),
     ])

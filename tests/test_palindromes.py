@@ -1,6 +1,7 @@
 import pytest
 
 from symrich import (
+    AlphabetError,
     GroupError,
     SourceError,
     classical_palindromes,
@@ -210,3 +211,23 @@ class TestPrefixTable:
         for n in (9, 17, 40):
             assert rows[n].theta_counts[0] == len(classical_palindromes(text[:n]))
             assert rows[n].theta_counts[1] == len(theta_palindromic_factors(E, text[:n]))
+
+
+class TestForeignGlyphs:
+    """Every lps and defect entry point rejects a glyph outside the alphabet."""
+
+    def test_defect_profile(self, i2_2):
+        with pytest.raises(AlphabetError, match="'a'"):
+            defect_profile(i2_2, "0a1")
+
+    def test_g_lps(self, i2_2):
+        with pytest.raises(AlphabetError, match="'a'"):
+            g_lps(i2_2, "0a1")
+
+    def test_theta_lps(self):
+        with pytest.raises(AlphabetError, match="'a'"):
+            theta_lps(R, "0a1")
+
+    def test_prefix_palindrome_table(self, i2_2):
+        with pytest.raises(AlphabetError, match="'a'"):
+            prefix_palindrome_table(i2_2, "0a1")

@@ -233,6 +233,26 @@ class TestLpsDifferential:
             assert theta_lps(theta, word) == brute_lps([theta], word)
 
 
+class TestGroupTables:
+    """The per-group tables behind the scan are built once per group object
+    and reused; equal but distinct group objects build equal tables."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_group_object_across_words(self, data):
+        group = data.draw(group_st())
+        twin = SymmetryGroup(group.elements)
+        other = data.draw(group_st())
+        tables = group.palindrome_tables
+        for _ in range(data.draw(st.integers(3, 10))):
+            g = data.draw(st.sampled_from([group, group, twin, other]))
+            word = data.draw(word_st(g.alphabet, max_size=30) | closure_word_st(g, max_size=30))
+            assert defect_profile(g, word) == g_defect(g, word)
+            assert g_lps(g, word) == brute_lps(g.antimorphisms, word)
+        assert group.palindrome_tables is tables
+        assert twin == group and twin.palindrome_tables == tables
+
+
 class TestLpsRegressions:
     """Fixed cases that a one-sided extension test or a root without fallback gets wrong."""
 
@@ -346,9 +366,23 @@ class TestIndexedIdentities:
 
 
 @st.composite
+def punctuation_group_st(draw):
+    """A group over unsorted glyphs that a separator-joined closure could
+    confuse; a newline cannot be one, since glyphs must be printable."""
+    alphabet = Alphabet((",", " ", "|", "0"))
+    generators = [draw(involution_st(alphabet))]
+    if draw(st.booleans()):
+        generators.append(draw(antimorphism_st(alphabet)))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(list(alphabet.glyphs)))
+        generators.append(SymmetryMap(alphabet, tuple(perm), antimorphic=False))
+    return SymmetryGroup.close(generators)
+
+
+@st.composite
 def indexed_word_st(draw, max_size=60):
     """A word, an order n_max <= |word|, and a group over its alphabet or None."""
-    group = draw(st.none() | group_st())
+    group = draw(st.none() | group_st() | punctuation_group_st())
     alphabet = group.alphabet if group is not None else draw(alphabet_st())
     if draw(st.booleans()):
         word = draw(word_st(alphabet, max_size=max_size))
