@@ -251,6 +251,7 @@ def _cmd_returns(args) -> str:
 
 def _cmd_lps(args) -> str:
     cfg = _need_config(args)
+    _nonnegative(args.prefix_length, "prefix_length")
     if args.prefix_length > cfg.length:
         raise ConfigError(f"prefix length {args.prefix_length} exceeds configured length {cfg.length}")
     text = cfg.source.prefix(args.prefix_length)
@@ -263,6 +264,7 @@ def _cmd_graph(args) -> str:
     _check_indexing_bounds(cfg)
     if args.n is None:
         raise ConfigError("graph command needs --n <order>")
+    _nonnegative(args.n, "--n")
     index = LanguageIndex(cfg.source.prefix(cfg.length), cfg.n_max + 2, cfg.group)
     if args.kind == "rauzy":
         return rauzy_graph(index, args.n).to_dot()

@@ -27,7 +27,7 @@ from .graphs import (
     complexity_identity,
     tls_verdict,
 )
-from .index import LanguageIndex, stability_check
+from .index import LanguageIndex, _stable_under_doubling, stability_check
 from .palindromes import (
     DefectProfile,
     defect_profile,
@@ -69,20 +69,107 @@ class CrwRecord:
 
 def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
                 n_lo: int, n_hi: int) -> list[CrwRecord]:
-    records = []
-    for n in range(n_lo, n_hi + 1):
+    """Complete return words of every orbit class of factors of length n_lo..n_hi.
+
+    The complete return words of a class C are the factors ``text[i:j + n]``
+    for consecutive occurrences i < j of members of C.  Slicing them costs
+    about |text| slices per order, so the orders are walked top-down and a
+    class with no special member is derived from order n + 2 instead.
+
+    Lemma.  Let the factor sets of orders n + 1 and n + 2 be closed under
+    ``group``, and let C be a class of order n whose representative m has
+    exactly one left extension b and one right extension c, with b·m·c a
+    factor.  (When b·m·c is no factor, C occurs only at 0 and |text| - n.)
+    Then:
+
+    1. Every member g(m) has exactly one left extension and one right
+       extension, and the words b'·m'·c' (m' in C, b' and c' its extensions)
+       form one class C2 of order n + 2, the class of b·m·c.
+    2. The occurrences p of C with 1 <= p <= |text| - n - 1 are the
+       occurrences of C2 shifted by one.
+    3. crw(C) is {v[1:-1] : v in crw(C2)}, plus the return word that starts
+       at position 0 when C occurs there, plus the one that ends the text
+       when C occurs at |text| - n.
+
+    Proof.  (1) The middle n letters of g(x·m·y) are g(m), and g(x·m·y) is
+    a factor whenever x·m·y is, by closure; for a morphism g with letter map
+    s it is s(x)·g(m)·s(y), for an antimorphism with letter map s it is
+    s(y)·g(m)·s(x).  So g maps the two-sided extensions of m one-to-one onto
+    those of g(m), and g^-1 maps them back: g(m) has exactly one of each, and
+    g(b·m·c) is b'·g(m)·c'.  The orbit of b·m·c is therefore the set of the
+    words b'·m'·c'.  (2) An occurrence p of a member m' with 1 <= p <=
+    |text| - n - 1 has a letter on each side, and these must be the unique
+    extensions of m', so b'·m'·c' occurs at p - 1; conversely every
+    occurrence q of b'·m'·c' puts m' at q + 1 inside that range.  (3) The
+    occurrences of C are those of (2) plus possibly 0 and |text| - n.
+    Consecutive inner occurrences i < j are consecutive occurrences i - 1,
+    j - 1 of C2, whose return word ``text[i - 1:j + n + 1]`` is the one of C
+    with one letter added on each side.  The remaining consecutive pairs
+    touch position 0 or |text| - n.
+
+    The occurrence count and ``checked`` follow from C2's count and the two
+    boundary occurrences, while the violations and the shape test are
+    recomputed on the derived words.  Classes with a special member or with
+    no inner occurrence, the two top orders, and languages not known to be
+    closed under ``group`` (an index built without a group, with closure
+    additions, or for a group not containing ``group``) are sliced directly.
+    """
+    derive = index.g_closed and all(g in index.group for g in group.elements)
+    size = len(text)
+    # per order: class representative -> (record, first occurrence, last occurrence)
+    levels: dict[int, dict[str, tuple[CrwRecord, int, int]]] = {}
+    for n in range(n_hi, n_lo - 1, -1):
         classes: dict[str, list[str]] = {}
         for w in index.sorted_factors(n):
             classes.setdefault(group.class_representative(w), []).append(w)
+        up = levels.get(n + 2) if derive else None
+        head = group.class_representative(text[:n])
+        tail = group.class_representative(text[size - n:])
+        level = levels[n] = {}
         for rep in sorted(classes):
-            # distinct factors of one length never share a start position
-            occ = sorted(chain.from_iterable(map(index.occurrences, classes[rep])))
-            returns = tuple(sorted({text[i:j + n] for i, j in zip(occ, occ[1:])}))
-            violations = tuple(v for v in returns if not group.is_g_palindrome(v))
-            checked = len(occ) >= 3 or (len(occ) >= 2 and occ[-1] + n == len(text))
-            shape_ok = all(_return_word_shape_ok(group, v, n) for v in returns)
-            records.append(CrwRecord(n, rep, len(occ), checked, returns, violations, shape_ok))
-    return records
+            entry = _outer_entry(group, index, up, rep) if up else None
+            if entry:
+                outer, first, last = entry
+                first, last = first + 1, last + 1
+                count = outer.occurrences
+                returns = {v[1:-1] for v in outer.return_words}
+                if rep == head:
+                    returns.add(text[:first + n])
+                    count, first = count + 1, 0
+                if rep == tail:
+                    returns.add(text[last:])
+                    count, last = count + 1, size - n
+            else:
+                # distinct factors of one length never share a start position
+                occ = sorted(chain.from_iterable(map(index.occurrences, classes[rep])))
+                returns = {text[i:j + n] for i, j in zip(occ, occ[1:])}
+                count = len(occ)
+                first, last = (occ[0], occ[-1]) if occ else (-1, -1)
+            level[rep] = (_crw_record(group, n, rep, count, rep == tail, returns), first, last)
+    return [record for n in range(n_lo, n_hi + 1) for record, _, _ in levels[n].values()]
+
+
+def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
+                 up: dict[str, tuple[CrwRecord, int, int]], rep: str):
+    """The entry in ``up`` (order n + 2) of the class of b·rep·c, when rep has
+    exactly one left extension b and one right extension c and b·rep·c is a
+    factor; None otherwise."""
+    left, right = index.lext(rep), index.rext(rep)
+    if len(left) != 1 or len(right) != 1:
+        return None
+    (b,), (c,) = left, right
+    return up.get(group.class_representative(b + rep + c))
+
+
+def _crw_record(group: SymmetryGroup, n: int, rep: str, count: int, at_end: bool,
+                returns: set[str]) -> CrwRecord:
+    """The record of a class with ``count`` occurrences, the last at the end of
+    the text iff ``at_end``, and the given complete return words."""
+    words = tuple(sorted(returns))
+    violations = tuple(v for v in words if not group.is_g_palindrome(v))
+    checked = count >= 3 or (count >= 2 and at_end)
+    shape_ok = all(_return_word_shape_ok(group, v, n) for v in words)
+    return CrwRecord(n, rep, count, checked, words, violations, shape_ok)
 
 
 def _return_word_shape_ok(group: SymmetryGroup, v: str, n: int) -> bool:
@@ -400,21 +487,32 @@ def verify(
 
 def _stable_prefix(source: WordSource, length: int, n_max: int,
                    auto_extend: bool = True) -> tuple[str, bool | None]:
-    """The prefix :func:`verify` analyses, and its stability under doubling."""
+    """The prefix :func:`verify` analyses, and its stability under doubling.
+
+    Each stability step generates prefix(2L) once and reads prefix(L) as its
+    head, since a source's prefixes agree; a doubling step reuses the long
+    prefix as its short one.  The stability is None when a bounded source
+    cannot produce the doubled prefix, as in :func:`stability_check`.
+    """
     if length < n_max + 2:
         raise InsufficientPrefixError(f"length {length} cannot support n_max={n_max}")
     attempts = 6 if auto_extend else 0
-    stability = stability_check(source, length, n_max + 2)
-    while stability is False and attempts > 0:
-        length *= 2
+    bound = source.max_prefix()
+    short = None  # prefix(length) once generated: the long prefix of the step before
+    while bound is None or 2 * length <= bound:
+        long_ = source.prefix(2 * length)
+        if short is None:
+            short = long_[:length]
+        if _stable_under_doubling(short, long_, n_max + 2):
+            return short, True
+        if attempts == 0:
+            raise InsufficientPrefixError(
+                f"factor sets up to length {n_max + 2} still change when doubling the prefix "
+                f"beyond {length} letters"
+            )
         attempts -= 1
-        stability = stability_check(source, length, n_max + 2)
-    if stability is False:
-        raise InsufficientPrefixError(
-            f"factor sets up to length {n_max + 2} still change when doubling the prefix "
-            f"beyond {length} letters"
-        )
-    return source.prefix(length), stability
+        length, short = 2 * length, long_
+    return (source.prefix(length) if short is None else short), None
 
 
 # -- subgroup scan -------------------------------------------------------------------

@@ -17,6 +17,9 @@ from .errors import AlphabetError, SourceError
 #: glyph pool used when an alphabet is built from a size only
 GLYPH_POOL = string.digits + string.ascii_lowercase
 
+#: letters of a word that an error message quotes before cutting it off
+SHOWN_LETTERS = 40
+
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -65,10 +68,12 @@ class Alphabet:
         """Return ``word`` unchanged, raising if any glyph is foreign."""
         if self._set.issuperset(word):
             return word
-        for g in word:
+        for i, g in enumerate(word):
             if g not in self._set:
+                shown = word if len(word) <= SHOWN_LETTERS else word[:SHOWN_LETTERS] + "..."
                 raise AlphabetError(
-                    f"word {word!r} uses glyph {g!r} outside alphabet {''.join(self.glyphs)!r}"
+                    f"glyph {g!r} at position {i} of word {shown!r} is outside alphabet "
+                    f"{''.join(self.glyphs)!r}"
                 )
         return word
 

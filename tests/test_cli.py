@@ -213,6 +213,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "--config", str(path), *command)
         assert code == EXIT_CONFIG and field in err and out == ""
 
+    @pytest.mark.parametrize("command, named", [
+        (["lps", "-3"], "prefix_length"),
+        (["graph", "rauzy", "--n", "-1"], "--n"),
+    ])
+    def test_negative_command_argument(self, capsys, tm_config, command, named):
+        code, out, err = run(capsys, "--config", tm_config, *command)
+        assert code == EXIT_CONFIG and named in err and out == ""
+
     @pytest.mark.parametrize("flag, value", [
         ("--nmax", "-1"), ("--nmax", "0"), ("--length", "0"), ("--length", "-5"),
     ])

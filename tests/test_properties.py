@@ -4,6 +4,8 @@ The separate acceptance module runs a seeded bulk fuzz; here hypothesis
 searches adversarially over random words, maps, and small groups.
 """
 
+import functools
+
 from hypothesis import assume, given, settings, strategies as st
 
 import pytest
@@ -26,6 +28,18 @@ from symrich import (
     theta_lps,
     theta_palindromic_factors,
     theta_richness,
+)
+from symrich.presets import (
+    BINARY,
+    binary_full_group,
+    fibonacci_source,
+    generalized_thue_morse,
+    hexa_group,
+    hexa_text,
+    octa_group,
+    octa_source,
+    reversal_group,
+    thue_morse_source,
 )
 from symrich.symmetry import dihedral_group
 from symrich.verify import CrwRecord, _return_word_shape_ok, crw_records
@@ -485,6 +499,49 @@ class TestIndexDifferential:
         assert crw_records(group, index, word, 1, n_max) == set_union_crw_records(
             group, index, word, 1, n_max
         )
+
+
+@functools.cache
+def preset_word(name):
+    """A 600-letter prefix of a preset word, its group, and the subgroups of
+    that group containing an antimorphism."""
+    text, group = {
+        "tm": lambda: (thue_morse_source().prefix(600), binary_full_group()),
+        "fib": lambda: (fibonacci_source().prefix(600), reversal_group(BINARY)),
+        "t33": lambda: (generalized_thue_morse(3, 3).prefix(600), dihedral_group(3)),
+        "octa": lambda: (octa_source().prefix(600), octa_group()),
+        "hexa": lambda: (hexa_text(600), hexa_group()),
+    }[name]()
+    return text, group, tuple(s for s in group.subgroups() if s.has_antimorphism)
+
+
+class TestCrwOnClosedLanguages:
+    """Return words derived from order n + 2 against the per-occurrence
+    oracle, on closed languages, where the derivation applies."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_subgroups_of_preset_words(self, data):
+        name = data.draw(st.sampled_from(["tm", "fib", "t33", "octa", "hexa"]))
+        text, group, subgroups = preset_word(name)
+        text = text[:data.draw(st.integers(50, 600))]
+        sub = data.draw(st.sampled_from(subgroups))
+        n_max = data.draw(st.integers(1, 20))
+        index = LanguageIndex(text, n_max, group)  # the full group, as subgroup_scan indexes
+        assume(index.g_closed)
+        assert crw_records(sub, index, text, 1, n_max) == set_union_crw_records(
+            sub, index, text, 1, n_max
+        )
+
+    @pytest.mark.parametrize("name", ["tm", "fib", "t33", "octa", "hexa"])
+    def test_closed_index_every_subgroup(self, name):
+        text, group, subgroups = preset_word(name)
+        index = LanguageIndex(text, 16, group)
+        assert index.g_closed
+        for sub in subgroups:
+            assert crw_records(sub, index, text, 1, 16) == set_union_crw_records(
+                sub, index, text, 1, 16
+            )
 
 
 class TestWitnessInvariants:

@@ -9,7 +9,8 @@ import pytest
 
 from symrich import LanguageIndex, defect_profile, verify
 from symrich.presets import BINARY, binary_full_group, fibonacci_source, reversal_group, thue_morse_source
-from symrich.verify import RICH
+from symrich.verify import RICH, crw_records
+from test_properties import set_union_crw_records
 
 pytestmark = pytest.mark.slow
 
@@ -35,3 +36,12 @@ def test_thue_morse_index_at_order_62():
     assert specials
     for w in specials:
         assert index.occurrences(w) == tuple(i for i in range(len(text) - 29) if text.startswith(w, i))
+
+
+def test_return_words_at_order_62():
+    # the benchmark's deep-index input; its check hashes complexities and TLS only
+    text = thue_morse_source().prefix(32000)
+    group = binary_full_group()
+    index = LanguageIndex(text, 62, group)
+    assert index.g_closed
+    assert crw_records(group, index, text, 1, 60) == set_union_crw_records(group, index, text, 1, 60)

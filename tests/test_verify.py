@@ -6,10 +6,13 @@ from symrich import (
     alternation_check,
     defect_sum_check,
     g_occurrences,
+    stability_check,
     subgroup_scan,
     verify,
+    verify_text,
 )
 from symrich.presets import (
+    BINARY,
     binary_full_group,
     cyclic4_antimorphism_group,
     exchange_group,
@@ -17,10 +20,12 @@ from symrich.presets import (
     generalized_thue_morse,
     hexa_group,
     hexa_text,
+    reversal_group,
     thue_morse_source,
 )
+from symrich.symmetry import dihedral_group
 from symrich.verify import ALMOST, REFUTED, RICH, crw_records, min_distinguishing
-from symrich.words import Alphabet, PeriodicSource
+from symrich.words import Alphabet, LiteralSource, PeriodicSource, WordSource
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +105,61 @@ class TestVerify:
         assert "[data]" in text
         kv = dict(tm_rich_report.to_keyvalues())
         assert kv["overall"] == RICH and kv["verdict.tls"] == "true"
+
+
+class CountingSource(WordSource):
+    """A source that counts the prefixes generated from the one it wraps."""
+
+    def __init__(self, inner: WordSource):
+        self.inner = inner
+        self.alphabet = inner.alphabet
+        self.calls = 0
+
+    def prefix(self, length: int) -> str:
+        self.calls += 1
+        return self.inner.prefix(length)
+
+    def max_prefix(self) -> int | None:
+        return self.inner.max_prefix()
+
+    def __repr__(self) -> str:
+        return repr(self.inner)
+
+
+def doubling_oracle(source, length, n_max):
+    """The prefix length and stability that verify settles on, found with one
+    stability_check per doubling, and how many of those checks generate a
+    prefix (at least one, since the prefix itself must be generated)."""
+    checks = [stability_check(source, length, n_max + 2)]
+    while checks[-1] is False:
+        length *= 2
+        checks.append(stability_check(source, length, n_max + 2))
+    return length, checks[-1], max(1, sum(c is not None for c in checks))
+
+
+class TestStablePrefix:
+    FIB50 = LiteralSource(BINARY, fibonacci_source().prefix(50))
+
+    @pytest.mark.parametrize("group, inner, length, n_max, steps", [
+        (binary_full_group(), thue_morse_source(), 1000, 16, 1),  # stable at once
+        (dihedral_group(3), generalized_thue_morse(3, 3), 40, 20, 5),  # four doublings
+        (reversal_group(BINARY), FIB50, 30, 4, 1),  # bounded: cannot double
+        (reversal_group(BINARY), FIB50, 12, 4, 2),  # bounded: one doubling, then stable
+        (reversal_group(BINARY), FIB50, 13, 5, 1),  # bounded: one doubling, then out of letters
+    ])
+    def test_one_prefix_per_stability_step(self, group, inner, length, n_max, steps):
+        source = CountingSource(inner)
+        report = verify(group, source, length, n_max)
+        final, stability, generating = doubling_oracle(inner, length, n_max)
+        assert source.calls == generating == steps
+        assert report == verify_text(group, inner.prefix(final), n_max=n_max,
+                                     stability=stability, word_id=repr(inner))
+
+    def test_unstable_without_extension_generates_once(self, id_r):
+        source = CountingSource(fibonacci_source())
+        with pytest.raises(InsufficientPrefixError):
+            verify(id_r, source, 12, 6, auto_extend=False)
+        assert source.calls == 1
 
 
 class TestNotClosed:

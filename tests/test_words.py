@@ -41,6 +41,14 @@ class TestAlphabet:
         with pytest.raises(AlphabetError):
             a.check_word("012")
 
+    def test_foreign_glyph_message_is_short(self):
+        word = "01" * 32000 + "a"
+        with pytest.raises(AlphabetError) as info:
+            Alphabet.from_string("01").check_word(word)
+        message = str(info.value)
+        assert len(message) < 200
+        assert "'a'" in message and "position 64000" in message
+
     def test_from_size(self):
         assert str(Alphabet.from_size(12)) == "0123456789ab"
 
