@@ -35,18 +35,14 @@ from .graphs import (
 )
 from .index import ComplexityTable, LanguageIndex, stability_check
 from .palindromes import (
-    ClassicalRichness,
     DefectProfile,
     ThetaRichness,
     classical_palindromes,
-    classical_richness,
     complete_g_return_words,
     defect_profile,
     g_defect,
     g_lps,
     g_occurrences,
-    gamma_g,
-    is_g_unioccurrent,
     prefix_palindrome_table,
     prefix_table_csv,
     theta_lps,
@@ -56,11 +52,9 @@ from .palindromes import (
 from .repro import CaseStudyReport, repro_hexa, repro_octa
 from .symmetry import SymmetryGroup, SymmetryMap, dihedral_group, reversal_group
 from .verify import (
-    AlternationResult,
     DefectSumCheck,
     RichnessReport,
     SubgroupResult,
-    alternation_check,
     defect_sum_check,
     subgroup_scan,
     verify,

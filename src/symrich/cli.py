@@ -65,7 +65,6 @@ class AnalysisConfig:
     length: int
     n_max: int
     threshold: int
-    out_format: str
 
 
 def _as_int(value, what: str) -> int:
@@ -178,8 +177,7 @@ def load_config(path: str) -> AnalysisConfig:
     length = _nonnegative(_as_int(analysis.get("length", 2000), "analysis.length"), "analysis.length")
     n_max = _nonnegative(_as_int(analysis.get("n_max", 30), "analysis.n_max"), "analysis.n_max")
     threshold = _as_int(analysis.get("threshold", 1), "analysis.threshold")
-    out_format = str(analysis.get("format", "report"))
-    return AnalysisConfig(alphabet, source, group, length, n_max, threshold, out_format)
+    return AnalysisConfig(alphabet, source, group, length, n_max, threshold)
 
 
 def _apply_overrides(config: AnalysisConfig, args) -> AnalysisConfig:
@@ -189,8 +187,6 @@ def _apply_overrides(config: AnalysisConfig, args) -> AnalysisConfig:
         config.n_max = _nonnegative(args.nmax, "--nmax")
     if args.threshold is not None:
         config.threshold = args.threshold
-    if args.format is not None:
-        config.out_format = args.format
     return config
 
 
@@ -419,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--nmax", type=int, help="maximum analyzed factor length override")
     parser.add_argument("--threshold", type=int, help="property threshold override")
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument("--format", choices=["csv", "dot", "report"], help="output format hint")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("word", help="emit the configured prefix")

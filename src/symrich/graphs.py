@@ -367,8 +367,6 @@ class BispecialRecord:
     bilateral: int
     fixer_names: tuple[str, ...]
     pext_sizes: tuple[int, ...]
-    lext_size: int
-    rext_size: int
 
     @property
     def is_g_palindrome(self) -> bool:
@@ -392,8 +390,6 @@ def bispecial_check(group: SymmetryGroup, index: LanguageIndex, n_range) -> list
                 bilateral=index.bilateral_order(w),
                 fixer_names=tuple(t.name for t in fixers),
                 pext_sizes=tuple(len(index.pext(t, w)) for t in fixers),
-                lext_size=len(index.lext(w)),
-                rext_size=len(index.rext(w)),
             ))
     return records
 
@@ -424,12 +420,6 @@ class ComplexityIdentityRecord:
     def holds(self) -> bool:
         """The bound lhs >= rhs, meaningful at distinguishing orders."""
         return self.lhs >= self.rhs
-
-    @property
-    def second_diff_equal(self) -> bool | None:
-        if self.second_diff is None:
-            return None
-        return self.second_diff[0] == self.second_diff[1]
 
 
 def complexity_identity(group: SymmetryGroup, index: LanguageIndex, n_range) -> list[ComplexityIdentityRecord]:

@@ -137,9 +137,6 @@ class LanguageIndex:
     def sorted_factors(self, n: int) -> tuple[str, ...]:
         return tuple(sorted(self.factors(n)))
 
-    def factor_count(self, n: int) -> int:
-        return len(self.factors(n))
-
     def is_factor(self, w: str) -> bool:
         self._check_n(len(w))
         return w in self._sets[len(w)]

@@ -2,11 +2,9 @@
 
 Everything here is phrased for a symmetry group G: a word is a G-palindrome
 when some antimorphism of G fixes it, an occurrence of w is a G-occurrence
-when any orbit member of w occurs there, and the G-defect of w measures how
-far w falls short of the maximal number of palindromic orbit classes.
-
-The empty word occurs at every position 0..|v| of a word v, so it is
-G-unioccurrent only in the empty word itself.
+when any orbit member of w occurs there (the empty word occurs at every
+position 0..|v| of a word v), and the G-defect of w measures how far w falls
+short of the maximal number of palindromic orbit classes.
 
 Every longest-palindromic-suffix query (:func:`g_lps`, :func:`theta_lps`,
 :func:`defect_profile`, :func:`prefix_palindrome_table`) runs on one engine,
@@ -19,9 +17,9 @@ group form of the rule of Droubay, Justin & Pirillo.  A whole profile thus
 takes time linear in |w| * |G|; what the trees need from the group is
 tabulated once per group object (:attr:`SymmetryGroup.palindrome_tables`),
 so a call on a short word pays little set-up.  The quadratic routines kept here
-(:func:`g_defect`, :func:`classical_palindromes`,
-:func:`theta_palindromic_factors`, :func:`theta_richness`) are brute-force
-oracles for tests and cross-checks.
+are brute-force oracles: :func:`g_defect` for the dual defect head of every
+verify run and for tests, :func:`classical_palindromes`,
+:func:`theta_palindromic_factors` and :func:`theta_richness` for tests.
 """
 
 from __future__ import annotations
@@ -57,15 +55,6 @@ def g_occurrences(group: SymmetryGroup, word: str, text: str) -> list[int]:
     for member in group.equivalence_class(word):
         positions.update(_find_all(text, member))
     return sorted(positions)
-
-
-def is_g_unioccurrent(group: SymmetryGroup, word: str, text: str) -> bool:
-    """``word`` itself occurs and its orbit has exactly one occurrence in ``text``."""
-    if word == "":
-        return text == ""
-    if text.find(word) == -1:
-        return False
-    return len(g_occurrences(group, word, text)) == 1
 
 
 def complete_g_return_words(group: SymmetryGroup, word: str, text: str) -> frozenset[str]:
@@ -223,17 +212,6 @@ def theta_lps(theta: SymmetryMap, word: str) -> str:
         raise GroupError(f"{theta.name} is not an antimorphism")
     theta.alphabet.check_word(word)
     return _final_lps(word, (theta.closing,))
-
-
-# -- letter classes and gamma ------------------------------------------------------
-
-
-def gamma_g(group: SymmetryGroup, word: str) -> int:
-    """Number of letter orbit classes occurring in ``word`` fixed by no antimorphism."""
-    classes = group.letter_classes()
-    fixed = group.letter_fixed()
-    counted = {classes[a] for a in set(word) if not fixed[a]}
-    return len(counted)
 
 
 # -- defect -------------------------------------------------------------------------
@@ -403,22 +381,10 @@ def theta_palindromic_factors(theta: SymmetryMap, word: str) -> set[str]:
 
 
 @dataclass(frozen=True)
-class ClassicalRichness:
-    pal_count: int
-    is_rich: bool
-
-
-@dataclass(frozen=True)
 class ThetaRichness:
     pal_count: int
     gamma: int
     is_rich: bool
-
-
-def classical_richness(word: str) -> ClassicalRichness:
-    """Whether the word meets the |w| + 1 bound on distinct palindromic factors."""
-    count = len(classical_palindromes(word))
-    return ClassicalRichness(count, count == len(word) + 1)
 
 
 def theta_richness(theta: SymmetryMap, word: str) -> ThetaRichness:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .symmetry import SymmetryGroup, SymmetryMap, dihedral_group
 from .symmetry import reversal_group  # noqa: F401  (re-exported beside the bundled groups)
-from .words import Alphabet, DigitSumSource, FixedPointSource, LiteralSource, apply_morphism
+from .words import Alphabet, DigitSumSource, FixedPointSource, apply_morphism
 
 # -- binary / dihedral classics ---------------------------------------------------
 
@@ -136,7 +136,3 @@ def hexa_text(length: int) -> str:
     """Prefix of the hexa word (the 2-block image of the octa word)."""
     octa = octa_source().prefix(-(-length // 2))
     return apply_morphism(HEXA_MU, octa)[:length]
-
-
-def hexa_literal(length: int) -> LiteralSource:
-    return LiteralSource(HEXA_ALPHABET, hexa_text(length))

@@ -203,11 +203,6 @@ class SymmetryGroup:
         """Requirement for all richness analyses; groups of morphisms only are flagged."""
         return bool(self.antimorphisms)
 
-    @property
-    def is_balanced(self) -> bool:
-        """Whether morphisms and antimorphisms are equinumerous (holds iff an antimorphism exists)."""
-        return len(self.morphisms) == len(self.antimorphisms)
-
     def compose(self, f: SymmetryMap, g: SymmetryMap) -> SymmetryMap:
         return self._cayley[(f, g)]
 

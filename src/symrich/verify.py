@@ -18,7 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import ConsistencyError, GroupError, InsufficientPrefixError
+from .errors import (
+    ConsistencyError,
+    GroupError,
+    IndexRangeError,
+    InsufficientPrefixError,
+    SymrichError,
+)
 from .graphs import (
     BispecialRecord,
     ComplexityIdentityRecord,
@@ -27,13 +33,8 @@ from .graphs import (
     complexity_identity,
     tls_verdict,
 )
-from .index import LanguageIndex, _stable_under_doubling, stability_check
-from .palindromes import (
-    DefectProfile,
-    defect_profile,
-    g_defect,
-    g_occurrences,
-)
+from .index import LanguageIndex, _stable_under_doubling
+from .palindromes import DefectProfile, defect_profile, g_defect
 from .symmetry import SymmetryGroup, reversal_group
 from .words import WordSource
 
@@ -64,7 +65,6 @@ class CrwRecord:
     checked: bool
     return_words: tuple[str, ...]
     violations: tuple[str, ...]
-    shape_ok: bool
 
 
 def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
@@ -108,11 +108,11 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     touch position 0 or |text| - n.
 
     The occurrence count and ``checked`` follow from C2's count and the two
-    boundary occurrences, while the violations and the shape test are
-    recomputed on the derived words.  Classes with a special member or with
-    no inner occurrence, the two top orders, and languages not known to be
-    closed under ``group`` (an index built without a group, with closure
-    additions, or for a group not containing ``group``) are sliced directly.
+    boundary occurrences, while the violations are recomputed on the derived
+    words.  Classes with a special member or with no inner occurrence, the
+    two top orders, and languages not known to be closed under ``group`` (an
+    index built without a group, with closure additions, or for a group not
+    containing ``group``) are sliced directly.
     """
     derive = index.g_closed and all(g in index.group for g in group.elements)
     size = len(text)
@@ -168,31 +168,7 @@ def _crw_record(group: SymmetryGroup, n: int, rep: str, count: int, at_end: bool
     words = tuple(sorted(returns))
     violations = tuple(v for v in words if not group.is_g_palindrome(v))
     checked = count >= 3 or (count >= 2 and at_end)
-    shape_ok = all(_return_word_shape_ok(group, v, n) for v in words)
-    return CrwRecord(n, rep, count, checked, words, violations, shape_ok)
-
-
-def _return_word_shape_ok(group: SymmetryGroup, v: str, n: int) -> bool:
-    """v = w a ... theta(a) theta(w) for some letter a and antimorphism theta."""
-    head = v[:n + 1]
-    return any(v.endswith(t.apply(head)) for t in group.antimorphisms)
-
-
-@dataclass(frozen=True)
-class AlternationResult:
-    ok: bool
-    violation: tuple[int, int, str, str] | None  # positions and the two factors
-
-
-def alternation_check(group: SymmetryGroup, word: str, text: str) -> AlternationResult:
-    """Consecutive orbit occurrences must be antimorphic images of each other."""
-    occ = g_occurrences(group, word, text)
-    n = len(word)
-    for i, j in zip(occ, occ[1:]):
-        prev, nxt = text[i:i + n], text[j:j + n]
-        if not any(t.apply(prev) == nxt for t in group.antimorphisms):
-            return AlternationResult(False, (i, j, prev, nxt))
-    return AlternationResult(True, None)
+    return CrwRecord(n, rep, count, checked, words, violations)
 
 
 @dataclass(frozen=True)
@@ -290,7 +266,14 @@ def verify_text(
     word_id: str = "word",
     group_id: str | None = None,
 ) -> RichnessReport:
-    """Run every bounded richness characterization of ``text`` against ``group``."""
+    """Run every bounded richness characterization of ``text`` against ``group``.
+
+    A given ``index`` must be one of ``text`` of order at least n_max + 2,
+    built with a group containing ``group``.  When closure added factors to
+    it, that group must be ``group`` itself, since additions under a larger
+    group say nothing about closure under ``group``.
+    """
+    group.alphabet.check_word(text)
     if not group.has_antimorphism:
         raise GroupError("richness analysis requires a group containing an antimorphism")
     if threshold < 1:
@@ -301,6 +284,8 @@ def verify_text(
         group_id = f"order{group.order}"
     if index is None:
         index = LanguageIndex(text, n_max + 2, group)
+    else:
+        _check_index(group, text, n_max, index)
 
     base = dict(
         word_id=word_id, group_id=group_id, length=len(text), n_max=n_max,
@@ -454,6 +439,21 @@ def verify_text(
     )
 
 
+def _check_index(group: SymmetryGroup, text: str, n_max: int, index: LanguageIndex) -> None:
+    """Reject an index that :func:`verify_text` cannot read ``text`` from."""
+    if index.text != text:
+        raise SymrichError(f"index is of another text (length {len(index.text)}, "
+                           f"verified text has length {len(text)})")
+    if index.n_max < n_max + 2:
+        raise IndexRangeError(f"index of order {index.n_max} cannot support n_max={n_max}; "
+                              f"it needs order {n_max + 2}")
+    if index.group is None or any(g not in index.group for g in group.elements):
+        raise GroupError(f"index group {index.group!r} does not contain the verified group {group!r}")
+    if index.closure_added and index.group != group:
+        raise GroupError(f"closure under index group {index.group!r} added factors at lengths "
+                         f"{sorted(index.closure_added)}; index the text with the verified group")
+
+
 def _crosscheck_defect_head(group: SymmetryGroup, text: str, profile: DefectProfile) -> None:
     """Run the quadratic dual defect computation on a head of the text."""
     head = text[:DEFECT_CROSSCHECK_HEAD]
@@ -471,22 +471,20 @@ def verify(
     *,
     word_id: str | None = None,
     group_id: str | None = None,
-    auto_extend: bool = True,
 ) -> RichnessReport:
     """Generate a prefix, run the stability guard, and verify it.
 
     When the factor sets of prefix(L) and prefix(2L) disagree the prefix is
     doubled (up to six times); persistent instability raises.
     """
-    text, stability = _stable_prefix(source, length, n_max, auto_extend)
+    text, stability = _stable_prefix(source, length, n_max)
     return verify_text(
         group, text, n_max=n_max, threshold=threshold, stability=stability,
         word_id=word_id or repr(source), group_id=group_id,
     )
 
 
-def _stable_prefix(source: WordSource, length: int, n_max: int,
-                   auto_extend: bool = True) -> tuple[str, bool | None]:
+def _stable_prefix(source: WordSource, length: int, n_max: int) -> tuple[str, bool | None]:
     """The prefix :func:`verify` analyses, and its stability under doubling.
 
     Each stability step generates prefix(2L) once and reads prefix(L) as its
@@ -496,7 +494,7 @@ def _stable_prefix(source: WordSource, length: int, n_max: int,
     """
     if length < n_max + 2:
         raise InsufficientPrefixError(f"length {length} cannot support n_max={n_max}")
-    attempts = 6 if auto_extend else 0
+    attempts = 6
     bound = source.max_prefix()
     short = None  # prefix(length) once generated: the long prefix of the step before
     while bound is None or 2 * length <= bound:
@@ -534,22 +532,15 @@ class SubgroupResult:
         return out
 
 
-def subgroup_scan(
-    group: SymmetryGroup,
-    source: WordSource | None = None,
-    length: int = 2000,
-    n_max: int = 20,
-    *,
-    text: str | None = None,
-    stability: bool | None = None,
-) -> list[SubgroupResult]:
+def subgroup_scan(group: SymmetryGroup, text: str, n_max: int,
+                  stability: bool | None) -> list[SubgroupResult]:
     """Verify every subgroup containing an antimorphism and, for proper rich
-    subgroups, check the half-order palindromic-complexity identity."""
-    if text is None:
-        if source is None:
-            raise GroupError("subgroup_scan needs a source or a text")
-        stability = stability_check(source, length, n_max + 2)
-        text = source.prefix(length)
+    subgroups, check the half-order palindromic-complexity identity.
+
+    ``stability`` is that of ``text`` under doubling, as :func:`verify_text`
+    takes it.
+    """
+    group.alphabet.check_word(text)
     index = LanguageIndex(text, n_max + 2, group)
     if index.closure_added:
         raise InsufficientPrefixError(

@@ -86,7 +86,7 @@ def apply_morphism(rules: Mapping[str, str], word: str) -> str:
     return "".join(rules[g] for g in word)
 
 
-def check_morphism(alphabet: Alphabet, rules: Mapping[str, str], *, allow_erasing: bool = False) -> None:
+def check_morphism(alphabet: Alphabet, rules: Mapping[str, str]) -> None:
     """Validate that ``rules`` is a total non-erasing substitution on ``alphabet``.
 
     Images may be words over a different alphabet; callers that need an
@@ -98,10 +98,9 @@ def check_morphism(alphabet: Alphabet, rules: Mapping[str, str], *, allow_erasin
     extra = [g for g in rules if g not in alphabet]
     if extra:
         raise SourceError(f"substitution maps foreign glyphs {extra}")
-    if not allow_erasing:
-        erased = [g for g, img in rules.items() if img == ""]
-        if erased:
-            raise SourceError(f"substitution erases glyphs {erased}")
+    erased = [g for g, img in rules.items() if img == ""]
+    if erased:
+        raise SourceError(f"substitution erases glyphs {erased}")
 
 
 class WordSource:
@@ -229,12 +228,6 @@ class LiteralSource(WordSource):
         alphabet.check_word(word)
         self.alphabet = alphabet
         self.word = word
-
-    @classmethod
-    def from_word(cls, word: str) -> "LiteralSource":
-        if not word:
-            raise SourceError("cannot infer an alphabet from the empty word")
-        return cls(Alphabet(tuple(sorted(set(word)))), word)
 
     def max_prefix(self) -> int | None:
         return len(self.word)

@@ -129,6 +129,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "--config", str(path), "word")
         assert code == EXIT_CONFIG
 
+    def test_format_flag_is_gone(self, tm_config):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", tm_config, "--format", "csv", "verify"])
+        assert exc.value.code == EXIT_CONFIG
+
     @pytest.mark.parametrize("field, old, new", [
         ("analysis.length", "length: 600", "length: abc"),
         ("analysis.n_max", "n_max: 10", "n_max: ten"),

@@ -24,11 +24,11 @@ class TestBuild:
         assert set(fib_index.factors(3)) == {"101", "010", "100", "001"}
 
     def test_fibonacci_level_4(self, fib_index):
-        assert fib_index.factor_count(4) == 5
+        assert len(fib_index.factors(4)) == 5
         assert set(fib_index.factors(4)) == {"1001", "1010", "0100", "0010", "0101"}
 
     def test_t33_level_3(self, t33_index):
-        assert t33_index.factor_count(3) == 15
+        assert len(t33_index.factors(3)) == 15
         assert t33_index.specials(3) == ("012", "120", "201")
 
     def test_occurrences_consistent(self, tm_index, tm_text):
@@ -164,5 +164,5 @@ class TestStability:
     def test_literal_unknown(self):
         from symrich import LiteralSource
 
-        src = LiteralSource.from_word("0110100110010110")
+        src = LiteralSource(BINARY, "0110100110010110")
         assert stability_check(src, 10, 4) is None

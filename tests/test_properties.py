@@ -22,7 +22,6 @@ from symrich import (
     defect_profile,
     g_defect,
     g_lps,
-    gamma_g,
     prefix_palindrome_table,
     stability_check,
     theta_lps,
@@ -42,7 +41,7 @@ from symrich.presets import (
     thue_morse_source,
 )
 from symrich.symmetry import dihedral_group
-from symrich.verify import CrwRecord, _return_word_shape_ok, crw_records
+from symrich.verify import CrwRecord, crw_records
 from symrich.words import DigitSumSource
 
 
@@ -311,7 +310,9 @@ class TestRichnessBounds:
     @settings(max_examples=100, deadline=None)
     def test_gamma_bounded_by_letter_classes(self, gw):
         group, word = gw
-        assert 0 <= gamma_g(group, word) <= len(set(word))
+        classes, fixed = group.letter_classes(), group.letter_fixed()
+        gamma = len({classes[a] for a in set(word) if not fixed[a]})
+        assert 0 <= gamma <= len(set(word))
 
 
 class TestIndexedIdentities:
@@ -422,8 +423,7 @@ def set_union_crw_records(group, index, text, n_lo, n_hi):
             returns = tuple(sorted({text[i:j + n] for i, j in zip(occ, occ[1:])}))
             violations = tuple(v for v in returns if not group.is_g_palindrome(v))
             checked = len(occ) >= 3 or (len(occ) >= 2 and occ[-1] + n == len(text))
-            shape_ok = all(_return_word_shape_ok(group, v, n) for v in returns)
-            records.append(CrwRecord(n, rep, len(occ), checked, returns, violations, shape_ok))
+            records.append(CrwRecord(n, rep, len(occ), checked, returns, violations))
     return records
 
 

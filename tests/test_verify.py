@@ -1,9 +1,12 @@
 import pytest
 
 from symrich import (
+    AlphabetError,
     GroupError,
+    IndexRangeError,
     InsufficientPrefixError,
-    alternation_check,
+    LanguageIndex,
+    SymrichError,
     defect_sum_check,
     g_occurrences,
     stability_check,
@@ -68,7 +71,7 @@ class TestVerify:
 
     def test_prefix_too_short(self, id_r):
         with pytest.raises(InsufficientPrefixError):
-            verify(id_r, fibonacci_source(), 10, 9, auto_extend=False)
+            verify(id_r, fibonacci_source(), 10, 9)
 
     def test_auto_extend_recovers(self, i2_3):
         rep = verify(i2_3, generalized_thue_morse(3, 3), 40, 20, word_id="t33")
@@ -126,6 +129,20 @@ class CountingSource(WordSource):
         return repr(self.inner)
 
 
+class BinaryNumeralsSource(WordSource):
+    """The binary numerals 0, 1, 10, 11, 100, ... written one after another."""
+
+    alphabet = BINARY
+
+    def prefix(self, length: int) -> str:
+        parts, size, k = [], 0, 0
+        while size < length:
+            parts.append(format(k, "b"))
+            size += len(parts[-1])
+            k += 1
+        return "".join(parts)[:length]
+
+
 def doubling_oracle(source, length, n_max):
     """The prefix length and stability that verify settles on, found with one
     stability_check per doubling, and how many of those checks generate a
@@ -155,11 +172,12 @@ class TestStablePrefix:
         assert report == verify_text(group, inner.prefix(final), n_max=n_max,
                                      stability=stability, word_id=repr(inner))
 
-    def test_unstable_without_extension_generates_once(self, id_r):
-        source = CountingSource(fibonacci_source())
-        with pytest.raises(InsufficientPrefixError):
-            verify(id_r, source, 12, 6, auto_extend=False)
-        assert source.calls == 1
+    def test_never_stable_raises_after_six_doublings(self, id_r):
+        # factors of length 22 keep appearing in the binary numerals well past 40 * 2^7 letters
+        source = CountingSource(BinaryNumeralsSource())
+        with pytest.raises(InsufficientPrefixError, match="still change when doubling"):
+            verify(id_r, source, 40, 20)
+        assert source.calls == 7
 
 
 class TestNotClosed:
@@ -180,10 +198,47 @@ class TestNotClosed:
         assert rep.overall == REFUTED and not rep.closed
 
 
+class TestInputChecks:
+    TM = thue_morse_source().prefix(200)
+    FOREIGN = TM[:99] + "2" + TM[100:]  # letter 100 is outside the binary alphabet
+
+    @pytest.mark.parametrize("stability", [None, True])
+    def test_foreign_glyph_rejected_by_verify_text(self, stability):
+        with pytest.raises(AlphabetError, match="glyph '2' at position 99"):
+            verify_text(binary_full_group(), self.FOREIGN, n_max=10, stability=stability)
+
+    @pytest.mark.parametrize("stability", [None, True])
+    def test_foreign_glyph_rejected_by_subgroup_scan(self, stability):
+        with pytest.raises(AlphabetError, match="glyph '2' at position 99"):
+            subgroup_scan(binary_full_group(), self.FOREIGN, 10, stability)
+
+    def test_index_of_another_text(self, i2_2):
+        index = LanguageIndex(thue_morse_source().prefix(201)[1:], 12, i2_2)
+        with pytest.raises(SymrichError, match="another text"):
+            verify_text(i2_2, self.TM, n_max=10, stability=True, index=index)
+
+    def test_index_of_too_low_an_order(self, i2_2):
+        index = LanguageIndex(self.TM, 11, i2_2)
+        with pytest.raises(IndexRangeError, match="order 11 .* needs order 12"):
+            verify_text(i2_2, self.TM, n_max=10, stability=True, index=index)
+
+    @pytest.mark.parametrize("index_group", [None, reversal_group(BINARY)])
+    def test_index_group_not_containing_the_group(self, i2_2, index_group):
+        text = "0001000100010001000"
+        index = LanguageIndex(text, 6, index_group)
+        with pytest.raises(GroupError, match="does not contain"):
+            verify_text(i2_2, text, n_max=4, stability=True, index=index)
+
+    def test_index_closure_under_a_larger_group(self, i2_2, id_r):
+        # the text is closed under reversal; its closure under i2_2 adds 11, 111, ...
+        text = "0001000100010001000"
+        index = LanguageIndex(text, 6, i2_2)
+        with pytest.raises(GroupError, match="added factors at lengths"):
+            verify_text(id_r, text, n_max=4, stability=True, index=index)
+
+
 class TestCrw:
     def test_unchecked_rule(self, i2_2, tm_text):
-        from symrich import LanguageIndex
-
         index = LanguageIndex(tm_text[:64], 14, i2_2)
         records = crw_records(i2_2, index, tm_text[:64], 12, 12)
         assert any(not r.checked for r in records)
@@ -191,28 +246,48 @@ class TestCrw:
     def test_shape_of_return_words_on_rich_run(self, tm_rich_report):
         for record in tm_rich_report.crw:
             if record.return_words:
-                assert record.shape_ok
+                assert all(return_word_shape_ok(binary_full_group(), v, record.n)
+                           for v in record.return_words)
+
+
+def return_word_shape_ok(group, v, n):
+    """Oracle: v = w a ... theta(a) theta(w) for some letter a and antimorphism theta."""
+    head = v[:n + 1]
+    return any(v.endswith(t.apply(head)) for t in group.antimorphisms)
+
+
+def alternation_check(group, word, text):
+    """Oracle: consecutive orbit occurrences of ``word`` in ``text`` are antimorphic
+    images of each other.  Returns (ok, violation), the violation being the two
+    positions and the two factors of the first pair that is not."""
+    occ = g_occurrences(group, word, text)
+    n = len(word)
+    for i, j in zip(occ, occ[1:]):
+        prev, nxt = text[i:i + n], text[j:j + n]
+        if not any(t.apply(prev) == nxt for t in group.antimorphisms):
+            return False, (i, j, prev, nxt)
+    return True, None
 
 
 class TestAlternation:
     def test_orbit_alternates(self, i2_2, tm_text):
-        assert alternation_check(i2_2, "011", tm_text).ok
+        assert alternation_check(i2_2, "011", tm_text)[0]
 
     def test_reversal_alternation_on_rich_word(self, id_r, fib_text):
         for w in ("010", "00100", "10100101"):
-            assert alternation_check(id_r, w, fib_text).ok
+            assert alternation_check(id_r, w, fib_text)[0]
 
     def test_unioccurrent_vacuous(self, i2_2, tm_text):
         w = tm_text[:40]
         assert len(g_occurrences(i2_2, w, tm_text[:60])) >= 1
-        assert alternation_check(i2_2, w, tm_text[:41]).ok
+        assert alternation_check(i2_2, w, tm_text[:41])[0]
 
     def test_violation_reported(self, id_r):
         # 0 reoccurs after 00 without an intermediate reversal image boundary
-        result = alternation_check(id_r, "01", "0101")
-        assert result.ok  # 01 at 0 and 2: image under reversal is 10, not 01
-        bad = alternation_check(exchange_group(), "00", "0000")
-        assert not bad.ok and bad.violation is not None
+        ok, _ = alternation_check(id_r, "01", "0101")
+        assert ok  # 01 at 0 and 2: image under reversal is 10, not 01
+        ok, violation = alternation_check(exchange_group(), "00", "0000")
+        assert not ok and violation is not None
 
 
 class TestMinDistinguishing:
@@ -220,7 +295,6 @@ class TestMinDistinguishing:
         assert min_distinguishing(id_r, fib_index, 10) == 0
 
     def test_hexa_needs_two(self):
-        from symrich import LanguageIndex
         from symrich.presets import hexa_subgroup
 
         text = hexa_text(600)
@@ -231,8 +305,9 @@ class TestMinDistinguishing:
 
 class TestSubgroupScan:
     def test_binary_full_group_over_thue_morse(self):
-        results = subgroup_scan(binary_full_group(), thue_morse_source(),
-                                length=1000, n_max=12)
+        source = thue_morse_source()
+        results = subgroup_scan(binary_full_group(), source.prefix(1000), 12,
+                                stability_check(source, 1000, 14))
         by_id = {r.group_id: r for r in results}
         reversal = by_id["{m:01,a:01}"]
         assert reversal.overall == REFUTED

@@ -123,7 +123,7 @@ class TestPeriodicAndLiteral:
         assert src.prefix(0) == ""
 
     def test_literal_bounds(self):
-        src = LiteralSource.from_word("0110")
+        src = LiteralSource(Alphabet.from_string("01"), "0110")
         assert src.prefix(3) == "011"
         assert src.max_prefix() == 4
         with pytest.raises(SourceError):
