@@ -3,14 +3,9 @@
 Run:  python demos/03_palindromes_and_defect.py
 """
 
-from symrich import (
-    complete_g_return_words,
-    g_defect,
-    g_lps,
-    g_occurrences,
-    prefix_table_csv,
-)
+from symrich import LanguageIndex, g_defect, g_lps, prefix_table_csv
 from symrich.presets import binary_full_group, thue_morse_source
+from symrich.verify import crw_records
 
 group = binary_full_group()
 p = "01101001100"  # an 11-letter prefix of the binary digit-sum word
@@ -19,10 +14,15 @@ p = "01101001100"  # an 11-letter prefix of the binary digit-sum word
 for w in ("001100", "01", "011"):
     print(f"{w}: fixers = {[t.name for t in group.antimorphic_fixers(w)]}")
 
-# occurrences are counted up to the group orbit
-print("\norbit of 011:", group.equivalence_class("011"))
-print("orbit occurrences in", p, ":", g_occurrences(group, "011", p))
-print("complete return words:", sorted(complete_g_return_words(group, "011", p)))
+# occurrences are counted up to the group orbit; the complete return words of
+# the orbit are the stretches between consecutive orbit occurrences
+orbit = group.equivalence_class("011")
+index = LanguageIndex(p, 3, group)
+print("\norbit of 011:", orbit)
+print("orbit occurrences in", p, ":", sorted(q for w in orbit for q in index.occurrences(w)))
+rep = group.class_representative("011")
+(record,) = (r for r in crw_records(group, index, p, 3, 3) if r.representative == rep)
+print("complete return words:", list(record.return_words))
 print("longest palindromic suffix of", p, ":", g_lps(group, p))
 
 # the defect counts positions whose letter and longest palindromic suffix both

@@ -36,18 +36,11 @@ from .graphs import (
 from .index import ComplexityTable, LanguageIndex, stability_check
 from .palindromes import (
     DefectProfile,
-    ThetaRichness,
-    classical_palindromes,
-    complete_g_return_words,
     defect_profile,
     g_defect,
     g_lps,
-    g_occurrences,
     prefix_palindrome_table,
     prefix_table_csv,
-    theta_lps,
-    theta_palindromic_factors,
-    theta_richness,
 )
 from .repro import CaseStudyReport, repro_hexa, repro_octa
 from .symmetry import SymmetryGroup, SymmetryMap, dihedral_group, reversal_group

@@ -35,14 +35,15 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     InsufficientPrefixError,
+    SourceError,
     SymrichError,
 )
 from .graphs import directed_symmetry_graph, rauzy_graph, undirected_symmetry_graph
 from .index import LanguageIndex
-from .palindromes import complete_g_return_words, g_lps, prefix_table_csv
+from .palindromes import g_lps, prefix_table_csv
 from .symmetry import SymmetryGroup, SymmetryMap, dihedral_group
 from .repro import repro_hexa, repro_octa
-from .verify import INCONSISTENT, min_distinguishing, subgroup_scan, verify
+from .verify import INCONSISTENT, crw_records, min_distinguishing, subgroup_scan, verify
 from .words import (
     Alphabet,
     DigitSumSource,
@@ -239,10 +240,15 @@ def _cmd_returns(args) -> str:
     cfg = _need_config(args)
     cfg.alphabet.check_word(args.factor)
     text = cfg.source.prefix(cfg.length)
-    returns = sorted(complete_g_return_words(cfg.group, args.factor, text))
-    lines = [f"complete return words of class [{cfg.group.class_representative(args.factor)}]:"]
-    lines += [f"  {v}" for v in returns]
-    return "\n".join(lines) + "\n"
+    n = len(args.factor)
+    if not n:
+        raise SourceError("return words are only defined for nonempty factors")
+    if n > len(text):
+        raise SourceError(f"factor of length {n} cannot occur in text of length {len(text)}")
+    rep = cfg.group.class_representative(args.factor)
+    records = crw_records(cfg.group, LanguageIndex(text, n, cfg.group), text, n, n)
+    returns = next((r.return_words for r in records if r.representative == rep), ())
+    return "".join([f"complete return words of class [{rep}]:\n"] + [f"  {v}\n" for v in returns])
 
 
 def _cmd_lps(args) -> str:
@@ -405,16 +411,20 @@ def _emit(output: str, path: str | None) -> None:
 # -- argument parsing -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="symrich",
-        description="Richness analysis of words invariant under finite symmetry groups.",
-    )
+def _add_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="YAML analysis config")
     parser.add_argument("--length", type=int, help="prefix length override")
     parser.add_argument("--nmax", type=int, help="maximum analyzed factor length override")
     parser.add_argument("--threshold", type=int, help="property threshold override")
     parser.add_argument("--out", help="write output to this path instead of stdout")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="symrich",
+        description="Richness analysis of words invariant under finite symmetry groups.",
+    )
+    _add_options(parser)
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("word", help="emit the configured prefix")
@@ -442,6 +452,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    # argparse sets an unknown option before the command aside and takes the
+    # word after it for the command, so its own error would name that word
+    options = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    _add_options(options)
+    options.add_argument("-h", "--help", action="store_true")
+    try:
+        rest = options.parse_known_args(argv)[1]
+    except argparse.ArgumentError:  # the full parser reports it
+        rest = []
+    if rest and rest[0].startswith("-") and rest[0] != "--":
+        parser.error(f"unrecognized arguments: {rest[0]}")
     args = parser.parse_args(argv)
     try:
         result = COMMANDS[args.command](args)

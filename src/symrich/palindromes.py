@@ -6,8 +6,8 @@ when any orbit member of w occurs there (the empty word occurs at every
 position 0..|v| of a word v), and the G-defect of w measures how far w falls
 short of the maximal number of palindromic orbit classes.
 
-Every longest-palindromic-suffix query (:func:`g_lps`, :func:`theta_lps`,
-:func:`defect_profile`, :func:`prefix_palindrome_table`) runs on one engine,
+Every longest-palindromic-suffix query (:func:`g_lps`, :func:`defect_profile`,
+:func:`prefix_palindrome_table`) runs on one engine in one mode,
 :func:`_palindrome_scan`: one eertree (Rubinchik & Shur) per antimorphism of
 the group, whose nodes are the distinct theta-palindromic factors, plus
 links from each node to the nodes of its orbit images in the other trees.
@@ -16,10 +16,9 @@ G-unioccurrent iff its node is new there and no orbit image is older, the
 group form of the rule of Droubay, Justin & Pirillo.  A whole profile thus
 takes time linear in |w| * |G|; what the trees need from the group is
 tabulated once per group object (:attr:`SymmetryGroup.palindrome_tables`),
-so a call on a short word pays little set-up.  The quadratic routines kept here
-are brute-force oracles: :func:`g_defect` for the dual defect head of every
-verify run and for tests, :func:`classical_palindromes`,
-:func:`theta_palindromic_factors` and :func:`theta_richness` for tests.
+so a call on a short word pays little set-up.  The only quadratic routine
+left here is :func:`g_defect`, the brute-force dual of :func:`defect_profile`
+that every verify run applies to a head of its text.
 """
 
 from __future__ import annotations
@@ -27,59 +26,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, GroupError, SourceError
-from .symmetry import PalindromeTables, SymmetryGroup, SymmetryMap
-
-# -- occurrences ------------------------------------------------------------------
-
-
-def _find_all(text: str, pattern: str, end: int | None = None) -> list[int]:
-    """All (overlapping) start positions of pattern within text[0:end]."""
-    if end is None:
-        end = len(text)
-    out = []
-    i = text.find(pattern, 0, end)
-    while i != -1:
-        out.append(i)
-        i = text.find(pattern, i + 1, end)
-    return out
-
-
-def g_occurrences(group: SymmetryGroup, word: str, text: str) -> list[int]:
-    """Sorted positions where any orbit member of ``word`` occurs in ``text``."""
-    if len(word) > len(text):
-        raise SourceError(f"factor of length {len(word)} cannot occur in text of length {len(text)}")
-    if word == "":
-        return list(range(len(text) + 1))
-    positions: set[int] = set()
-    for member in group.equivalence_class(word):
-        positions.update(_find_all(text, member))
-    return sorted(positions)
-
-
-def complete_g_return_words(group: SymmetryGroup, word: str, text: str) -> frozenset[str]:
-    """All complete return words of the orbit of ``word`` inside ``text``.
-
-    These are the stretches between consecutive G-occurrences, including both
-    bounding orbit members; duplicates collapse since the result is a set.
-    """
-    if not word:
-        raise SourceError("return words are only defined for nonempty factors")
-    occ = g_occurrences(group, word, text)
-    n = len(word)
-    return frozenset(text[i:j + n] for i, j in zip(occ, occ[1:]))
-
+from .errors import ConsistencyError, GroupError
+from .symmetry import PalindromeTables, SymmetryGroup
 
 # -- longest palindromic suffix ----------------------------------------------------
-
-
-def _suffix_fixed(word: str, translated: str, start: int, end: int) -> bool:
-    """Is word[start:end] fixed by the antimorphism whose letterwise image is ``translated``."""
-    return (
-        word[start] == translated[end - 1]
-        and word[end - 1] == translated[start]
-        and word[start:end] == translated[start:end][::-1]
-    )
 
 
 @dataclass(frozen=True)
@@ -88,8 +38,8 @@ class _Scan:
 
     ``ends[t][i]`` is the node of the longest suffix of ``word[:i]`` fixed by
     the t-th antimorphism.  Per node: ``length`` of its palindrome and the
-    prefix length ``born`` where that palindrome first occurs; ``image``
-    holds its orbit-image row when the scan was linked, else it is empty.
+    prefix length ``born`` where that palindrome first occurs, and its
+    orbit-image row ``image``.
     The nodes made in tree t are ``first[t]`` .. ``first[t + 1] - 1``, in
     order of birth.
     """
@@ -105,11 +55,11 @@ class _Scan:
         return [max(column, key=self.length.__getitem__) for column in zip(*self.ends)]
 
 
-def _palindrome_scan(word: str, closing, tables: PalindromeTables | None = None) -> _Scan:
-    """One eertree per antimorphism over ``word``, with orbit-image links.
+def _palindrome_scan(word: str, tables: PalindromeTables) -> _Scan:
+    """One eertree per antimorphism of a group over ``word``, with orbit-image links.
 
-    ``closing`` holds each antimorphism's :attr:`SymmetryMap.closing`, and
-    every glyph of ``word`` must belong to the maps' alphabet.  The tree of
+    ``tables`` are the group's :attr:`SymmetryGroup.palindrome_tables`, and
+    every glyph of ``word`` must belong to the group's alphabet.  The tree of
     theta = (pi, reversal) holds one node per distinct nonempty
     theta-palindromic factor, plus two roots: an imaginary node of length -1
     and the empty word.  Node X is extended at prefix length i + 1 by the
@@ -120,8 +70,7 @@ def _palindrome_scan(word: str, closing, tables: PalindromeTables | None = None)
     back to the empty node in the same way).  A node is created exactly when
     its palindrome first occurs, and it is then the theta-lps of that prefix.
 
-    With the ``tables`` of a group (whose antimorphisms give ``closing``),
-    node P of the tree of theta is linked, for every element g, to node g(P)
+    Node P of the tree of theta is linked, for every element g, to node g(P)
     of the tree of g theta g^-1: the image of pi(c) X c is the child of
     image(X, g) along sigma(c) for a morphism g with letter map sigma, and
     along sigma(pi(c)) for an antimorphism.  The trees are grown one after
@@ -132,7 +81,7 @@ def _palindrome_scan(word: str, closing, tables: PalindromeTables | None = None)
     earlier.  Time and space are linear in |word| * |G|.
     """
     n = len(word)
-    trees = len(closing)
+    trees = len(tables.closing)
     length = [-1, 0] * trees
     link = [2 * (k // 2) for k in range(2 * trees)]  # both roots fall back to the imaginary one
     born = [0] * (2 * trees)
@@ -142,14 +91,13 @@ def _palindrome_scan(word: str, closing, tables: PalindromeTables | None = None)
     link.append(absent)
     born.append(n + 1)
     edges: list[dict[str, int]] = [{} for _ in range(absent + 1)]
-    image = list(tables.root_images) if tables is not None else []
+    image = list(tables.root_images)
+    back = tables.inverse
 
     ends: list[list[int]] = []
     first: list[int] = []
-    for t, close in enumerate(closing):
+    for t, (close, steps) in enumerate(zip(tables.closing, tables.last_letter)):
         root, empty = 2 * t, 2 * t + 1
-        if tables is not None:
-            steps, back = tables.last_letter[t], tables.inverse
         first.append(len(length))
         cur = empty
         nodes = [empty]
@@ -179,14 +127,13 @@ def _palindrome_scan(word: str, closing, tables: PalindromeTables | None = None)
                         born.append(i + 1)
                         edges.append({})
                         edges[x][c] = child
-                        if tables is not None:
-                            row = [absent] * len(back)
-                            image.append(row)
-                            for j, step in enumerate(steps):
-                                z = edges[image[x][j]].get(step[c], absent)
-                                if z != absent:
-                                    row[j] = z
-                                    image[z][back[j]] = child
+                        row = [absent] * len(back)
+                        image.append(row)
+                        for j, step in enumerate(steps):
+                            z = edges[image[x][j]].get(step[c], absent)
+                            if z != absent:
+                                row[j] = z
+                                image[z][back[j]] = child
                     cur = child
             nodes.append(cur)
         ends.append(nodes)
@@ -194,24 +141,11 @@ def _palindrome_scan(word: str, closing, tables: PalindromeTables | None = None)
     return _Scan(length, born, image, ends, first)
 
 
-def _final_lps(word: str, closing) -> str:
-    """The longest suffix of ``word`` fixed by an antimorphism with one of the ``closing`` maps."""
-    scan = _palindrome_scan(word, closing)
-    return word[len(word) - max((scan.length[nodes[-1]] for nodes in scan.ends), default=0):]
-
-
 def g_lps(group: SymmetryGroup, word: str) -> str:
     """Longest suffix of ``word`` fixed by some antimorphism of the group (possibly ε)."""
     group.alphabet.check_word(word)
-    return _final_lps(word, group.palindrome_tables.closing)
-
-
-def theta_lps(theta: SymmetryMap, word: str) -> str:
-    """Longest suffix fixed by one specific antimorphism."""
-    if not theta.antimorphic:
-        raise GroupError(f"{theta.name} is not an antimorphism")
-    theta.alphabet.check_word(word)
-    return _final_lps(word, (theta.closing,))
+    scan = _palindrome_scan(word, group.palindrome_tables)
+    return word[len(word) - max((scan.length[nodes[-1]] for nodes in scan.ends), default=0):]
 
 
 # -- defect -------------------------------------------------------------------------
@@ -262,8 +196,7 @@ def _linked_scan(group: SymmetryGroup, word: str) -> _Scan:
     if not group.antimorphisms:
         raise GroupError("defect analysis requires a group with an antimorphism")
     group.alphabet.check_word(word)
-    tables = group.palindrome_tables
-    return _palindrome_scan(word, tables.closing, tables)
+    return _palindrome_scan(word, group.palindrome_tables)
 
 
 def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan) -> DefectProfile:
@@ -307,6 +240,15 @@ def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan) -> DefectProfi
     return DefectProfile(word, tuple(defect), tuple(pal), tuple(gamma), tuple(lacunas), lps)
 
 
+def _suffix_fixed(word: str, translated: str, start: int, end: int) -> bool:
+    """Is word[start:end] fixed by the antimorphism whose letterwise image is ``translated``."""
+    return (
+        word[start] == translated[end - 1]
+        and word[end - 1] == translated[start]
+        and word[start:end] == translated[start:end][::-1]
+    )
+
+
 def g_defect(group: SymmetryGroup, word: str) -> DefectProfile:
     """Defect profile computed twice: by formula and by lacuna count.
 
@@ -345,64 +287,6 @@ def g_defect(group: SymmetryGroup, word: str) -> DefectProfile:
                 f"lacunas {profile.defect[i]} (pal {profile.pal_classes[i]}, gamma {profile.gamma[i]})"
             )
     return profile
-
-
-# -- classical and single-antimorphism richness ------------------------------------
-
-
-def classical_palindromes(word: str) -> set[str]:
-    """Distinct reversal-fixed factors, including the empty word.
-
-    Brute-force oracle: enumerates every factor.
-    """
-    pals = {""}
-    for n in range(1, len(word) + 1):
-        for i in range(len(word) - n + 1):
-            s = word[i:i + n]
-            if s[0] == s[-1] and s == s[::-1]:
-                pals.add(s)
-    return pals
-
-
-def theta_palindromic_factors(theta: SymmetryMap, word: str) -> set[str]:
-    """Distinct theta-fixed factors of ``word``, including the empty word.
-
-    Brute-force oracle for the theta counts of :func:`prefix_palindrome_table`.
-    """
-    if not theta.antimorphic:
-        raise GroupError(f"{theta.name} is not an antimorphism")
-    tr = theta.translated(word)
-    pals = {""}
-    for n in range(1, len(word) + 1):
-        for i in range(len(word) - n + 1):
-            if _suffix_fixed(word, tr, i, i + n):
-                pals.add(word[i:i + n])
-    return pals
-
-
-@dataclass(frozen=True)
-class ThetaRichness:
-    pal_count: int
-    gamma: int
-    is_rich: bool
-
-
-def theta_richness(theta: SymmetryMap, word: str) -> ThetaRichness:
-    """Richness with respect to one involutive antimorphism.
-
-    Brute-force oracle: counts through :func:`theta_palindromic_factors`.
-    """
-    if not theta.antimorphic:
-        raise GroupError(f"{theta.name} is not an antimorphism")
-    if not theta.is_involution():
-        raise GroupError(f"{theta.name} is not involutive; theta-richness is undefined")
-    count = len(theta_palindromic_factors(theta, word))
-    gamma = len({
-        frozenset((a, theta.image_of(a)))
-        for a in set(word)
-        if theta.image_of(a) != a
-    })
-    return ThetaRichness(count, gamma, count == len(word) + 1 - gamma)
 
 
 # -- per-prefix palindrome table -----------------------------------------------------

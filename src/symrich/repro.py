@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InsufficientPrefixError
 from .index import LanguageIndex, _stable_under_doubling
 from .presets import (
     HEXA_ETA,
@@ -156,6 +157,8 @@ def _octa_commutation_violations(index: LanguageIndex, n_max: int) -> list[tuple
 
 def repro_hexa(length: int = 2000, n_max: int = 30) -> CaseStudyReport:
     """The 6-letter image word against its order-8 group and its subgroups."""
+    if length < n_max + 2:
+        raise InsufficientPrefixError(f"length {length} cannot support n_max={n_max}")
     group = hexa_group()
     text = hexa_text(length)
     stability = _stable_under_doubling(text, hexa_text(2 * length), n_max + 2)

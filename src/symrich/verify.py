@@ -61,8 +61,6 @@ class CrwRecord:
 
     n: int
     representative: str
-    occurrences: int
-    checked: bool
     return_words: tuple[str, ...]
     violations: tuple[str, ...]
 
@@ -107,7 +105,7 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     with one letter added on each side.  The remaining consecutive pairs
     touch position 0 or |text| - n.
 
-    The occurrence count and ``checked`` follow from C2's count and the two
+    The first and last occurrences follow from those of C2 and the two
     boundary occurrences, while the violations are recomputed on the derived
     words.  Classes with a special member or with no inner occurrence, the
     two top orders, and languages not known to be closed under ``group`` (an
@@ -131,21 +129,21 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
             if entry:
                 outer, first, last = entry
                 first, last = first + 1, last + 1
-                count = outer.occurrences
                 returns = {v[1:-1] for v in outer.return_words}
                 if rep == head:
                     returns.add(text[:first + n])
-                    count, first = count + 1, 0
+                    first = 0
                 if rep == tail:
                     returns.add(text[last:])
-                    count, last = count + 1, size - n
+                    last = size - n
             else:
                 # distinct factors of one length never share a start position
                 occ = sorted(chain.from_iterable(map(index.occurrences, classes[rep])))
                 returns = {text[i:j + n] for i, j in zip(occ, occ[1:])}
-                count = len(occ)
                 first, last = (occ[0], occ[-1]) if occ else (-1, -1)
-            level[rep] = (_crw_record(group, n, rep, count, rep == tail, returns), first, last)
+            words = tuple(sorted(returns))
+            violations = tuple(v for v in words if not group.is_g_palindrome(v))
+            level[rep] = (CrwRecord(n, rep, words, violations), first, last)
     return [record for n in range(n_lo, n_hi + 1) for record, _, _ in levels[n].values()]
 
 
@@ -159,16 +157,6 @@ def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
         return None
     (b,), (c,) = left, right
     return up.get(group.class_representative(b + rep + c))
-
-
-def _crw_record(group: SymmetryGroup, n: int, rep: str, count: int, at_end: bool,
-                returns: set[str]) -> CrwRecord:
-    """The record of a class with ``count`` occurrences, the last at the end of
-    the text iff ``at_end``, and the given complete return words."""
-    words = tuple(sorted(returns))
-    violations = tuple(v for v in words if not group.is_g_palindrome(v))
-    checked = count >= 3 or (count >= 2 and at_end)
-    return CrwRecord(n, rep, count, checked, words, violations)
 
 
 @dataclass(frozen=True)
@@ -541,6 +529,8 @@ def subgroup_scan(group: SymmetryGroup, text: str, n_max: int,
     takes it.
     """
     group.alphabet.check_word(text)
+    if len(text) < n_max + 2:
+        raise InsufficientPrefixError(f"prefix of length {len(text)} cannot support n_max={n_max}")
     index = LanguageIndex(text, n_max + 2, group)
     if index.closure_added:
         raise InsufficientPrefixError(

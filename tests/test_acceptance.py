@@ -12,13 +12,12 @@ import time
 import pytest
 
 import symrich as sr
+from oracles import classical_palindromes, theta_richness
 from symrich import (
     LanguageIndex,
-    classical_palindromes,
     defect_profile,
     g_defect,
     prefix_palindrome_table,
-    theta_richness,
     verify,
 )
 from symrich.presets import (

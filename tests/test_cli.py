@@ -129,10 +129,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "--config", str(path), "word")
         assert code == EXIT_CONFIG
 
-    def test_format_flag_is_gone(self, tm_config):
+    def test_format_flag_is_gone(self, capsys, tm_config):
         with pytest.raises(SystemExit) as exc:
             main(["--config", tm_config, "--format", "csv", "verify"])
         assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, old, new", [
         ("analysis.length", "length: 600", "length: abc"),
@@ -225,6 +226,19 @@ class TestExitCodes:
     def test_negative_command_argument(self, capsys, tm_config, command, named):
         code, out, err = run(capsys, "--config", tm_config, *command)
         assert code == EXIT_CONFIG and named in err and out == ""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["returns", ""], EXIT_CONFIG, "return words are only defined for nonempty factors"),
+        (["--length", "5", "returns", "010110"], EXIT_CONFIG, "length 6 cannot occur in text of length 5"),
+        (["--length", "10", "repro", "ex6"], EXIT_INSUFFICIENT_PREFIX, "length 10 cannot support"),
+        (["--length", "31", "repro", "ex6"], EXIT_INSUFFICIENT_PREFIX, "length 31 cannot support"),
+        (["--length", "5", "--nmax", "5", "repro", "subgroups"], EXIT_INSUFFICIENT_PREFIX, "length 5 "),
+        (["--length", "21", "repro", "subgroups"], EXIT_INSUFFICIENT_PREFIX, "length 21 cannot support"),
+        (["--length", "1", "repro", "ex8"], EXIT_INSUFFICIENT_PREFIX, "length 1 cannot support"),
+    ])
+    def test_input_too_short(self, capsys, tm_config, argv, code, message):
+        result = run(capsys, "--config", tm_config, *argv)
+        assert result[:2] == (code, "") and message in result[2]
 
     @pytest.mark.parametrize("flag, value", [
         ("--nmax", "-1"), ("--nmax", "0"), ("--length", "0"), ("--length", "-5"),

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import windows
 from symrich import GroupError, IndexRangeError, LanguageIndex, stability_check
 from symrich.presets import (
     BINARY,
@@ -13,10 +14,6 @@ from symrich.presets import (
 from symrich.symmetry import SymmetryMap
 
 R = SymmetryMap.reversal(BINARY)
-
-
-def brute_factors(text, n):
-    return {text[i:i + n] for i in range(len(text) - n + 1)}
 
 
 class TestBuild:
@@ -39,7 +36,7 @@ class TestBuild:
 
     def test_factor_sets_match_windows(self, tm_index, tm_text):
         for n in (1, 2, 5, 9):
-            assert set(tm_index.factors(n)) == brute_factors(tm_text, n)
+            assert set(tm_index.factors(n)) == windows(tm_text, n)
 
     def test_n_max_bound(self):
         with pytest.raises(IndexRangeError):

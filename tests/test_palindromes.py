@@ -1,24 +1,25 @@
 import pytest
 
-from symrich import (
-    AlphabetError,
-    GroupError,
-    SourceError,
+from oracles import (
     classical_palindromes,
-    complete_g_return_words,
-    defect_profile,
-    g_defect,
-    g_lps,
+    factors,
     g_occurrences,
-    prefix_palindrome_table,
-    theta_lps,
     theta_palindromic_factors,
     theta_richness,
 )
+from symrich import (
+    AlphabetError,
+    GroupError,
+    LanguageIndex,
+    defect_profile,
+    g_defect,
+    g_lps,
+    prefix_palindrome_table,
+)
 from symrich.presets import BINARY, exchange_group
 from symrich.symmetry import SymmetryGroup, SymmetryMap
+from symrich.verify import crw_records
 
-R = SymmetryMap.reversal(BINARY)
 E = SymmetryMap(BINARY, ("1", "0"), antimorphic=True)
 
 P11 = "01101001100"  # length-11 prefix of the binary digit-sum word
@@ -26,13 +27,15 @@ P11 = "01101001100"  # length-11 prefix of the binary digit-sum word
 
 def brute_pal_class_count(group, word):
     """Oracle: enumerate every factor, collect palindromic orbit classes."""
-    reps = {group.class_representative("")}
-    for i in range(len(word)):
-        for j in range(i + 1, len(word) + 1):
-            s = word[i:j]
-            if group.is_g_palindrome(s):
-                reps.add(group.class_representative(s))
-    return len(reps)
+    return len({group.class_representative(s) for s in factors(word) if group.is_g_palindrome(s)})
+
+
+def class_return_words(group, word, text):
+    """The return words of the class of ``word``, read as CLI ``returns`` reads them."""
+    n = len(word)
+    rep = group.class_representative(word)
+    records = crw_records(group, LanguageIndex(text, n, group), text, n, n)
+    return next((set(r.return_words) for r in records if r.representative == rep), set())
 
 
 def brute_gamma(group, word):
@@ -78,20 +81,16 @@ class TestOccurrences:
         assert len(g_occurrences(i2_2, "", "011")) != 1  # so ε is not unioccurrent there
 
     def test_return_words(self, i2_2):
-        returns = complete_g_return_words(i2_2, "011", P11)
+        returns = class_return_words(i2_2, "011", P11)
         assert returns == {"0110", "110100", "1001", "0011", "1100"}
 
     def test_fibonacci_return_words_of_010(self, fib_text, id_r):
-        returns = complete_g_return_words(id_r, "010", fib_text)
+        returns = class_return_words(id_r, "010", fib_text)
         assert returns == {"010010", "01010"}
 
-    def test_return_words_need_nonempty_factor(self, i2_2):
-        with pytest.raises(SourceError):
-            complete_g_return_words(i2_2, "", P11)
-
     def test_return_words_of_letter_class_all_palindromic(self, i2_2, tm_text):
-        for v in complete_g_return_words(i2_2, "0", tm_text[:200]):
-            assert i2_2.is_g_palindrome(v)
+        returns = class_return_words(i2_2, "0", tm_text[:200])
+        assert returns and all(i2_2.is_g_palindrome(v) for v in returns)
 
 
 class TestLps:
@@ -104,11 +103,15 @@ class TestLps:
     def test_letter_with_no_fixer(self):
         g = exchange_group()
         assert g_lps(g, "0") == ""
+        # a group with no antimorphism fixes only the empty suffix
+        morphisms = SymmetryGroup.close([SymmetryMap(BINARY, ("1", "0"), antimorphic=False)])
+        assert g_lps(morphisms, "00") == ""
 
-    def test_theta_lps(self):
-        assert theta_lps(R, "011010011") == "11"
-        assert theta_lps(E, "011010011") == "0011"
-        assert theta_lps(E, "0110100110") == "100110"
+    def test_theta_lps(self, id_r):
+        # the lps of the group {id, theta} is the longest theta-palindromic suffix
+        assert g_lps(id_r, "011010011") == "11"
+        assert g_lps(exchange_group(), "011010011") == "0011"
+        assert g_lps(exchange_group(), "0110100110") == "100110"
 
 
 class TestGamma:
@@ -229,10 +232,6 @@ class TestForeignGlyphs:
     def test_g_lps(self, i2_2):
         with pytest.raises(AlphabetError, match="'a'"):
             g_lps(i2_2, "0a1")
-
-    def test_theta_lps(self):
-        with pytest.raises(AlphabetError, match="'a'"):
-            theta_lps(R, "0a1")
 
     def test_prefix_palindrome_table(self, i2_2):
         with pytest.raises(AlphabetError, match="'a'"):

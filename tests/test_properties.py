@@ -4,12 +4,24 @@ The separate acceptance module runs a seeded bulk fuzz; here hypothesis
 searches adversarially over random words, maps, and small groups.
 """
 
+import contextlib
 import functools
+import io
+import json
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import pytest
 
+from oracles import (
+    brute_lps,
+    classical_palindromes,
+    complete_g_return_words,
+    set_union_crw_records,
+    theta_palindromic_factors,
+    theta_richness,
+    windows,
+)
 from symrich import (
     Alphabet,
     IndexRangeError,
@@ -18,16 +30,13 @@ from symrich import (
     PeriodicSource,
     SymmetryGroup,
     SymmetryMap,
-    classical_palindromes,
     defect_profile,
     g_defect,
     g_lps,
     prefix_palindrome_table,
     stability_check,
-    theta_lps,
-    theta_palindromic_factors,
-    theta_richness,
 )
+from symrich.cli import EXIT_CONFIG, main
 from symrich.presets import (
     BINARY,
     binary_full_group,
@@ -41,7 +50,7 @@ from symrich.presets import (
     thue_morse_source,
 )
 from symrich.symmetry import dihedral_group
-from symrich.verify import CrwRecord, crw_records
+from symrich.verify import crw_records
 from symrich.words import DigitSumSource
 
 
@@ -166,17 +175,6 @@ class TestDefectProperties:
             assert a <= b <= a + 1
 
 
-def brute_lps(antimorphisms, word):
-    """Oracle: the longest suffix of ``word`` fixed by one of the antimorphisms.
-
-    Each suffix is compared whole with its image, which for an antimorphism
-    theta is the prefix of theta(word) of the same length.
-    """
-    n = len(word)
-    images = [t.apply(word) for t in antimorphisms]
-    return next((word[i:] for i in range(n) if any(word[i:] == im[:n - i] for im in images)), "")
-
-
 @st.composite
 def closure_word_st(draw, group, max_size=40):
     """A word grown by appending a letter and closing under a random
@@ -207,10 +205,12 @@ class TestLpsDifferential:
     @given(gw=group_and_word_st())
     @settings(max_examples=150, deadline=None)
     def test_g_lps_and_theta_lps(self, gw):
+        # the group of an involution theta is {id, theta}, whose lps is the theta-lps
         group, word = gw
         assert g_lps(group, word) == brute_lps(group.antimorphisms, word)
         for theta in group.antimorphisms:
-            assert theta_lps(theta, word) == brute_lps([theta], word)
+            cyclic = SymmetryGroup.close([theta])
+            assert g_lps(cyclic, word) == brute_lps(cyclic.antimorphisms, word)
 
     @given(gw=group_and_word_st(max_size=25))
     @settings(max_examples=100, deadline=None)
@@ -243,7 +243,8 @@ class TestLpsDifferential:
             len(brute_lps(group.antimorphisms, word[:i])) for i in range(len(word) + 1)
         )
         for theta in group.antimorphisms:
-            assert theta_lps(theta, word) == brute_lps([theta], word)
+            cyclic = SymmetryGroup.close([theta])
+            assert g_lps(cyclic, word) == brute_lps(cyclic.antimorphisms, word)
 
 
 class TestGroupTables:
@@ -272,7 +273,6 @@ class TestLpsRegressions:
     def test_non_involutive_extension_needs_both_tests(self):
         ternary = Alphabet.from_size(3)
         theta = SymmetryMap.from_mapping(ternary, {"0": "1", "1": "2", "2": "0"}, antimorphic=True)
-        assert theta_lps(theta, "10") == ""
         group = SymmetryGroup.close([theta])
         for word in ("10", "0120", "1010201"):
             assert defect_profile(group, word) == g_defect(group, word)
@@ -407,33 +407,13 @@ def indexed_word_st(draw, max_size=60):
     return word, draw(st.integers(0, len(word))), group
 
 
-def brute_windows(text, n):
-    return {text[i:i + n] for i in range(len(text) - n + 1)}
-
-
-def set_union_crw_records(group, index, text, n_lo, n_hi):
-    """Oracle for crw_records: merges a class's occurrences through a set."""
-    records = []
-    for n in range(n_lo, n_hi + 1):
-        classes = {}
-        for w in index.sorted_factors(n):
-            classes.setdefault(group.class_representative(w), []).append(w)
-        for rep in sorted(classes):
-            occ = sorted({q for m in classes[rep] for q in index.occurrences(m)})
-            returns = tuple(sorted({text[i:j + n] for i, j in zip(occ, occ[1:])}))
-            violations = tuple(v for v in returns if not group.is_g_palindrome(v))
-            checked = len(occ) >= 3 or (len(occ) >= 2 and occ[-1] + n == len(text))
-            records.append(CrwRecord(n, rep, len(occ), checked, returns, violations))
-    return records
-
-
 def all_orders_stable(source, length, n_max):
     """Oracle for stability_check: compares the factor sets at every order."""
     bound = source.max_prefix()
     if bound is not None and 2 * length > bound:
         return None
     short, long_ = source.prefix(length), source.prefix(2 * length)
-    return all(brute_windows(short, m) == brute_windows(long_, m) for m in range(n_max + 1))
+    return all(windows(short, m) == windows(long_, m) for m in range(n_max + 1))
 
 
 class TestIndexDifferential:
@@ -447,7 +427,7 @@ class TestIndexDifferential:
         index = LanguageIndex(word, n_max, group)
         added = {}
         for n in range(n_max + 1):
-            base = brute_windows(word, n)
+            base = windows(word, n)
             closed = base if group is None else {g.apply(w) for w in base for g in group.elements}
             assert index.factors(n) == closed
             if closed != base:
@@ -542,6 +522,51 @@ class TestCrwOnClosedLanguages:
             assert crw_records(sub, index, text, 1, 16) == set_union_crw_records(
                 sub, index, text, 1, 16
             )
+
+
+@st.composite
+def returns_case_st(draw):
+    """A group, a text, and a factor that occurs, an orbit image of one that
+    occurs, any word up to two letters longer than the text, or the text."""
+    group = draw(group_st())
+    text = draw(word_st(group.alphabet, min_size=1))
+    i = draw(st.integers(0, len(text) - 1))
+    occurring = text[i:draw(st.integers(i + 1, len(text)))]
+    return group, text, draw(st.sampled_from([
+        occurring, draw(st.sampled_from(group.elements)).apply(occurring),
+        draw(word_st(group.alphabet, min_size=1, max_size=len(text) + 2)), text,
+    ]))
+
+
+class TestReturnsDifferential:
+    @given(case=returns_case_st())
+    @example(case=(binary_full_group(), "0110", "1001"))  # only its image 0110 occurs
+    @example(case=(binary_full_group(), "0011", "010"))  # no member of the class occurs
+    @example(case=(binary_full_group(), "0011", "00110"))  # longer than the text
+    @settings(max_examples=150, deadline=None)
+    def test_cli_returns_matches_find_oracle(self, case, tmp_path_factory):
+        """CLI ``returns``, on a literal config whose generators are all of the group."""
+        group, text, factor = case
+        config = tmp_path_factory.getbasetemp() / "returns.yaml"
+        config.write_text(json.dumps({  # JSON is YAML
+            "alphabet": "".join(group.alphabet.glyphs),
+            "word": {"kind": "literal", "word": text},
+            "group": [{"kind": "antimorphism" if g.antimorphic else "morphism",
+                       "map": [f"{a} -> {g.image_of(a)}" for a in group.alphabet.glyphs]}
+                      for g in group.elements],
+            "analysis": {"length": len(text)},
+        }))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--config", str(config), "returns", factor])
+        if len(factor) > len(text):
+            expected = (EXIT_CONFIG, "", f"error: factor of length {len(factor)} cannot occur "
+                                         f"in text of length {len(text)}\n")
+        else:
+            lines = [f"complete return words of class [{group.class_representative(factor)}]:"]
+            lines += [f"  {v}" for v in sorted(complete_g_return_words(group, factor, text))]
+            expected = (0, "\n".join(lines) + "\n", "")
+        assert (code, out.getvalue(), err.getvalue()) == expected
 
 
 class TestWitnessInvariants:

@@ -7,10 +7,10 @@ chain are all checked inside these runs.
 
 import pytest
 
+from oracles import set_union_crw_records
 from symrich import LanguageIndex, defect_profile, verify
 from symrich.presets import BINARY, binary_full_group, fibonacci_source, reversal_group, thue_morse_source
 from symrich.verify import RICH, crw_records
-from test_properties import set_union_crw_records
 
 pytestmark = pytest.mark.slow
 

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import g_occurrences
 from symrich import (
     AlphabetError,
     GroupError,
@@ -8,7 +9,6 @@ from symrich import (
     LanguageIndex,
     SymrichError,
     defect_sum_check,
-    g_occurrences,
     stability_check,
     subgroup_scan,
     verify,
@@ -27,7 +27,7 @@ from symrich.presets import (
     thue_morse_source,
 )
 from symrich.symmetry import dihedral_group
-from symrich.verify import ALMOST, REFUTED, RICH, crw_records, min_distinguishing
+from symrich.verify import ALMOST, REFUTED, RICH, min_distinguishing
 from symrich.words import Alphabet, LiteralSource, PeriodicSource, WordSource
 
 
@@ -238,11 +238,6 @@ class TestInputChecks:
 
 
 class TestCrw:
-    def test_unchecked_rule(self, i2_2, tm_text):
-        index = LanguageIndex(tm_text[:64], 14, i2_2)
-        records = crw_records(i2_2, index, tm_text[:64], 12, 12)
-        assert any(not r.checked for r in records)
-
     def test_shape_of_return_words_on_rich_run(self, tm_rich_report):
         for record in tm_rich_report.crw:
             if record.return_words:
