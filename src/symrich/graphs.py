@@ -10,7 +10,6 @@ tree.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from .errors import ClosureError, ConsistencyError, IndexRangeError, InsufficientPrefixError
@@ -81,11 +80,16 @@ class SymmetryGraph:
     vertex_classes: tuple[tuple[str, ...], ...]  # sorted members, ordered by representative
     directed_edges: tuple[DirectedEdge, ...]
     undirected_edges: tuple[UndirectedEdge, ...]
-    connected: bool
 
     @property
     def vertex_representatives(self) -> tuple[str, ...]:
         return tuple(cls[0] for cls in self.vertex_classes)
+
+    @property
+    def connected(self) -> bool:
+        # the endpoints are class representatives: the undirected graph of the order agrees
+        pairs = [(e.source, e.target) for e in self.directed_edges]
+        return _connected(self.vertex_representatives, pairs)
 
     def loops(self) -> tuple[UndirectedEdge, ...]:
         return tuple(e for e in self.undirected_edges if e.is_loop)
@@ -117,16 +121,22 @@ class SymmetryGraph:
         return "\n".join(lines) + "\n"
 
 
-def _vertex_classes(group: SymmetryGroup, index: LanguageIndex, n: int) -> dict[str, str]:
-    """Map every special factor of length n to its class representative.
+def _vertex_classes(
+    group: SymmetryGroup, index: LanguageIndex, n: int
+) -> tuple[tuple[tuple[str, ...], ...], dict[str, str]]:
+    """The sorted orbit classes of the special factors of length n, and the
+    class representative of every special factor.
 
     Requires the factor data to be closed under the group at length n, and
     checks that orbit classes of special factors consist of special factors.
     """
     specials = index.specials(n)
     special_set = set(specials)
+    classes = []
     rep_of: dict[str, str] = {}
     for w in specials:
+        if w in rep_of:
+            continue
         members = group.equivalence_class(w)
         for m in members:
             if not index.is_factor(m):
@@ -139,14 +149,16 @@ def _vertex_classes(group: SymmetryGroup, index: LanguageIndex, n: int) -> dict[
                     f"orbit member {m!r} of special factor {w!r} is not special; "
                     "closure or extension data is inconsistent"
                 )
-        rep_of[w] = members[0]
-    return rep_of
+            rep_of[m] = members[0]
+        classes.append(members)
+    return tuple(sorted(classes)), rep_of
 
 
 def directed_symmetry_graph(group: SymmetryGroup, index: LanguageIndex, n: int) -> SymmetryGraph:
-    """Edges are discovered by walking the text forward from each occurrence of a
-    special factor to the next occurrence of any special factor, so every edge
-    label is a genuine factor of the analyzed prefix."""
+    """Edges are discovered by walking the text forward from the first occurrence
+    of each special factor w followed by each of its right extensions a to the
+    next occurrence of any special factor, so every edge label is a genuine
+    factor of the analyzed prefix."""
     if n < 1:
         raise IndexRangeError("symmetry graphs are built for orders n >= 1")
     if n + 1 > index.n_max:
@@ -156,43 +168,27 @@ def directed_symmetry_graph(group: SymmetryGroup, index: LanguageIndex, n: int) 
             "group closure had to add factors "
             f"(lengths {sorted(index.closure_added)}); the prefix is too short for graph analysis"
         )
-    rep_of = _vertex_classes(group, index, n)
+    vertex_classes, rep_of = _vertex_classes(group, index, n)
     text = index.text
-
-    classes: dict[str, list[str]] = {}
-    for w, rep in rep_of.items():
-        classes.setdefault(rep, []).append(w)
-    vertex_classes = tuple(tuple(sorted(classes[rep])) for rep in sorted(classes))
-
-    special_positions = sorted(q for w in rep_of for q in index.occurrences(w))
-
-    labels: dict[tuple[str, str], str] = {}
-    for w in rep_of:
-        for q in index.occurrences(w):
-            if q + n >= len(text):
-                continue
-            key = (w, text[q + n])
-            if key in labels:
-                continue
-            k = bisect.bisect_right(special_positions, q)
-            if k < len(special_positions):
-                p = special_positions[k]
-                labels[key] = text[q:p + n]
+    last = len(text) - n  # the last start of a length-n window
 
     edges = []
     for w in sorted(rep_of):
         for a in sorted(index.rext(w)):
-            label = labels.get((w, a))
-            if label is None:
+            # w + a is a factor of the text: the closure guard above has passed
+            q = text.find(w + a)
+            p = q + 1
+            while p <= last and text[p:p + n] not in rep_of:
+                p += 1
+            if p > last:
                 raise InsufficientPrefixError(
                     f"edge walk from special factor {w!r} with extension {a!r} runs off "
                     "the prefix before reaching another special factor; extend the prefix"
                 )
-            edges.append(DirectedEdge(label, rep_of[label[:n]], rep_of[label[-n:]]))
+            label = text[q:p + n]
+            edges.append(DirectedEdge(label, rep_of[w], rep_of[label[-n:]]))
     edges.sort(key=lambda e: (e.source, e.target, e.label))
-
-    connected = _connected(tuple(sorted(classes)), [(e.source, e.target) for e in edges])
-    return SymmetryGraph(n, True, vertex_classes, tuple(edges), (), connected)
+    return SymmetryGraph(n, True, vertex_classes, tuple(edges), ())
 
 
 def undirected_symmetry_graph(group: SymmetryGroup, index: LanguageIndex, n: int) -> SymmetryGraph:
@@ -216,8 +212,7 @@ def undirected_symmetry_graph(group: SymmetryGroup, index: LanguageIndex, n: int
         undirected[rep] = UndirectedEdge(rep, members, endpoints)
 
     edges = tuple(sorted(undirected.values(), key=lambda e: (e.endpoints, e.representative)))
-    connected = _connected(directed.vertex_representatives, [e.endpoints for e in edges])
-    return SymmetryGraph(n, False, directed.vertex_classes, directed.directed_edges, edges, connected)
+    return SymmetryGraph(n, False, directed.vertex_classes, directed.directed_edges, edges)
 
 
 def _connected(vertices: tuple[str, ...], pairs) -> bool:
@@ -281,29 +276,6 @@ class TlsVerdict:
         return "; ".join(parts)
 
 
-def _find_cycle(vertices, edges) -> list[str] | None:
-    """Some cycle in the loop-free multigraph, as a vertex list, or None."""
-    parent: dict[str, str] = {v: v for v in vertices}
-
-    def root(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    forest: dict[str, set[str]] = {v: set() for v in vertices}
-    for e in edges:
-        a, b = e.endpoints
-        if root(a) == root(b):
-            # path a..b in the forest built so far closes the cycle
-            path = _forest_path(forest, a, b)
-            return path + [a]
-        parent[root(a)] = root(b)
-        forest[a].add(b)
-        forest[b].add(a)
-    return None
-
-
 def _forest_path(forest: dict[str, set[str]], a: str, b: str) -> list[str]:
     stack = [[a]]
     seen = {a}
@@ -321,8 +293,6 @@ def _forest_path(forest: dict[str, set[str]], a: str, b: str) -> list[str]:
 def _tree_check(graph: SymmetryGraph) -> tuple[bool, str | None]:
     vertices = graph.vertex_representatives
     edges = graph.non_loop_edges()
-    if len(vertices) <= 1 and not edges:
-        return True, None
     pair_seen: dict[tuple[str, str], str] = {}
     for e in edges:
         if e.endpoints in pair_seen:
@@ -331,12 +301,34 @@ def _tree_check(graph: SymmetryGraph) -> tuple[bool, str | None]:
                 f"between [{e.endpoints[0]}] and [{e.endpoints[1]}]"
             )
         pair_seen[e.endpoints] = e.representative
-    if not _connected(vertices, [e.endpoints for e in edges]):
+
+    parent: dict[str, str] = {v: v for v in vertices}
+
+    def root(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    forest: dict[str, set[str]] = {v: set() for v in vertices}
+    components = len(vertices)
+    cycle = None
+    for e in edges:
+        a, b = e.endpoints
+        ra, rb = root(a), root(b)
+        if ra == rb:
+            if cycle is None:
+                # the path a..b in the forest built so far closes the cycle
+                cycle = _forest_path(forest, a, b) + [a]
+            continue
+        parent[ra] = rb
+        forest[a].add(b)
+        forest[b].add(a)
+        components -= 1
+    if components > 1:
         return False, "loop-free graph is disconnected"
-    if len(edges) != len(vertices) - 1:
-        cycle = _find_cycle(vertices, edges)
-        witness = f"cycle through {cycle}" if cycle else f"{len(edges)} edges on {len(vertices)} vertices"
-        return False, witness
+    if cycle is not None:
+        return False, f"cycle through {cycle}"
     return True, None
 
 

@@ -127,11 +127,6 @@ def hexa_group() -> SymmetryGroup:
     return SymmetryGroup.close([hexa_psi(0), hexa_psi(1), hexa_psi(2)])
 
 
-def hexa_subgroup(i: int) -> SymmetryGroup:
-    """Order-4 subgroup generated by psi_i and psi_(i+1 mod 3)."""
-    return SymmetryGroup.close([hexa_psi(i), hexa_psi((i + 1) % 3)])
-
-
 def hexa_text(length: int) -> str:
     """Prefix of the hexa word (the 2-block image of the octa word)."""
     octa = octa_source().prefix(-(-length // 2))

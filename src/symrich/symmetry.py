@@ -156,19 +156,18 @@ class SymmetryGroup:
         gens = list(generators)
         if not gens:
             raise GroupError("need at least one generator")
-        alphabet = gens[0].alphabet
-        found: set[SymmetryMap] = {SymmetryMap.identity(alphabet)}
-        frontier = [g for g in gens]
-        for g in frontier:
-            found.add(g)
+        # a finite set closed under multiplication by the generators is the group
+        # they generate: every inverse is a positive power
+        found: set[SymmetryMap] = {SymmetryMap.identity(gens[0].alphabet)}
+        frontier = list(found)
         while frontier:
             nxt = []
             for f in frontier:
-                for g in list(found):
-                    for h in (f.compose(g), g.compose(f)):
-                        if h not in found:
-                            found.add(h)
-                            nxt.append(h)
+                for g in gens:
+                    h = g.compose(f)
+                    if h not in found:
+                        found.add(h)
+                        nxt.append(h)
             frontier = nxt
         return cls(tuple(found))
 

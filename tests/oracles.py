@@ -1,10 +1,13 @@
-"""Brute-force oracles for the tests: each enumerates every factor, suffix or
-occurrence (found by ``str.find``) and shares no logic with symrich's eertrees
-or factor index."""
+"""Oracles for the tests.  The brute-force ones enumerate every factor, suffix
+or occurrence (found by ``str.find``) and share no logic with symrich's
+eertrees or factor index; :func:`position_walk_edges` is an earlier edge
+search of the graphs of symmetries, kept for differential tests."""
 
+import bisect
 from collections import namedtuple
 
-from symrich import GroupError
+from symrich import ClosureError, ConsistencyError, GroupError, IndexRangeError, InsufficientPrefixError
+from symrich.graphs import DirectedEdge
 from symrich.verify import CrwRecord
 
 
@@ -77,3 +80,59 @@ def set_union_crw_records(group, index, text, n_lo, n_hi):
             words = tuple(sorted(complete_g_return_words(group, rep, text)))
             records.append(CrwRecord(n, rep, words, tuple(v for v in words if not group.is_g_palindrome(v))))
     return records
+
+
+def position_walk_edges(group, index, n):
+    """Oracle for the edges of ``directed_symmetry_graph``: every occurrence of
+    every special factor is sorted into one position list, and each
+    (special, extension) pair takes its edge from the first of its
+    occurrences with a special position after it (found by ``bisect``).
+    Raises what the graph builder raises, with the same messages."""
+    if n < 1:
+        raise IndexRangeError("symmetry graphs are built for orders n >= 1")
+    if n + 1 > index.n_max:
+        raise IndexRangeError(f"order {n} needs factors of length {n + 1}")
+    if index.closure_added:
+        raise InsufficientPrefixError(
+            "group closure had to add factors "
+            f"(lengths {sorted(index.closure_added)}); the prefix is too short for graph analysis"
+        )
+    specials = index.specials(n)
+    rep_of = {}
+    for w in specials:
+        members = group.equivalence_class(w)
+        for m in members:
+            if not index.is_factor(m):
+                raise ClosureError(
+                    f"orbit member {m!r} of special factor {w!r} is not an indexed factor; "
+                    f"the language is not closed under the group at length {n}"
+                )
+            if m not in specials:
+                raise ConsistencyError(
+                    f"orbit member {m!r} of special factor {w!r} is not special; "
+                    "closure or extension data is inconsistent"
+                )
+        rep_of[w] = members[0]
+
+    text = index.text
+    special_positions = sorted(q for w in rep_of for q in index.occurrences(w))
+    labels = {}
+    for w in rep_of:
+        for q in index.occurrences(w):
+            if q + n >= len(text) or (w, text[q + n]) in labels:
+                continue
+            k = bisect.bisect_right(special_positions, q)
+            if k < len(special_positions):
+                labels[w, text[q + n]] = text[q:special_positions[k] + n]
+
+    edges = []
+    for w in sorted(rep_of):
+        for a in sorted(index.rext(w)):
+            label = labels.get((w, a))
+            if label is None:
+                raise InsufficientPrefixError(
+                    f"edge walk from special factor {w!r} with extension {a!r} runs off "
+                    "the prefix before reaching another special factor; extend the prefix"
+                )
+            edges.append(DirectedEdge(label, rep_of[label[:n]], rep_of[label[-n:]]))
+    return tuple(sorted(edges, key=lambda e: (e.source, e.target, e.label)))

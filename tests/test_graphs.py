@@ -10,6 +10,7 @@ from symrich import (
     tls_verdict,
     undirected_symmetry_graph,
 )
+from symrich.graphs import SymmetryGraph, UndirectedEdge, _tree_check
 from symrich.presets import BINARY, exchange_group, octa_group, octa_source
 from symrich.symmetry import SymmetryMap
 from symrich.words import Alphabet, PeriodicSource
@@ -79,6 +80,13 @@ class TestDirectedGraphs:
     def test_connected(self, tm_index, i2_2):
         assert directed_symmetry_graph(i2_2, tm_index, 5).connected
 
+    def test_connected_agrees_with_undirected(self, tm_index, tm_index_r, fib_index, t33_index,
+                                              i2_2, id_r, i2_3):
+        for group, index in ((i2_2, tm_index), (id_r, tm_index_r), (id_r, fib_index), (i2_3, t33_index)):
+            for n in range(1, index.n_max):
+                directed = directed_symmetry_graph(group, index, n)
+                assert directed.connected == undirected_symmetry_graph(group, index, n).connected
+
 
 class TestUndirectedGraphs:
     def test_thue_morse_full_group(self, tm_index, i2_2):
@@ -133,6 +141,7 @@ class TestTls:
         assert not verdict.satisfied
         assert not verdict.tree_ok
         assert "cycle" in verdict.tree_witness
+        assert verdict.tree_witness == "cycle through ['011', '001', '010', '101', '011']"
 
     def test_fibonacci_satisfied(self, fib_index, id_r):
         verdict = tls_verdict(id_r, fib_index, 3)
@@ -142,6 +151,32 @@ class TestTls:
         src = PeriodicSource(Alphabet.from_string("01"), "01")
         index = LanguageIndex(src.prefix(60), 8, exchange_group())
         assert tls_verdict(exchange_group(), index, 3).satisfied
+
+
+def hand_built(vertices, pairs):
+    """An undirected graph of symmetries on the given class representatives,
+    one edge class per (label, a, b) triple."""
+    edges = tuple(UndirectedEdge(label, (label,), (a, b)) for label, a, b in pairs)
+    return SymmetryGraph(1, False, tuple((v,) for v in vertices), (), edges)
+
+
+class TestTreeCheckWitness:
+    def test_parallel_edges_before_disconnection(self):
+        graph = hand_built("abcd", [("x", "a", "b"), ("y", "a", "b")])
+        assert _tree_check(graph) == (False, "parallel edge classes [x] and [y] between [a] and [b]")
+
+    def test_disconnection_before_cycle(self):
+        graph = hand_built("abcd", [("x", "a", "b"), ("y", "b", "c"), ("z", "a", "c")])
+        assert _tree_check(graph) == (False, "loop-free graph is disconnected")
+
+    def test_cycle_in_connected_graph(self):
+        graph = hand_built("abc", [("x", "a", "b"), ("y", "b", "c"), ("z", "a", "c")])
+        assert _tree_check(graph) == (False, "cycle through ['a', 'b', 'c', 'a']")
+
+    def test_small_graphs_are_trees(self):
+        assert _tree_check(hand_built("", [])) == (True, None)
+        assert _tree_check(hand_built("a", [("x", "a", "a")])) == (True, None)
+        assert _tree_check(hand_built("ab", [("x", "a", "b")])) == (True, None)
 
 
 class TestBispecial:

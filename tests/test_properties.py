@@ -17,6 +17,7 @@ from oracles import (
     brute_lps,
     classical_palindromes,
     complete_g_return_words,
+    position_walk_edges,
     set_union_crw_records,
     theta_palindromic_factors,
     theta_richness,
@@ -25,12 +26,15 @@ from oracles import (
 from symrich import (
     Alphabet,
     IndexRangeError,
+    InsufficientPrefixError,
     LanguageIndex,
     LiteralSource,
     PeriodicSource,
     SymmetryGroup,
     SymmetryMap,
+    SymrichError,
     defect_profile,
+    directed_symmetry_graph,
     g_defect,
     g_lps,
     prefix_palindrome_table,
@@ -522,6 +526,48 @@ class TestCrwOnClosedLanguages:
             assert crw_records(sub, index, text, 1, 16) == set_union_crw_records(
                 sub, index, text, 1, 16
             )
+
+
+def edges_or_error(build, group, index, n):
+    """The directed edges ``build`` finds at order n, or its error's type and message."""
+    try:
+        result = build(group, index, n)
+    except SymrichError as e:
+        return type(e), str(e)
+    return getattr(result, "directed_edges", result)
+
+
+class TestEdgeWalkDifferential:
+    """The forward edge walk of ``directed_symmetry_graph`` against the
+    sorted-position oracle, on preset words indexed under their full group and
+    with no group; only a group-less index lets the walk run off the prefix."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_subgroups_of_preset_words(self, data):
+        name = data.draw(st.sampled_from(["tm", "fib", "t33", "octa", "hexa"]))
+        text, group, subgroups = preset_word(name)
+        text = text[:data.draw(st.integers(12, 600))]
+        sub = data.draw(st.sampled_from(subgroups))
+        n_max = data.draw(st.integers(2, 12))
+        for index in (LanguageIndex(text, n_max, group), LanguageIndex(text, n_max)):
+            for n in range(1, n_max):
+                assert edges_or_error(directed_symmetry_graph, sub, index, n) == edges_or_error(
+                    position_walk_edges, sub, index, n
+                )
+
+    def test_walk_runs_off_the_prefix(self):
+        text, group, _ = preset_word("tm")
+        index = LanguageIndex(text[:13], 6)
+        reversal = reversal_group(BINARY)
+        assert edges_or_error(directed_symmetry_graph, reversal, index, 4) == (
+            InsufficientPrefixError,
+            "edge walk from special factor '1001' with extension '0' runs off "
+            "the prefix before reaching another special factor; extend the prefix",
+        )
+        assert edges_or_error(position_walk_edges, reversal, index, 4) == edges_or_error(
+            directed_symmetry_graph, reversal, index, 4
+        )
 
 
 @st.composite

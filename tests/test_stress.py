@@ -7,8 +7,8 @@ chain are all checked inside these runs.
 
 import pytest
 
-from oracles import set_union_crw_records
-from symrich import LanguageIndex, defect_profile, verify
+from oracles import position_walk_edges, set_union_crw_records
+from symrich import LanguageIndex, defect_profile, directed_symmetry_graph, verify
 from symrich.presets import BINARY, binary_full_group, fibonacci_source, reversal_group, thue_morse_source
 from symrich.verify import RICH, crw_records
 
@@ -45,3 +45,12 @@ def test_return_words_at_order_62():
     index = LanguageIndex(text, 62, group)
     assert index.g_closed
     assert crw_records(group, index, text, 1, 60) == set_union_crw_records(group, index, text, 1, 60)
+
+
+def test_edge_walk_at_order_62():
+    # the benchmark's deep-index input, whose TLS verdicts read these edges
+    text = thue_morse_source().prefix(32000)
+    group = binary_full_group()
+    index = LanguageIndex(text, 62, group)
+    for n in range(1, 61):
+        assert directed_symmetry_graph(group, index, n).directed_edges == position_walk_edges(group, index, n)

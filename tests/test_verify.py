@@ -22,13 +22,19 @@ from symrich.presets import (
     fibonacci_source,
     generalized_thue_morse,
     hexa_group,
+    hexa_psi,
     hexa_text,
     reversal_group,
     thue_morse_source,
 )
-from symrich.symmetry import dihedral_group
+from symrich.symmetry import SymmetryGroup, dihedral_group
 from symrich.verify import ALMOST, REFUTED, RICH, min_distinguishing
 from symrich.words import Alphabet, LiteralSource, PeriodicSource, WordSource
+
+
+def hexa_subgroup(i: int) -> SymmetryGroup:
+    """Order-4 subgroup of the hexa group generated by psi_i and psi_(i+1 mod 3)."""
+    return SymmetryGroup.close([hexa_psi(i), hexa_psi((i + 1) % 3)])
 
 
 @pytest.fixture(scope="module")
@@ -290,8 +296,6 @@ class TestMinDistinguishing:
         assert min_distinguishing(id_r, fib_index, 10) == 0
 
     def test_hexa_needs_two(self):
-        from symrich.presets import hexa_subgroup
-
         text = hexa_text(600)
         index = LanguageIndex(text, 10, hexa_group())
         assert min_distinguishing(hexa_subgroup(2), index, 10) == 2
