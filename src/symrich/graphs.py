@@ -197,11 +197,13 @@ def undirected_symmetry_graph(group: SymmetryGroup, index: LanguageIndex, n: int
     by_label = {e.label: e for e in directed.directed_edges}
 
     undirected: dict[str, UndirectedEdge] = {}
+    built: set[str] = set()  # the members of the classes in ``undirected``
     for e in directed.directed_edges:
+        if e.label in built:
+            continue
         members = group.equivalence_class(e.label)
         rep = members[0]
-        if rep in undirected:
-            continue
+        built.update(members)
         for m in members:
             if m not in by_label:
                 raise ClosureError(
@@ -272,7 +274,7 @@ class TlsVerdict:
         if bad:
             parts.append(f"non-palindromic loop(s) {bad}")
         if not self.tree_ok:
-            parts.append(self.tree_witness or "loop-free graph is not a tree")
+            parts.append(self.tree_witness)
         return "; ".join(parts)
 
 

@@ -14,7 +14,11 @@ links from each node to the nodes of its orbit images in the other trees.
 The G-lps of a prefix is the longest of the per-tree lps, and it is
 G-unioccurrent iff its node is new there and no orbit image is older, the
 group form of the rule of Droubay, Justin & Pirillo.  A whole profile thus
-takes time linear in |w| * |G|; what the trees need from the group is
+takes time linear in |w| * |G|.  The image links of all nodes sit in one
+flat list, one row of |G| entries per node.  A node P of the tree of theta
+is fixed by theta, so the members g theta^k of a left coset g<theta> all
+map P to one node, and each new node pays one child lookup per coset, not
+per element.  What the trees need from the group, cosets included, is
 tabulated once per group object (:attr:`SymmetryGroup.palindrome_tables`),
 so a call on a short word pays little set-up.  The only quadratic routine
 left here is :func:`g_defect`, the brute-force dual of :func:`defect_profile`
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import add, sub
 
 from .errors import ConsistencyError, GroupError
 from .symmetry import PalindromeTables, SymmetryGroup
@@ -38,21 +44,18 @@ class _Scan:
 
     ``ends[t][i]`` is the node of the longest suffix of ``word[:i]`` fixed by
     the t-th antimorphism.  Per node: ``length`` of its palindrome and the
-    prefix length ``born`` where that palindrome first occurs, and its
-    orbit-image row ``image``.
-    The nodes made in tree t are ``first[t]`` .. ``first[t + 1] - 1``, in
-    order of birth.
+    prefix length ``born`` where that palindrome first occurs.  The orbit-image
+    rows are flat: ``image[width * P + j]`` is the node of g_j(P), with
+    ``width`` = |G|.  The nodes made in tree t are ``first[t]`` ..
+    ``first[t + 1] - 1``, in order of birth.
     """
 
     length: list[int]
     born: list[int]
-    image: list
+    image: list[int]
+    width: int
     ends: list[list[int]]
     first: list[int]
-
-    def longest(self) -> list[int]:
-        """Per prefix length i, the node of the longest G-palindromic suffix of ``word[:i]``."""
-        return [max(column, key=self.length.__getitem__) for column in zip(*self.ends)]
 
 
 def _palindrome_scan(word: str, tables: PalindromeTables) -> _Scan:
@@ -73,15 +76,20 @@ def _palindrome_scan(word: str, tables: PalindromeTables) -> _Scan:
     Node P of the tree of theta is linked, for every element g, to node g(P)
     of the tree of g theta g^-1: the image of pi(c) X c is the child of
     image(X, g) along sigma(c) for a morphism g with letter map sigma, and
-    along sigma(pi(c)) for an antimorphism.  The trees are grown one after
-    another over the whole word, and both directions of a link are set when
-    the second of its two nodes is made.  A node is born at the prefix
-    length where its palindrome first occurs, so the G-lps of ``word[:i]`` is
-    G-unioccurrent iff its node was born at i and no orbit image was born
-    earlier.  Time and space are linear in |word| * |G|.
+    along sigma(pi(c)) for an antimorphism.  Since theta fixes P and X, every
+    member g theta^k of the left coset g<theta> maps them as g does, so that
+    child is looked up once per coset and written to the row entries of all
+    its members, and the back-links to the entries of their inverses.  The
+    rows are flat, ``width`` = |G| entries per node in node order.  The trees
+    are grown one after another over the whole word, and both directions of
+    a link are set when the second of its two nodes is made.  A node is born
+    at the prefix length where its palindrome first occurs, so the G-lps of
+    ``word[:i]`` is G-unioccurrent iff its node was born at i and no orbit
+    image was born earlier.  Time and space are linear in |word| * |G|.
     """
     n = len(word)
     trees = len(tables.closing)
+    width = tables.order
     length = [-1, 0] * trees
     link = [2 * (k // 2) for k in range(2 * trees)]  # both roots fall back to the imaginary one
     born = [0] * (2 * trees)
@@ -92,11 +100,14 @@ def _palindrome_scan(word: str, tables: PalindromeTables) -> _Scan:
     born.append(n + 1)
     edges: list[dict[str, int]] = [{} for _ in range(absent + 1)]
     image = list(tables.root_images)
-    back = tables.inverse
+    absent_row = [absent] * width
 
+    # padded[k + 1] is word[k], and padded[0] is no glyph, so a suffix that starts
+    # the word fails the extension test without a bounds check
+    padded = "\n" + word
     ends: list[list[int]] = []
     first: list[int] = []
-    for t, (close, steps) in enumerate(zip(tables.closing, tables.last_letter)):
+    for t, (close, cosets) in enumerate(zip(tables.closing, tables.cosets)):
         root, empty = 2 * t, 2 * t + 1
         first.append(len(length))
         cur = empty
@@ -107,7 +118,7 @@ def _palindrome_scan(word: str, tables: PalindromeTables) -> _Scan:
                 cur = empty
             else:
                 x = cur
-                while x != root and not (length[x] < i and word[i - length[x] - 1] == p):
+                while x != root and padded[i - length[x]] != p:
                     x = link[x]
                 if x == root and c != p:
                     cur = empty
@@ -119,7 +130,7 @@ def _palindrome_scan(word: str, tables: PalindromeTables) -> _Scan:
                             suffix = empty
                         else:
                             y = link[x]
-                            while y != root and not (length[y] < i and word[i - length[y] - 1] == p):
+                            while y != root and padded[i - length[y]] != p:
                                 y = link[y]
                             suffix = empty if (y == root and c != p) else edges[y][c]
                         length.append(length[x] + 2)
@@ -127,18 +138,21 @@ def _palindrome_scan(word: str, tables: PalindromeTables) -> _Scan:
                         born.append(i + 1)
                         edges.append({})
                         edges[x][c] = child
-                        row = [absent] * len(back)
-                        image.append(row)
-                        for j, step in enumerate(steps):
-                            z = edges[image[x][j]].get(step[c], absent)
+                        row, parent_row = child * width, x * width
+                        image += absent_row
+                        for r, d, members, inverses in cosets[c]:
+                            z = edges[image[parent_row + r]].get(d, absent)
                             if z != absent:
-                                row[j] = z
-                                image[z][back[j]] = child
+                                for j in members:
+                                    image[row + j] = z
+                                back_row = z * width
+                                for j in inverses:
+                                    image[back_row + j] = child
                     cur = child
             nodes.append(cur)
         ends.append(nodes)
     first.append(len(length))
-    return _Scan(length, born, image, ends, first)
+    return _Scan(length, born, image, width, ends, first)
 
 
 def g_lps(group: SymmetryGroup, word: str) -> str:
@@ -201,43 +215,45 @@ def _linked_scan(group: SymmetryGroup, word: str) -> _Scan:
 
 def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan) -> DefectProfile:
     """The :func:`defect_profile` of ``word`` from a linked scan of it under ``group``."""
-    letter_class = group.letter_classes()
-    letter_fixed = group.letter_fixed()
+    length, born, image, width = scan.length, scan.born, scan.image, scan.width
+    # per prefix length, the node of the longest G-palindromic suffix; on equal
+    # lengths the earlier tree's node is kept (both nodes are the same string)
+    best = scan.ends[0]
+    for nodes in scan.ends[1:]:
+        best = [b if length[b] >= length[e] else e for b, e in zip(best, nodes)]
+    letter_class = group._letter_classes
+    letter_fixed = group._letter_fixed
 
-    defect = [0]
-    pal = [1]  # the empty-word class is always present
-    gamma = [0]
-    lacunas: list[int] = []
-    seen_classes: set[frozenset[str]] = set()
     n = len(word)
-    best = scan.longest()
-    born, image = scan.born, scan.image
-
-    for i in range(1, n + 1):
-        a = word[i - 1]
-        new_class = letter_class[a] not in seen_classes
-        seen_classes.add(letter_class[a])
-
+    pal_steps = [1] + [0] * n  # the empty-word class is always present
+    gamma_steps = [0] * (n + 1)
+    lacuna_steps = [0] * (n + 1)
+    seen: set[str] = set()  # the letters of the classes met so far
+    for i, a in enumerate(word, 1):
         # a node born at i > 0 is a nonempty palindrome; the identity's image of a
         # node is the node itself, so the minimum over its images is at most i
         x = best[i]
-        lps_unioccurrent = born[x] == i and min(map(born.__getitem__, image[x])) == i
-        pal_new = 1 if lps_unioccurrent else 0
-        gamma_new = 1 if (new_class and not letter_fixed[a]) else 0
-        is_lacuna = (not new_class) and (not lps_unioccurrent)
+        lps_unioccurrent = born[x] == i and min(map(born.__getitem__, image[x * width:(x + 1) * width])) == i
+        if lps_unioccurrent:
+            pal_steps[i] = 1
+        if a not in seen:
+            seen.update(letter_class[a])
+            if not letter_fixed[a]:
+                gamma_steps[i] = 1
+        elif not lps_unioccurrent:
+            lacuna_steps[i] = 1
 
-        pal.append(pal[-1] + pal_new)
-        gamma.append(gamma[-1] + gamma_new)
-        defect.append(defect[-1] + (1 if is_lacuna else 0))
-        if is_lacuna:
-            lacunas.append(i)
-        if defect[-1] != i + 1 - pal[-1] - gamma[-1]:
-            raise ConsistencyError(
-                f"defect bookkeeping out of sync at position {i} of {word!r}"
-            )
-
-    lps = tuple(map(scan.length.__getitem__, best))
-    return DefectProfile(word, tuple(defect), tuple(pal), tuple(gamma), tuple(lacunas), lps)
+    defect = tuple(accumulate(lacuna_steps))
+    pal = tuple(accumulate(pal_steps))
+    gamma = tuple(accumulate(gamma_steps))
+    # D(i) = i + 1 - pal(i) - gamma(i) at every prefix length i
+    expected = tuple(map(sub, range(1, n + 2), map(add, pal, gamma)))
+    if defect != expected:
+        i = next(i for i, (d, e) in enumerate(zip(defect, expected)) if d != e)
+        raise ConsistencyError(f"defect bookkeeping out of sync at position {i} of {word!r}")
+    lacunas = tuple(compress(range(n + 1), lacuna_steps))
+    lps = tuple(map(length.__getitem__, best))
+    return DefectProfile(word, defect, pal, gamma, lacunas, lps)
 
 
 def _suffix_fixed(word: str, translated: str, start: int, end: int) -> bool:

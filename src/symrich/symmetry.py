@@ -315,46 +315,63 @@ class PalindromeTables:
     """What the per-antimorphism palindrome trees of a group need from it.
 
     ``palindromes._palindrome_scan`` grows one tree per antimorphism theta_t
-    (the t-th of ``group.antimorphisms``) and links each node, for every
+    (the t-th of ``group.antimorphisms``) and links each node P, for every
     element g_j (the j-th of ``group.elements``), to the node of its image
-    g_j(P), which is fixed by g_j theta_t g_j^-1.  These tables depend only
-    on the group:
+    g_j(P), which is fixed by g_j theta_t g_j^-1.  P is fixed by theta_t, so
+    all members g theta_t^k of a left coset g<theta_t> map P to one node, and
+    the scan looks that node up once per coset.  These tables depend only on
+    the group:
 
+    * ``order`` is |G|, the width of a node's image row;
     * ``closing[t]`` is ``theta_t.closing``;
-    * ``inverse[j]`` is the position of g_j^-1;
-    * ``last_letter[t][j][c]``, for c in ``closing[t]``, is the last letter of
-      g_j(u) for every theta_t-palindrome u ending in c: sigma(c) for a
-      morphism g_j with letter map sigma, sigma(pi_t(c)) for an antimorphism;
-    * ``root_images`` are the image rows of the trees' roots, in the node
-      numbering of the scan: node 2t is the imaginary root of tree t and node
-      2t + 1 its empty word, whose images are the roots of the tree of
+    * ``cosets[t][c]``, for c in ``closing[t]``, lists per left coset of
+      <theta_t> the tuple (r, d, members, inverses): the position r of its
+      first member, the last letter d of g_r(u) for every theta_t-palindrome
+      u ending in c (sigma(c) for a morphism g_r with letter map sigma,
+      sigma(pi_t(c)) for an antimorphism; every member gives the same), the
+      positions of its members and the positions of their inverses;
+    * ``root_images`` are the image rows of the trees' roots, flat and in the
+      node numbering of the scan: node 2t is the imaginary root of tree t and
+      node 2t + 1 its empty word, whose images are the roots of the tree of
       g_j theta_t g_j^-1; node 2T (T trees) stands for an image that never
       occurs, so its images are itself.
     """
 
+    order: int
     closing: tuple[dict[str, str], ...]
-    inverse: tuple[int, ...]
-    last_letter: tuple[tuple[dict[str, str], ...], ...]
-    root_images: tuple[tuple[int, ...], ...]
+    cosets: tuple[dict[str, tuple[tuple, ...]], ...]
+    root_images: tuple[int, ...]
 
     @classmethod
     def of(cls, group: SymmetryGroup) -> "PalindromeTables":
         elements, antims = group.elements, group.antimorphisms
         position = {g: j for j, g in enumerate(elements)}
         tree_of = {t: k for k, t in enumerate(antims)}
-        root_images = []
+        cosets = []
+        root_images: list[int] = []
         for t in antims:
+            powers = [group.identity]
+            while not (power := group.compose(t, powers[-1])).is_identity():
+                powers.append(power)
+            by_letter: dict[str, list] = {c: [] for c in t.closing}
+            covered: set[SymmetryMap] = set()
+            for g in elements:
+                if g in covered:
+                    continue
+                coset = [group.compose(g, h) for h in powers]
+                covered.update(coset)
+                members = tuple(position[m] for m in coset)
+                inverses = tuple(position[group.inverse(m)] for m in coset)
+                for c, p in t.closing.items():
+                    by_letter[c].append((position[g], g.image_of(p if g.antimorphic else c), members, inverses))
+            cosets.append({c: tuple(entries) for c, entries in by_letter.items()})
             targets = [tree_of[group.compose(g, group.compose(t, group.inverse(g)))] for g in elements]
-            root_images += [tuple(2 * u for u in targets), tuple(2 * u + 1 for u in targets)]
-        root_images.append((2 * len(antims),) * len(elements))
+            root_images += [2 * u for u in targets] + [2 * u + 1 for u in targets]
+        root_images += [2 * len(antims)] * len(elements)
         return cls(
+            order=len(elements),
             closing=tuple(t.closing for t in antims),
-            inverse=tuple(position[group.inverse(g)] for g in elements),
-            last_letter=tuple(
-                tuple({c: g.image_of(p if g.antimorphic else c) for c, p in t.closing.items()}
-                      for g in elements)
-                for t in antims
-            ),
+            cosets=tuple(cosets),
             root_images=tuple(root_images),
         )
 

@@ -10,9 +10,9 @@ from symrich import (
     tls_verdict,
     undirected_symmetry_graph,
 )
-from symrich.graphs import SymmetryGraph, UndirectedEdge, _tree_check
+from symrich.graphs import SymmetryGraph, TlsVerdict, UndirectedEdge, _tree_check
 from symrich.presets import BINARY, exchange_group, octa_group, octa_source
-from symrich.symmetry import SymmetryMap
+from symrich.symmetry import SymmetryGroup, SymmetryMap
 from symrich.words import Alphabet, PeriodicSource
 
 R = SymmetryMap.reversal(BINARY)
@@ -88,6 +88,18 @@ class TestDirectedGraphs:
                 assert directed.connected == undirected_symmetry_graph(group, index, n).connected
 
 
+def orbit_collapsed(group, directed):
+    """The undirected graph of a directed one, with the orbit of every directed
+    edge computed and the first edge of each class kept."""
+    undirected = {}
+    for e in directed.directed_edges:
+        members = tuple(sorted({g.apply(e.label) for g in group.elements}))
+        endpoints = tuple(sorted((e.source, e.target)))
+        undirected.setdefault(members[0], UndirectedEdge(members[0], members, endpoints))
+    edges = tuple(sorted(undirected.values(), key=lambda e: (e.endpoints, e.representative)))
+    return SymmetryGraph(directed.order, False, directed.vertex_classes, directed.directed_edges, edges)
+
+
 class TestUndirectedGraphs:
     def test_thue_morse_full_group(self, tm_index, i2_2):
         g = undirected_symmetry_graph(i2_2, tm_index, 3)
@@ -120,6 +132,25 @@ class TestUndirectedGraphs:
                 for loop in g.loops():
                     verdicts = {group.is_g_palindrome(m) for m in loop.members}
                     assert len(verdicts) == 1
+
+    def test_one_orbit_per_edge_class(self, tm_index, tm_index_r, fib_index, t33_index,
+                                      i2_2, id_r, i2_3, monkeypatch):
+        orbits = []
+        equivalence_class = SymmetryGroup.equivalence_class
+
+        def counted(group, word):
+            orbits.append(word)
+            return equivalence_class(group, word)
+
+        monkeypatch.setattr(SymmetryGroup, "equivalence_class", counted)
+        cases = ((i2_2, tm_index), (id_r, tm_index_r), (id_r, fib_index), (i2_3, t33_index))
+        for group, index in cases:
+            for n in range(1, 10):
+                orbits.clear()
+                graph = undirected_symmetry_graph(group, index, n)
+                # vertices have length n, edge labels are longer
+                assert len([w for w in orbits if len(w) > n]) == len(graph.undirected_edges)
+                assert graph == orbit_collapsed(group, directed_symmetry_graph(group, index, n))
 
     def test_fibonacci_dot_output(self, fib_index, id_r):
         dot = undirected_symmetry_graph(id_r, fib_index, 3).to_dot()
@@ -172,6 +203,17 @@ class TestTreeCheckWitness:
     def test_cycle_in_connected_graph(self):
         graph = hand_built("abc", [("x", "a", "b"), ("y", "b", "c"), ("z", "a", "c")])
         assert _tree_check(graph) == (False, "cycle through ['a', 'b', 'c', 'a']")
+
+    @pytest.mark.parametrize("vertices, pairs, kind", [
+        ("abcd", [("x", "a", "b"), ("y", "a", "b")], "parallel"),
+        ("abcd", [("x", "a", "b"), ("y", "b", "c"), ("z", "a", "c")], "disconnected"),
+        ("abc", [("x", "a", "b"), ("y", "b", "c"), ("z", "a", "c")], "cycle"),
+    ])
+    def test_verdict_witness_names_the_failure(self, vertices, pairs, kind):
+        tree_ok, tree_witness = _tree_check(hand_built(vertices, pairs))
+        verdict = TlsVerdict(1, (), tree_ok, tree_witness, False)
+        assert not tree_ok and kind in tree_witness
+        assert verdict.witness == tree_witness
 
     def test_small_graphs_are_trees(self):
         assert _tree_check(hand_built("", [])) == (True, None)

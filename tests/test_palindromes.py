@@ -9,6 +9,7 @@ from oracles import (
 )
 from symrich import (
     AlphabetError,
+    ConsistencyError,
     GroupError,
     LanguageIndex,
     defect_profile,
@@ -16,6 +17,7 @@ from symrich import (
     g_lps,
     prefix_palindrome_table,
 )
+from symrich.palindromes import _lacuna_profile, _linked_scan
 from symrich.presets import BINARY, exchange_group
 from symrich.symmetry import SymmetryGroup, SymmetryMap
 from symrich.verify import crw_records
@@ -165,6 +167,18 @@ class TestDefect:
     def test_fast_profile_equals_dual(self, i2_2, tm_text):
         text = tm_text[:300]
         assert defect_profile(i2_2, text).defect == g_defect(i2_2, text).defect
+
+    def test_out_of_sync_bookkeeping_is_loud(self, id_r):
+        # the 1 of 0010 starts a new letter class fixed by reversal, so its lps is
+        # unioccurrent; marked as born earlier, it breaks the identity from position 3 on
+        word = "0010"
+        scan = _linked_scan(id_r, word)
+        node = scan.ends[0][3]
+        assert (scan.length[node], scan.born[node]) == (1, 3)
+        assert _lacuna_profile(id_r, word, scan) == defect_profile(id_r, word)
+        scan.born[node] = 1
+        with pytest.raises(ConsistencyError, match=r"out of sync at position 3 of '0010'$"):
+            _lacuna_profile(id_r, word, scan)
 
     def test_monotone_steps(self, i2_2):
         word = "01101001100101101"

@@ -41,6 +41,7 @@ from symrich import (
     stability_check,
 )
 from symrich.cli import EXIT_CONFIG, main
+from symrich.palindromes import _palindrome_scan
 from symrich.presets import (
     BINARY,
     binary_full_group,
@@ -271,13 +272,58 @@ class TestGroupTables:
         assert twin == group and twin.palindrome_tables == tables
 
 
+def rotation_group():
+    """The group of order 6 generated by the ternary antimorphism of the letter
+    3-cycle, whose powers include two non-involutive antimorphisms."""
+    ternary = Alphabet.from_size(3)
+    theta = SymmetryMap.from_mapping(ternary, {"0": "1", "1": "2", "2": "0"}, antimorphic=True)
+    return SymmetryGroup.close([theta])
+
+
+@st.composite
+def linked_case_st(draw):
+    group = draw(group_st())
+    return group, draw(word_st(group.alphabet, max_size=30) | closure_word_st(group, max_size=30))
+
+
+class TestImageLinks:
+    """Every orbit-image link of the scan against the strings its nodes stand for."""
+
+    @given(case=linked_case_st())
+    @example(case=(rotation_group(), "1010201"))
+    @example(case=(rotation_group(), "0120210221"))
+    @settings(max_examples=150, deadline=None)
+    def test_row_entries_are_orbit_images(self, case):
+        group, word = case
+        scan = _palindrome_scan(word, group.palindrome_tables)
+        antims = group.antimorphisms
+        absent = 2 * len(antims)
+        width = len(group.elements)
+        assert scan.width == width and len(scan.image) == width * len(scan.length)
+
+        def string(node):
+            return word[scan.born[node] - scan.length[node]:scan.born[node]]
+
+        for t, theta in enumerate(antims):
+            # the empty word of the tree, then its nonempty palindromes
+            for node in (2 * t + 1, *range(scan.first[t], scan.first[t + 1])):
+                assert theta.apply(string(node)) == string(node)
+                for j, g in enumerate(group.elements):
+                    u = antims.index(group.compose(g, group.compose(theta, group.inverse(g))))
+                    target = g.apply(string(node))
+                    entry = scan.image[width * node + j]
+                    if target in word:
+                        assert entry == 2 * u + 1 or scan.first[u] <= entry < scan.first[u + 1]
+                        assert string(entry) == target
+                    else:
+                        assert entry == absent
+
+
 class TestLpsRegressions:
     """Fixed cases that a one-sided extension test or a root without fallback gets wrong."""
 
     def test_non_involutive_extension_needs_both_tests(self):
-        ternary = Alphabet.from_size(3)
-        theta = SymmetryMap.from_mapping(ternary, {"0": "1", "1": "2", "2": "0"}, antimorphic=True)
-        group = SymmetryGroup.close([theta])
+        group = rotation_group()
         for word in ("10", "0120", "1010201"):
             assert defect_profile(group, word) == g_defect(group, word)
             assert g_lps(group, word) == brute_lps(group.antimorphisms, word)

@@ -8,7 +8,7 @@ chain are all checked inside these runs.
 import pytest
 
 from oracles import position_walk_edges, set_union_crw_records
-from symrich import LanguageIndex, defect_profile, directed_symmetry_graph, verify
+from symrich import LanguageIndex, defect_profile, directed_symmetry_graph, g_lps, verify
 from symrich.presets import BINARY, binary_full_group, fibonacci_source, reversal_group, thue_morse_source
 from symrich.verify import RICH, crw_records
 
@@ -24,6 +24,15 @@ def test_thue_morse_order_four_verify():
 
 def test_fibonacci_reversal_defect():
     assert defect_profile(reversal_group(BINARY), fibonacci_source().prefix(64000)).final == 0
+
+
+def test_thue_morse_order_four_defect_at_256k():
+    text = thue_morse_source().prefix(256000)
+    group = binary_full_group()
+    profile = defect_profile(group, text)
+    assert profile.final == 0
+    for i in (k * len(text) // 19 for k in range(20)):
+        assert text[i - profile.lps[i]:i] == g_lps(group, text[:i])
 
 
 def test_thue_morse_index_at_order_62():
