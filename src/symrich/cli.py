@@ -362,7 +362,6 @@ def _repro_subgroups(args) -> tuple[str, int]:
         presets.hexa_group(),
         text=presets.hexa_text(_preset_size(args.length, 2000, "--length")),
         n_max=_preset_size(args.nmax, 20, "--nmax"),
-        stability=True,
     )
     bad = any(r.identity_ok is False for r in results)
     body = "\n".join(r.render() for r in results) + "\n"

@@ -85,12 +85,6 @@ class SymmetryGraph:
     def vertex_representatives(self) -> tuple[str, ...]:
         return tuple(cls[0] for cls in self.vertex_classes)
 
-    @property
-    def connected(self) -> bool:
-        # the endpoints are class representatives: the undirected graph of the order agrees
-        pairs = [(e.source, e.target) for e in self.directed_edges]
-        return _connected(self.vertex_representatives, pairs)
-
     def loops(self) -> tuple[UndirectedEdge, ...]:
         return tuple(e for e in self.undirected_edges if e.is_loop)
 
@@ -215,23 +209,6 @@ def undirected_symmetry_graph(group: SymmetryGroup, index: LanguageIndex, n: int
 
     edges = tuple(sorted(undirected.values(), key=lambda e: (e.endpoints, e.representative)))
     return SymmetryGraph(n, False, directed.vertex_classes, directed.directed_edges, edges)
-
-
-def _connected(vertices: tuple[str, ...], pairs) -> bool:
-    if len(vertices) <= 1:
-        return True
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
-    for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(vertices)
 
 
 # -- tree-like structure -------------------------------------------------------------
@@ -418,13 +395,15 @@ class ComplexityIdentityRecord:
 
 def complexity_identity(group: SymmetryGroup, index: LanguageIndex, n_range) -> list[ComplexityIdentityRecord]:
     c = index.complexities()
-    p = {t: index.palindromic_complexity(t) for t in group.involutive_antimorphisms}
+    # pals[t][n]: the t-palindromes of length n, listed once for both sides of the balance
+    pals = {t: [index.theta_palindromes(t, n) for n in range(index.n_max + 1)]
+            for t in group.involutive_antimorphisms}
     records = []
     for n in n_range:
         if n + 1 > index.n_max:
             raise IndexRangeError(f"identity at order {n} needs factors of length {n + 1}")
         lhs = (c[n + 1] - c[n]) + group.order
-        rhs = sum(p[t][n] + p[t][n + 1] for t in group.involutive_antimorphisms)
+        rhs = sum(len(pals[t][n]) + len(pals[t][n + 1]) for t in group.involutive_antimorphisms)
         distinguishing = group.is_distinguishing(index.factors(n))
         second = None
         if n + 2 <= index.n_max:
@@ -432,7 +411,7 @@ def complexity_identity(group: SymmetryGroup, index: LanguageIndex, n_range) -> 
             surplus = sum(
                 len(index.pext(t, w)) - 1
                 for t in group.involutive_antimorphisms
-                for w in index.theta_palindromes(t, n)
+                for w in pals[t][n]
             )
             second = (d2, surplus)
         records.append(ComplexityIdentityRecord(n, lhs, rhs, distinguishing, second))

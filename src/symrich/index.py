@@ -13,17 +13,42 @@ occurrences of the factor are the sorted positions ``order[a:b]``.  Going
 from level n - 1 to level n only adds the run boundaries of lcp n - 1, so the
 levels together cost the number of factors, not |text| * n_max.
 
-Extension sets are derived from factor-set membership (a is a left extension
-of w iff aw is again an indexed factor), which keeps the classical counting
-identities exact on any finite text:
+With a group, each level is completed under it: images of its factors that
+do not occur join it with the empty run ``(0, 0)``, so they have no
+occurrences, and ``closure_added`` records them (nothing, on a sufficiently
+long prefix of a closed word).
+
+Lemma (top-order closure).  Let F_m be the set of length-m factors of the
+text, m <= N <= |text|, and G a group of morphisms and antimorphisms.
+
+1. If F_N is closed under G, so is F_m.
+2. G(F_m) is the set of length-m factors of the words of G(F_N).
+
+Proof.  A length-m factor u at position p lies inside the length-N factor v
+at min(p, |text| - N), and for g in G the word g(u) is a factor of g(v): at
+the same offset for a morphism, at the mirrored offset for an antimorphism.
+(1) g(v) is in F_N, so it occurs, and g(u) occurs inside it.  (2) Each g(u)
+is a length-m factor of g(v) by the above; conversely a length-m factor of
+g(v) is g(u') for a length-m factor u' of v, and u' is in F_m.
+
+By (1), the orders whose level closure changes form an upper range, so the
+index closes level ``n_max`` first and walks down to the first level that
+closure leaves unchanged.  By (2), each completed level holds the length-n
+factors of the completed level above it.
+
+Extension sets are read off the level above.  One pass over level n + 1
+gives every length-n factor w its left letters (a with a·w at level n + 1)
+and its right letters; one pass over level n + 2 gives its bilateral pairs
+(a, b) with a·w·b at level n + 2, and Pext_theta(w) is the set of a with
+(a, theta(a)) among them.  By (2), every word of level n + 1 or n + 2 lands
+on a factor of level n.  Each table is built on the first query at its order
+and kept; most factors have one of a few extension sets, and equal sets are
+shared.  As the extensions are defined by membership, the classical counting
+identities are exact on any finite text:
 
 * sum over L_n of (#Lext - 1) = C(n+1) - C(n), likewise for Rext,
 * sum over L_n of b(w) = second difference of C,
 * P(n+2) = sum of #Pext over fixed factors of length n, per antimorphism.
-
-Occurrence lists are never extended by group closure; closure (when a group
-is supplied) only completes the factor sets and records what it added, which
-must be nothing on a sufficiently long prefix of a closed word.
 
 :func:`stability_check` compares factor sets at the top order only.  Let u
 be a prefix of v and n <= |u|.  If u and v have the same factors of length
@@ -40,6 +65,14 @@ from itertools import pairwise
 from .errors import GroupError, IndexRangeError
 from .symmetry import SymmetryGroup, SymmetryMap
 from .words import WordSource
+
+#: per extension kind: the levels above the factor it reads, and how a word
+#: of that level splits into the factor and its extension
+_EXTENSIONS = {
+    "lext": (1, lambda u: (u[1:], u[0])),
+    "rext": (1, lambda u: (u[:-1], u[-1])),
+    "bext": (2, lambda u: (u[1:-1], (u[0], u[-1]))),
+}
 
 
 class LanguageIndex:
@@ -80,9 +113,7 @@ class LanguageIndex:
             cuts[lo].append(k)
         self._order = order
 
-        self._runs: list[dict[str, tuple[int, int]]] = [{"": (0, size)}]
-        self._sets: list[frozenset[str]] = [frozenset([""])]
-        self.closure_added: dict[int, frozenset[str]] = {}
+        self._levels: list[dict[str, tuple[int, int]]] = [{"": (0, size)}]
         bounds = [0, size]
         for n in range(1, n_max + 1):
             bounds += cuts[n - 1]
@@ -92,29 +123,26 @@ class LanguageIndex:
                 x = order[a]
                 if x + n <= len(text):
                     level[text[x:x + n]] = (a, b)
-            self._runs.append(level)
-            base = frozenset(level)
-            if group is not None:
+            self._levels.append(level)
+
+        self.closure_added: dict[int, frozenset[str]] = {}
+        if group is not None:
+            # top-order closure lemma: stop at the first level closure leaves unchanged
+            for n in range(n_max, 0, -1):
+                level = self._levels[n]
                 # every factor has length n, so the image of the joined level under g
                 # cuts back into the images of the factors (in reverse order for an
                 # antimorphism) with no separator
                 joined = "".join(level)
-                closed = set(base)
-                for g in group.elements:
-                    if not g.is_identity():
-                        image = g.apply(joined)
-                        closed.update([image[i:i + n] for i in range(0, len(image), n)])
-                added = closed - base
-                if added:
-                    self.closure_added[n] = frozenset(added)
-                    base = frozenset(closed)
-            self._sets.append(base)
+                images = [g.apply(joined) for g in group.elements if not g.is_identity()]
+                added = {im[i:i + n] for im in images for i in range(0, len(im), n)}.difference(level)
+                if not added:
+                    break
+                self.closure_added[n] = frozenset(added)
+                level.update(dict.fromkeys(added, (0, 0)))
 
-        # extension candidates must cover closure-added letters as well
-        letters = set(text)
-        if n_max >= 1:
-            letters |= set(self._sets[1])
-        self.alphabet_glyphs = tuple(sorted(letters))
+        # (kind, n) -> factor of length n -> its extensions of that kind
+        self._tables: dict[tuple[str, int], dict[str, frozenset]] = {}
 
     # -- basic queries --------------------------------------------------------
 
@@ -132,52 +160,48 @@ class LanguageIndex:
 
     def factors(self, n: int) -> frozenset[str]:
         self._check_n(n)
-        return self._sets[n]
+        return frozenset(self._levels[n])
 
     def sorted_factors(self, n: int) -> tuple[str, ...]:
         return tuple(sorted(self.factors(n)))
 
     def is_factor(self, w: str) -> bool:
         self._check_n(len(w))
-        return w in self._sets[len(w)]
+        return w in self._levels[len(w)]
 
     def occurrences(self, w: str) -> tuple[int, ...]:
         """Sorted start positions of ``w`` in the text (empty for closure-added factors)."""
         self._check_n(len(w))
-        run = self._runs[len(w)].get(w)
-        if run is None:
-            return ()
-        a, b = run
+        a, b = self._levels[len(w)].get(w, (0, 0))
         return tuple(sorted(self._order[a:b]))
-
-    def _require_factor(self, w: str) -> None:
-        if not self.is_factor(w):
-            raise IndexRangeError(f"{w!r} is not an indexed factor")
 
     # -- extensions -----------------------------------------------------------
 
+    def _extensions(self, kind: str, w: str) -> frozenset:
+        room, split = _EXTENSIONS[kind]
+        n = len(w)
+        self._check_n(n, room=room)
+        table = self._tables.get((kind, n))
+        if table is None:
+            found: dict[str, set] = {v: set() for v in self._levels[n]}
+            for u in self._levels[n + room]:
+                v, x = split(u)
+                found[v].add(x)
+            sets = {v: frozenset(xs) for v, xs in found.items()}
+            shared = {xs: xs for xs in sets.values()}  # one object per distinct set
+            table = self._tables[kind, n] = {v: shared[xs] for v, xs in sets.items()}
+        if w not in table:
+            raise IndexRangeError(f"{w!r} is not an indexed factor")
+        return table[w]
+
     def lext(self, w: str) -> frozenset[str]:
-        self._check_n(len(w), room=1)
-        self._require_factor(w)
-        nxt = self._sets[len(w) + 1]
-        return frozenset(a for a in self.alphabet_glyphs if a + w in nxt)
+        return self._extensions("lext", w)
 
     def rext(self, w: str) -> frozenset[str]:
-        self._check_n(len(w), room=1)
-        self._require_factor(w)
-        nxt = self._sets[len(w) + 1]
-        return frozenset(b for b in self.alphabet_glyphs if w + b in nxt)
+        return self._extensions("rext", w)
 
     def bext(self, w: str) -> frozenset[tuple[str, str]]:
-        self._check_n(len(w), room=2)
-        self._require_factor(w)
-        two_up = self._sets[len(w) + 2]
-        return frozenset(
-            (a, b)
-            for a in self.alphabet_glyphs
-            for b in self.alphabet_glyphs
-            if a + w + b in two_up
-        )
+        return self._extensions("bext", w)
 
     def bilateral_order(self, w: str) -> int:
         return len(self.bext(w)) - len(self.lext(w)) - len(self.rext(w)) + 1
@@ -188,11 +212,7 @@ class LanguageIndex:
             raise GroupError(f"{theta.name} is not an antimorphism")
         if theta.apply(w) != w:
             raise GroupError(f"{w!r} is not fixed by {theta.name}; filter before querying")
-        self._check_n(len(w), room=2)
-        if w:
-            self._require_factor(w)
-        two_up = self._sets[len(w) + 2]
-        return frozenset(a for a in self.alphabet_glyphs if a + w + theta.image_of(a) in two_up)
+        return frozenset(a for a, b in self.bext(w) if theta.image_of(a) == b)
 
     # -- special factors ------------------------------------------------------
 
@@ -219,7 +239,7 @@ class LanguageIndex:
     # -- complexities ---------------------------------------------------------
 
     def complexities(self) -> list[int]:
-        return [len(self._sets[n]) for n in range(self.n_max + 1)]
+        return [len(level) for level in self._levels]
 
     def theta_palindromes(self, theta: SymmetryMap, n: int) -> tuple[str, ...]:
         if not theta.antimorphic:

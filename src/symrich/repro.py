@@ -191,7 +191,7 @@ def repro_hexa(length: int = 2000, n_max: int = 30) -> CaseStudyReport:
     corr_ok, corr_detail = _hexa_bispecial_correspondence(index, n_max)
     checks.append(CheckLine("bispecial correspondence", corr_ok, corr_detail))
 
-    scan = subgroup_scan(group, text=text, n_max=min(n_max, 20), stability=stability)
+    scan = subgroup_scan(group, text=text, n_max=min(n_max, 20))
     return CaseStudyReport("hexa word / order-8 group", report, tuple(scan), tuple(checks))
 
 

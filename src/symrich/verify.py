@@ -520,13 +520,13 @@ class SubgroupResult:
         return out
 
 
-def subgroup_scan(group: SymmetryGroup, text: str, n_max: int,
-                  stability: bool | None) -> list[SubgroupResult]:
+def subgroup_scan(group: SymmetryGroup, text: str, n_max: int) -> list[SubgroupResult]:
     """Verify every subgroup containing an antimorphism and, for proper rich
     subgroups, check the half-order palindromic-complexity identity.
 
-    ``stability`` is that of ``text`` under doubling, as :func:`verify_text`
-    takes it.
+    A ``text`` that does not close under ``group`` up to order n_max + 2
+    raises, so no subgroup's report depends on the stability of ``text``
+    under doubling.
     """
     group.alphabet.check_word(text)
     if len(text) < n_max + 2:
@@ -545,8 +545,7 @@ def subgroup_scan(group: SymmetryGroup, text: str, n_max: int,
             continue
         sub_id = "{" + ",".join(e.name for e in sub.elements) + "}"
         report = verify_text(
-            sub, text, n_max=n_max, threshold=1, stability=stability,
-            index=index, word_id="scan", group_id=sub_id,
+            sub, text, n_max=n_max, threshold=1, index=index, word_id="scan", group_id=sub_id,
         )
         identity_ok: bool | None = None
         values: tuple[tuple[int, int], ...] = ()

@@ -168,19 +168,14 @@ class FixedPointSource(WordSource):
         return f"FixedPointSource({rules}; seed {self.seed})"
 
 
-def digit_sum(n: int, base: int) -> int:
-    total = 0
-    while n:
-        n, r = divmod(n, base)
-        total += r
-    return total
-
-
 class DigitSumSource(WordSource):
     """Letter n is the digit sum of n in the given base, reduced mod m.
 
-    This generates the words directly from the digit-sum definition, so it
-    can serve as an independent oracle for the equivalent substitutions.
+    Prefixes are built by block substitution: for n = j·b^k + r with j < b
+    and r < b^k, s(n) = j + s(r), so the first b^(k+1) letters are b copies
+    of the first b^k, the j-th shifted by j mod m (one ``str.translate``
+    each); only the copies the requested length reaches are built.  The tests
+    check it against the digit sums themselves.
     """
 
     def __init__(self, base: int, modulus: int):
@@ -194,9 +189,13 @@ class DigitSumSource(WordSource):
 
     def prefix(self, length: int) -> str:
         self._check_length(length)
-        glyphs = self.alphabet.glyphs
-        b, m = self.base, self.modulus
-        return "".join(glyphs[digit_sum(n, b) % m] for n in range(length))
+        glyphs, m = "".join(self.alphabet.glyphs), self.modulus
+        shifts = [str.maketrans(glyphs, glyphs[j % m:] + glyphs[:j % m]) for j in range(self.base)]
+        block = glyphs[0]
+        while len(block) < length:
+            copies = -(-length // len(block))
+            block = "".join(block.translate(shift) for shift in shifts[:copies])
+        return block[:length]
 
     def __repr__(self) -> str:
         return f"DigitSumSource(base={self.base}, modulus={self.modulus})"

@@ -136,3 +136,24 @@ def position_walk_edges(group, index, n):
                 )
             edges.append(DirectedEdge(label, rep_of[label[:n]], rep_of[label[-n:]]))
     return tuple(sorted(edges, key=lambda e: (e.source, e.target, e.label)))
+
+
+def connected(graph):
+    """Whether the vertex classes of a symmetry graph are joined by its directed
+    edges taken as undirected pairs; the endpoints are class representatives,
+    so the directed and undirected graphs of one order agree."""
+    vertices = graph.vertex_representatives
+    if len(vertices) <= 1:
+        return True
+    adj = {v: set() for v in vertices}
+    for e in graph.directed_edges:
+        adj[e.source].add(e.target)
+        adj[e.target].add(e.source)
+    seen = {vertices[0]}
+    stack = [vertices[0]]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(vertices)

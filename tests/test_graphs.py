@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import connected
 from symrich import (
     IndexRangeError,
     LanguageIndex,
@@ -78,14 +79,14 @@ class TestDirectedGraphs:
         assert g.vertex_classes == () and g.directed_edges == ()
 
     def test_connected(self, tm_index, i2_2):
-        assert directed_symmetry_graph(i2_2, tm_index, 5).connected
+        assert connected(directed_symmetry_graph(i2_2, tm_index, 5))
 
     def test_connected_agrees_with_undirected(self, tm_index, tm_index_r, fib_index, t33_index,
                                               i2_2, id_r, i2_3):
         for group, index in ((i2_2, tm_index), (id_r, tm_index_r), (id_r, fib_index), (i2_3, t33_index)):
             for n in range(1, index.n_max):
                 directed = directed_symmetry_graph(group, index, n)
-                assert directed.connected == undirected_symmetry_graph(group, index, n).connected
+                assert connected(directed) == connected(undirected_symmetry_graph(group, index, n))
 
 
 def orbit_collapsed(group, directed):

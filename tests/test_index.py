@@ -54,6 +54,34 @@ class TestBuild:
         for index in (tm_index, fib_index, t33_index):
             assert index.g_closed
 
+    def test_closure_fails_only_above_an_order(self):
+        # the reversal images of the factors of "0010" occur up to length 2, not from 3 on
+        index = LanguageIndex("0010", 4, reversal_group(BINARY))
+        assert index.closure_added == {3: frozenset({"100"}), 4: frozenset({"0100"})}
+        assert index.factors(2) == {"00", "01", "10"}
+        assert index.factors(3) == {"001", "010", "100"}
+        assert index.occurrences("100") == ()
+        # the closure-added "100" extends "10" to the right and "00" to the left
+        assert index.rext("10") == {"0"} and index.lext("00") == {"1"}
+        assert index.bext("0") == {("0", "1"), ("1", "0")}
+
+    @pytest.mark.parametrize("word,n_max,closed_levels", [
+        ("0010", 4, 3),  # orders 4 and 3 fail, order 2 ends the walk
+        ("0110100110010110", 8, 1),  # closed at the top order: one level
+    ])
+    def test_closure_walk_stops_at_first_closed_level(self, monkeypatch, word, n_max, closed_levels):
+        # the top-order lemma: levels below the first closed one are never imaged
+        images = []
+        apply = SymmetryMap.apply
+
+        def spy(g, w):
+            images.append(w)
+            return apply(g, w)
+
+        monkeypatch.setattr(SymmetryMap, "apply", spy)
+        LanguageIndex(word, n_max, reversal_group(BINARY))
+        assert len(images) == closed_levels
+
 
 class TestExtensions:
     def test_extension_sets_match_definition(self, tm_index):

@@ -457,6 +457,12 @@ def indexed_word_st(draw, max_size=60):
     return word, draw(st.integers(0, len(word))), group
 
 
+def closed_windows(word, n, group):
+    """The factors of length n of ``word`` with their images under ``group``."""
+    base = windows(word, n)
+    return base if group is None else {g.apply(w) for w in base for g in group.elements}
+
+
 def all_orders_stable(source, length, n_max):
     """Oracle for stability_check: compares the factor sets at every order."""
     bound = source.max_prefix()
@@ -467,8 +473,9 @@ def all_orders_stable(source, length, n_max):
 
 
 class TestIndexDifferential:
-    """The sorted-window index, the top-order stability check and the
-    return-word merge against brute-force windows."""
+    """The sorted-window index, its closure walk and extension tables, the
+    top-order stability check and the return-word merge against brute-force
+    windows."""
 
     @given(case=indexed_word_st())
     @settings(max_examples=150, deadline=None)
@@ -478,7 +485,7 @@ class TestIndexDifferential:
         added = {}
         for n in range(n_max + 1):
             base = windows(word, n)
-            closed = base if group is None else {g.apply(w) for w in base for g in group.elements}
+            closed = closed_windows(word, n, group)
             assert index.factors(n) == closed
             if closed != base:
                 added[n] = closed - base
@@ -488,6 +495,31 @@ class TestIndexDifferential:
                 )
         assert index.closure_added == added
         assert index.complexities() == [len(index.factors(n)) for n in range(n_max + 1)]
+
+    @given(case=indexed_word_st())
+    @settings(max_examples=150, deadline=None)
+    def test_extensions_match_windows(self, case):
+        # a·w, w·b and a·w·b tested for membership in the closed windows one and
+        # two orders up, for every factor w, closure-added ones included
+        word, n_max, group = case
+        index = LanguageIndex(word, n_max, group)
+        closed = [closed_windows(word, n, group) for n in range(n_max + 1)]
+        letters = closed[1] if n_max >= 1 else set()
+        antimorphisms = group.antimorphisms if group is not None else ()
+        for n in range(n_max):
+            for w in closed[n]:
+                assert index.lext(w) == {a for a in letters if a + w in closed[n + 1]}
+                assert index.rext(w) == {b for b in letters if w + b in closed[n + 1]}
+                if n + 2 > n_max:
+                    continue
+                assert index.bext(w) == {
+                    (a, b) for a in letters for b in letters if a + w + b in closed[n + 2]
+                }
+                for theta in antimorphisms:
+                    if theta.apply(w) == w:
+                        assert index.pext(theta, w) == {
+                            a for a in letters if a + w + theta.apply(a) in closed[n + 2]
+                        }
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)

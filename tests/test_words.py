@@ -11,19 +11,20 @@ from symrich import (
     apply_morphism,
 )
 from symrich.presets import digit_sum_morphism, fibonacci_source
-from symrich.words import digit_sum
+
+
+def digit_sum(n, base):
+    """The sum of the base-``base`` digits of ``n``."""
+    total = 0
+    while n:
+        n, r = divmod(n, base)
+        total += r
+    return total
 
 
 def brute_digit_sum_word(base, modulus, length):
-    """Independent oracle: base-b digit sums via string conversion arithmetic."""
-    out = []
-    for n in range(length):
-        total, k = 0, n
-        while k:
-            total += k % base
-            k //= base
-        out.append(str(total % modulus))
-    return "".join(out)
+    """Independent oracle: one digit sum per letter, straight from the definition."""
+    return "".join(str(digit_sum(n, base) % modulus) for n in range(length))
 
 
 class TestAlphabet:
@@ -102,6 +103,17 @@ class TestDigitSum:
     def test_digit_sum_helper(self):
         assert digit_sum(0, 2) == 0
         assert digit_sum(22, 3) == 4  # 211 in base 3
+
+    @pytest.mark.parametrize("base,modulus", [(2, 1), (2, 2), (3, 3), (4, 3), (5, 2)])
+    def test_block_prefix_matches_digit_sums(self, base, modulus):
+        # lengths around the block sizes base^k, where the block substitution turns over
+        source = DigitSumSource(base, modulus)
+        expected = brute_digit_sum_word(base, modulus, 1001)
+        for length in range(0, 130):
+            assert source.prefix(length) == expected[:length]
+        for k in range(2, 5):
+            for length in (base**k - 1, base**k, base**k + 1, 1001):
+                assert source.prefix(length) == expected[:length]
 
     @pytest.mark.parametrize("base,modulus", [(2, 2), (3, 3), (2, 3), (4, 2), (5, 4)])
     def test_matches_substitution_fixed_point(self, base, modulus):
