@@ -8,15 +8,16 @@ slice equality.  (Kasai's lcp skip does not apply: with windows cut at
 ``n_max``, equal windows are ordered by position, not by the suffix after
 them.)  The factors of length n are then the maximal runs of neighbours with
 lcp >= n; a window shorter than n is a run of its own and is skipped.  Each
-level maps a factor to its run ``(a, b)`` in the sorted order, and the
-occurrences of the factor are the sorted positions ``order[a:b]``.  Going
-from level n - 1 to level n only adds the run boundaries of lcp n - 1, so the
-levels together cost the number of factors, not |text| * n_max.
+level maps a factor to its run ``(a, b)`` in the sorted order, so it lists
+its factors in lexicographic order, and the occurrences of the factor are
+the sorted positions ``order[a:b]``.  Going from level n - 1 to level n only
+adds the run boundaries of lcp n - 1, so the levels together cost the number
+of factors, not |text| * n_max.
 
 With a group, each level is completed under it: images of its factors that
-do not occur join it with the empty run ``(0, 0)``, so they have no
-occurrences, and ``closure_added`` records them (nothing, on a sufficiently
-long prefix of a closed word).
+do not occur join it, in order, with the empty run ``(0, 0)``, so they have
+no occurrences, and ``closure_added`` records them (nothing, on a
+sufficiently long prefix of a closed word).
 
 Lemma (top-order closure).  Let F_m be the set of length-m factors of the
 text, m <= N <= |text|, and G a group of morphisms and antimorphisms.
@@ -121,12 +122,13 @@ class LanguageIndex:
             level = {}
             for a, b in pairwise(bounds):
                 x = order[a]
-                if x + n <= len(text):
+                if x + n < size:
                     level[text[x:x + n]] = (a, b)
             self._levels.append(level)
 
         self.closure_added: dict[int, frozenset[str]] = {}
         if group is not None:
+            others = [g for g in group.elements if not g.is_identity()]
             # top-order closure lemma: stop at the first level closure leaves unchanged
             for n in range(n_max, 0, -1):
                 level = self._levels[n]
@@ -134,12 +136,15 @@ class LanguageIndex:
                 # cuts back into the images of the factors (in reverse order for an
                 # antimorphism) with no separator
                 joined = "".join(level)
-                images = [g.apply(joined) for g in group.elements if not g.is_identity()]
+                images = [g.apply(joined) for g in others]
                 added = {im[i:i + n] for im in images for i in range(0, len(im), n)}.difference(level)
                 if not added:
                     break
                 self.closure_added[n] = frozenset(added)
-                level.update(dict.fromkeys(added, (0, 0)))
+                # merged in order; update keeps the sorted key order and restores the runs
+                merged = dict.fromkeys(sorted([*level, *added]), (0, 0))
+                merged.update(level)
+                self._levels[n] = merged
 
         # (kind, n) -> factor of length n -> its extensions of that kind
         self._tables: dict[tuple[str, int], dict[str, frozenset]] = {}
@@ -163,7 +168,8 @@ class LanguageIndex:
         return frozenset(self._levels[n])
 
     def sorted_factors(self, n: int) -> tuple[str, ...]:
-        return tuple(sorted(self.factors(n)))
+        self._check_n(n)
+        return tuple(self._levels[n])
 
     def is_factor(self, w: str) -> bool:
         self._check_n(len(w))

@@ -52,17 +52,6 @@ def binary_full_group() -> SymmetryGroup:
     return dihedral_group(2)
 
 
-def cyclic4_antimorphism_group() -> SymmetryGroup:
-    """Order-4 cyclic group generated by reversal composed with a 4-cycle.
-
-    Its antimorphisms have order 4, so it has no involutive antimorphism and
-    is not generated by involutive antimorphisms; richness analyses must
-    refuse to certify any word against it.
-    """
-    alphabet = Alphabet.from_string("0123")
-    return SymmetryGroup.close([SymmetryMap(alphabet, ("1", "2", "3", "0"), True)])
-
-
 # -- octa: 8-letter fixed point with Z2^3 symmetries -------------------------------
 
 OCTA_ALPHABET = Alphabet.from_string("01234567")

@@ -83,8 +83,7 @@ def repro_octa(length: int = 2000, n_max: int = 30) -> CaseStudyReport:
     # the prefix may have been doubled; the checks read the text the report analyses
     text, stability = _stable_prefix(source, length, n_max)
     index = LanguageIndex(text, n_max + 2, group)
-    report = verify_text(group, text, n_max=n_max, stability=stability, index=index,
-                         word_id="octa", group_id="octa-group")
+    report = verify_text(group, index, stability=stability, word_id="octa", group_id="octa-group")
     checks: list[CheckLine] = []
 
     c = index.complexities()
@@ -163,8 +162,7 @@ def repro_hexa(length: int = 2000, n_max: int = 30) -> CaseStudyReport:
     text = hexa_text(length)
     stability = _stable_under_doubling(text, hexa_text(2 * length), n_max + 2)
     index = LanguageIndex(text, n_max + 2, group)
-    report = verify_text(group, text, n_max=n_max, threshold=1, stability=stability,
-                         index=index, word_id="hexa", group_id="hexa-group")
+    report = verify_text(group, index, stability=stability, word_id="hexa", group_id="hexa-group")
     checks: list[CheckLine] = []
 
     c = index.complexities()

@@ -156,20 +156,7 @@ class SymmetryGroup:
         gens = list(generators)
         if not gens:
             raise GroupError("need at least one generator")
-        # a finite set closed under multiplication by the generators is the group
-        # they generate: every inverse is a positive power
-        found: set[SymmetryMap] = {SymmetryMap.identity(gens[0].alphabet)}
-        frontier = list(found)
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for g in gens:
-                    h = g.compose(f)
-                    if h not in found:
-                        found.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        return cls(tuple(found))
+        return cls(tuple(_generate(SymmetryMap.identity(gens[0].alphabet), gens, SymmetryMap.compose)))
 
     # -- basic container behaviour ------------------------------------------------
 
@@ -218,24 +205,28 @@ class SymmetryGroup:
         """True iff the involutive antimorphisms generate the whole group."""
         if not self.involutive_antimorphisms:
             return False
-        return SymmetryGroup.close(self.involutive_antimorphisms).elements == self.elements
+        return len(self._generated(self.involutive_antimorphisms)) == self.order
+
+    def _generated(self, generators) -> frozenset[SymmetryMap]:
+        """The elements of the subgroup generated by ``generators``, read off the
+        composition table."""
+        return frozenset(_generate(self.identity, generators, self.compose))
 
     def subgroups(self) -> list["SymmetryGroup"]:
         """All subgroups, ordered by (order, element names); includes trivial and full."""
-        seen: set[tuple[SymmetryMap, ...]] = set()
-        trivial = SymmetryGroup.close([self.identity])
-        queue = [trivial.elements]
-        seen.add(trivial.elements)
+        trivial = frozenset([self.identity])
+        seen = {trivial}
+        queue = [trivial]
         while queue:
             base = queue.pop()
             for extra in self.elements:
                 if extra in base:
                     continue
-                bigger = SymmetryGroup.close(base + (extra,)).elements
+                bigger = self._generated(base | {extra})
                 if bigger not in seen:
                     seen.add(bigger)
                     queue.append(bigger)
-        groups = [SymmetryGroup(elems) for elems in seen]
+        groups = [SymmetryGroup(tuple(elems)) for elems in seen]
         groups.sort(key=lambda g: (g.order, tuple(e.name for e in g.elements)))
         return groups
 
@@ -308,6 +299,25 @@ class SymmetryGroup:
             f"involutive antimorphisms={[e.name for e in self.involutive_antimorphisms]}, "
             f"involutively generated={self.is_involutively_generated()}"
         )
+
+
+def _generate(identity: SymmetryMap, generators, compose) -> set[SymmetryMap]:
+    """The closure of {identity} under left multiplication by the generators,
+    with ``compose(g, f)`` acting as g after f.  In a finite group a set closed
+    under multiplication by the generators is the group they generate, since
+    every inverse is a positive power."""
+    found = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for g in generators:
+                h = compose(g, f)
+                if h not in found:
+                    found.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return found
 
 
 @dataclass(frozen=True)

@@ -110,8 +110,11 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     words.  Classes with a special member or with no inner occurrence, the
     two top orders, and languages not known to be closed under ``group`` (an
     index built without a group, with closure additions, or for a group not
-    containing ``group``) are sliced directly.
+    containing ``group``) are sliced directly.  ``text`` must be ``index.text``.
     """
+    if text != index.text:  # O(1) when both are one object
+        raise SymrichError(f"text of length {len(text)} is not the indexed text "
+                           f"(length {len(index.text)})")
     derive = index.g_closed and all(g in index.group for g in group.elements)
     size = len(text)
     # per order: class representative -> (record, first occurrence, last occurrence)
@@ -245,35 +248,37 @@ class RichnessReport:
 
 def verify_text(
     group: SymmetryGroup,
-    text: str,
+    index: LanguageIndex,
     *,
-    n_max: int,
     threshold: int = 1,
     stability: bool | None = None,
-    index: LanguageIndex | None = None,
     word_id: str = "word",
     group_id: str | None = None,
 ) -> RichnessReport:
-    """Run every bounded richness characterization of ``text`` against ``group``.
+    """Run every bounded richness characterization of ``index.text`` against ``group``.
 
-    A given ``index`` must be one of ``text`` of order at least n_max + 2,
-    built with a group containing ``group``.  When closure added factors to
-    it, that group must be ``group`` itself, since additions under a larger
-    group say nothing about closure under ``group``.
+    The orders checked are 1..n_max with n_max = ``index.n_max`` - 2, since
+    extension data at order n reads level n + 2.  The index must be built
+    with a group containing ``group``.  When closure added factors to it,
+    that group must be ``group`` itself, since additions under a larger group
+    say nothing about closure under ``group``.
     """
+    text, n_max = index.text, index.n_max - 2
     group.alphabet.check_word(text)
     if not group.has_antimorphism:
         raise GroupError("richness analysis requires a group containing an antimorphism")
     if threshold < 1:
         raise GroupError(f"threshold must be >= 1, got {threshold}")
-    if len(text) < n_max + 2:
-        raise InsufficientPrefixError(f"prefix of length {len(text)} cannot support n_max={n_max}")
+    if n_max < 0:
+        raise IndexRangeError(f"index of order {index.n_max} cannot support verification; "
+                              f"it needs order >= 2")
+    if index.group is None or any(g not in index.group for g in group.elements):
+        raise GroupError(f"index group {index.group!r} does not contain the verified group {group!r}")
+    if index.closure_added and index.group != group:
+        raise GroupError(f"closure under index group {index.group!r} added factors at lengths "
+                         f"{sorted(index.closure_added)}; index the text with the verified group")
     if group_id is None:
         group_id = f"order{group.order}"
-    if index is None:
-        index = LanguageIndex(text, n_max + 2, group)
-    else:
-        _check_index(group, text, n_max, index)
 
     base = dict(
         word_id=word_id, group_id=group_id, length=len(text), n_max=n_max,
@@ -427,21 +432,6 @@ def verify_text(
     )
 
 
-def _check_index(group: SymmetryGroup, text: str, n_max: int, index: LanguageIndex) -> None:
-    """Reject an index that :func:`verify_text` cannot read ``text`` from."""
-    if index.text != text:
-        raise SymrichError(f"index is of another text (length {len(index.text)}, "
-                           f"verified text has length {len(text)})")
-    if index.n_max < n_max + 2:
-        raise IndexRangeError(f"index of order {index.n_max} cannot support n_max={n_max}; "
-                              f"it needs order {n_max + 2}")
-    if index.group is None or any(g not in index.group for g in group.elements):
-        raise GroupError(f"index group {index.group!r} does not contain the verified group {group!r}")
-    if index.closure_added and index.group != group:
-        raise GroupError(f"closure under index group {index.group!r} added factors at lengths "
-                         f"{sorted(index.closure_added)}; index the text with the verified group")
-
-
 def _crosscheck_defect_head(group: SymmetryGroup, text: str, profile: DefectProfile) -> None:
     """Run the quadratic dual defect computation on a head of the text."""
     head = text[:DEFECT_CROSSCHECK_HEAD]
@@ -467,7 +457,7 @@ def verify(
     """
     text, stability = _stable_prefix(source, length, n_max)
     return verify_text(
-        group, text, n_max=n_max, threshold=threshold, stability=stability,
+        group, LanguageIndex(text, n_max + 2, group), threshold=threshold, stability=stability,
         word_id=word_id or repr(source), group_id=group_id,
     )
 
@@ -544,9 +534,7 @@ def subgroup_scan(group: SymmetryGroup, text: str, n_max: int) -> list[SubgroupR
         if not sub.has_antimorphism:
             continue
         sub_id = "{" + ",".join(e.name for e in sub.elements) + "}"
-        report = verify_text(
-            sub, text, n_max=n_max, threshold=1, index=index, word_id="scan", group_id=sub_id,
-        )
+        report = verify_text(sub, index, word_id="scan", group_id=sub_id)
         identity_ok: bool | None = None
         values: tuple[tuple[int, int], ...] = ()
         if len(sub) < group.order and report.overall == RICH and n0 is not None:

@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+
 import pytest
 
 from symrich import LanguageIndex
@@ -60,3 +63,19 @@ def fib_index(fib_text, id_r):
 @pytest.fixture(scope="session")
 def t33_index(t33_text, i2_3):
     return LanguageIndex(t33_text, 14, i2_3)
+
+
+@pytest.fixture
+def corrupted_defect_head(monkeypatch):
+    """Make ``symrich.verify`` read defect profiles whose entry 5, inside the
+    head the dual defect computation checks, is one too high."""
+    module = importlib.import_module("symrich.verify")  # the package's ``verify`` is the function
+    real = module.defect_profile
+
+    def corrupted(group, text):
+        profile = real(group, text)
+        defect = list(profile.defect)
+        defect[5] += 1
+        return dataclasses.replace(profile, defect=tuple(defect))
+
+    monkeypatch.setattr(module, "defect_profile", corrupted)

@@ -6,7 +6,14 @@ search of the graphs of symmetries, kept for differential tests."""
 import bisect
 from collections import namedtuple
 
-from symrich import ClosureError, ConsistencyError, GroupError, IndexRangeError, InsufficientPrefixError
+from symrich import (
+    ClosureError,
+    ConsistencyError,
+    GroupError,
+    IndexRangeError,
+    InsufficientPrefixError,
+    SymmetryGroup,
+)
 from symrich.graphs import DirectedEdge
 from symrich.verify import CrwRecord
 
@@ -157,3 +164,28 @@ def connected(graph):
                 seen.add(nb)
                 stack.append(nb)
     return len(seen) == len(vertices)
+
+
+def closure_subgroups(group):
+    """Oracle for ``SymmetryGroup.subgroups``: every candidate, a known
+    subgroup plus one more element, is built through ``SymmetryGroup.close``."""
+    trivial = SymmetryGroup.close([group.identity]).elements
+    seen = {trivial}
+    queue = [trivial]
+    while queue:
+        base = queue.pop()
+        for extra in group.elements:
+            if extra not in base:
+                bigger = SymmetryGroup.close(base + (extra,)).elements
+                if bigger not in seen:
+                    seen.add(bigger)
+                    queue.append(bigger)
+    return sorted((SymmetryGroup(e) for e in seen),
+                  key=lambda g: (g.order, tuple(e.name for e in g.elements)))
+
+
+def closure_involutively_generated(group):
+    """Oracle for ``SymmetryGroup.is_involutively_generated``, through
+    ``SymmetryGroup.close``."""
+    involutions = group.involutive_antimorphisms
+    return bool(involutions) and SymmetryGroup.close(involutions).elements == group.elements

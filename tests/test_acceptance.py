@@ -12,6 +12,7 @@ import time
 import pytest
 
 import symrich as sr
+from groups import cyclic4_antimorphism_group
 from oracles import classical_palindromes, theta_richness
 from symrich import (
     LanguageIndex,
@@ -23,7 +24,6 @@ from symrich import (
 from symrich.presets import (
     BINARY,
     binary_full_group,
-    cyclic4_antimorphism_group,
     fibonacci_source,
     generalized_thue_morse,
     reversal_group,

@@ -1,6 +1,6 @@
 import pytest
 
-from symrich.cli import EXIT_CONFIG, EXIT_INSUFFICIENT_PREFIX, main
+from symrich.cli import EXIT_CONFIG, EXIT_INSUFFICIENT_PREFIX, EXIT_REFUTED_INVARIANT, main
 
 TM_CONFIG = """\
 alphabet: "01"
@@ -166,6 +166,11 @@ class TestExitCodes:
         path = tmp_path / "float_int.yaml"
         path.write_text(TM_CONFIG.replace("length: 600", "length: 600.0").replace("modulus: 2", "modulus: 2.0"))
         assert run(capsys, "--config", str(path), "word") == run(capsys, "--config", tm_config, "word")
+
+    def test_dual_defect_disagreement(self, capsys, tm_config, corrupted_defect_head):
+        code, out, err = run(capsys, "--config", tm_config, "verify")
+        assert code == EXIT_REFUTED_INVARIANT and out == ""
+        assert "violated invariant: incremental defect profile disagrees" in err
 
     def test_unwritable_out_path(self, capsys, tm_config, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"

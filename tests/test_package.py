@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,13 @@ def test_demo_runs(path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, UserWarning, RuntimeWarning])
+def test_warnings_are_errors(category):
+    """The suite's warning filter turns every warning into an error; it ignores
+    only the deprecation that hypothesis's failure report triggers, so that
+    the falsifying example is printed."""
+    with pytest.raises(category):
+        warnings.warn("any other warning", category)
+    warnings.warn("mypy_extensions.TypedDict is deprecated", DeprecationWarning)

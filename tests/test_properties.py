@@ -16,6 +16,8 @@ import pytest
 from oracles import (
     brute_lps,
     classical_palindromes,
+    closure_involutively_generated,
+    closure_subgroups,
     complete_g_return_words,
     position_walk_edges,
     set_union_crw_records,
@@ -133,6 +135,14 @@ class TestMapAlgebra:
         assert len(group.morphisms) == len(group.antimorphisms)
         again = SymmetryGroup.close(group.elements)
         assert again.elements == group.elements
+
+    @given(group=group_st())
+    @settings(max_examples=60, deadline=None)
+    def test_subgroups_match_closure_oracle(self, group):
+        subs = group.subgroups()
+        assert subs == closure_subgroups(group)
+        for g in [group, *subs]:
+            assert g.is_involutively_generated() is closure_involutively_generated(g)
 
     @given(gw=group_and_word_st(max_size=20))
     @settings(max_examples=100, deadline=None)
@@ -495,6 +505,16 @@ class TestIndexDifferential:
                 )
         assert index.closure_added == added
         assert index.complexities() == [len(index.factors(n)) for n in range(n_max + 1)]
+
+    @given(case=indexed_word_st())
+    @example(case=("0001000100010001000", 6, binary_full_group()))  # closure adds 11, 111, ...
+    @settings(max_examples=150, deadline=None)
+    def test_sorted_factors_need_no_sort(self, case):
+        # the levels keep lexicographic order, closure-added factors included
+        word, n_max, group = case
+        index = LanguageIndex(word, n_max, group)
+        for n in range(n_max + 1):
+            assert index.sorted_factors(n) == tuple(sorted(index.factors(n)))
 
     @given(case=indexed_word_st())
     @settings(max_examples=150, deadline=None)

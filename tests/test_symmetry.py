@@ -1,10 +1,14 @@
+import functools
+
 import pytest
 
+from groups import cyclic4_antimorphism_group
+from oracles import closure_involutively_generated, closure_subgroups
 from symrich import Alphabet, GroupError, SymmetryGroup, SymmetryMap, dihedral_group
 from symrich.presets import (
     BINARY,
     binary_full_group,
-    cyclic4_antimorphism_group,
+    exchange_group,
     hexa_group,
     hexa_psi,
     octa_group,
@@ -186,3 +190,15 @@ class TestSubgroups:
         assert len(subs) == 16
         with_antim = [s for s in subs if s.has_antimorphism]
         assert len(with_antim) == 11
+
+    @pytest.mark.parametrize("make", [
+        *(functools.partial(dihedral_group, m) for m in range(1, 7)),
+        hexa_group, octa_group, cyclic4_antimorphism_group, exchange_group,
+        lambda: SymmetryGroup.close([SymmetryMap.identity(BINARY)]),
+    ], ids=[f"dihedral{m}" for m in range(1, 7)] + ["hexa", "octa", "cyclic4", "exchange", "trivial"])
+    def test_table_path_matches_closure_oracle(self, make):
+        group = make()
+        subs = group.subgroups()
+        assert subs == closure_subgroups(group)
+        for g in [group, *subs]:
+            assert g.is_involutively_generated() is closure_involutively_generated(g)

@@ -1,8 +1,10 @@
 import pytest
 
+from groups import cyclic4_antimorphism_group
 from oracles import g_occurrences
 from symrich import (
     AlphabetError,
+    ConsistencyError,
     GroupError,
     IndexRangeError,
     InsufficientPrefixError,
@@ -17,7 +19,6 @@ from symrich import (
 from symrich.presets import (
     BINARY,
     binary_full_group,
-    cyclic4_antimorphism_group,
     exchange_group,
     fibonacci_source,
     generalized_thue_morse,
@@ -28,7 +29,7 @@ from symrich.presets import (
     thue_morse_source,
 )
 from symrich.symmetry import SymmetryGroup, dihedral_group
-from symrich.verify import ALMOST, REFUTED, RICH, min_distinguishing
+from symrich.verify import ALMOST, REFUTED, RICH, crw_records, min_distinguishing
 from symrich.words import Alphabet, LiteralSource, PeriodicSource, WordSource
 
 
@@ -175,8 +176,8 @@ class TestStablePrefix:
         report = verify(group, source, length, n_max)
         final, stability, generating = doubling_oracle(inner, length, n_max)
         assert source.calls == generating == steps
-        assert report == verify_text(group, inner.prefix(final), n_max=n_max,
-                                     stability=stability, word_id=repr(inner))
+        index = LanguageIndex(inner.prefix(final), n_max + 2, group)
+        assert report == verify_text(group, index, stability=stability, word_id=repr(inner))
 
     def test_never_stable_raises_after_six_doublings(self, id_r):
         # factors of length 22 keep appearing in the binary numerals well past 40 * 2^7 letters
@@ -210,36 +211,33 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("stability", [None, True])
     def test_foreign_glyph_rejected_by_verify_text(self, stability):
+        group = binary_full_group()
         with pytest.raises(AlphabetError, match="glyph '2' at position 99"):
-            verify_text(binary_full_group(), self.FOREIGN, n_max=10, stability=stability)
+            verify_text(group, LanguageIndex(self.FOREIGN, 12, group), stability=stability)
 
     def test_foreign_glyph_rejected_by_subgroup_scan(self):
         with pytest.raises(AlphabetError, match="glyph '2' at position 99"):
             subgroup_scan(binary_full_group(), self.FOREIGN, 10)
 
-    def test_index_of_another_text(self, i2_2):
-        index = LanguageIndex(thue_morse_source().prefix(201)[1:], 12, i2_2)
-        with pytest.raises(SymrichError, match="another text"):
-            verify_text(i2_2, self.TM, n_max=10, stability=True, index=index)
-
-    def test_index_of_too_low_an_order(self, i2_2):
-        index = LanguageIndex(self.TM, 11, i2_2)
-        with pytest.raises(IndexRangeError, match="order 11 .* needs order 12"):
-            verify_text(i2_2, self.TM, n_max=10, stability=True, index=index)
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_index_of_order_below_two(self, i2_2, order):
+        index = LanguageIndex(self.TM, order, i2_2)
+        with pytest.raises(IndexRangeError, match=f"order {order} .* needs order >= 2"):
+            verify_text(i2_2, index, stability=True)
 
     @pytest.mark.parametrize("index_group", [None, reversal_group(BINARY)])
     def test_index_group_not_containing_the_group(self, i2_2, index_group):
         text = "0001000100010001000"
         index = LanguageIndex(text, 6, index_group)
         with pytest.raises(GroupError, match="does not contain"):
-            verify_text(i2_2, text, n_max=4, stability=True, index=index)
+            verify_text(i2_2, index, stability=True)
 
     def test_index_closure_under_a_larger_group(self, i2_2, id_r):
         # the text is closed under reversal; its closure under i2_2 adds 11, 111, ...
         text = "0001000100010001000"
         index = LanguageIndex(text, 6, i2_2)
         with pytest.raises(GroupError, match="added factors at lengths"):
-            verify_text(id_r, text, n_max=4, stability=True, index=index)
+            verify_text(id_r, index, stability=True)
 
 
 class TestCrw:
@@ -248,6 +246,22 @@ class TestCrw:
             if record.return_words:
                 assert all(return_word_shape_ok(binary_full_group(), v, record.n)
                            for v in record.return_words)
+
+    def test_text_other_than_the_indexed_one(self, i2_2):
+        text = thue_morse_source().prefix(200)
+        index = LanguageIndex(text, 8, i2_2)
+        with pytest.raises(SymrichError, match="not the indexed text"):
+            crw_records(i2_2, index, "1" + text[1:], 1, 6)
+        copy = "".join(list(text))  # the same letters in another object
+        assert copy is not text
+        assert crw_records(i2_2, index, copy, 1, 6) == crw_records(i2_2, index, text, 1, 6)
+
+
+class TestDualDefectHead:
+    def test_disagreement_raises(self, i2_2, tm_text, corrupted_defect_head):
+        index = LanguageIndex(tm_text[:300], 12, i2_2)
+        with pytest.raises(ConsistencyError, match="disagrees with the dual computation"):
+            verify_text(i2_2, index)
 
 
 def return_word_shape_ok(group, v, n):
