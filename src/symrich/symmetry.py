@@ -28,6 +28,7 @@ class SymmetryMap:
     images: tuple[str, ...]
     antimorphic: bool
     _table: dict[int, str] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         glyphs = self.alphabet.glyphs
@@ -36,6 +37,11 @@ class SymmetryMap:
         if set(self.images) != set(glyphs):
             raise GroupError(f"map {self.images} is not a bijection on {self.alphabet}")
         object.__setattr__(self, "_table", str.maketrans(str(self.alphabet), "".join(self.images)))
+        # the map is immutable, and group tables look maps up by the pair on every composition
+        object.__setattr__(self, "_hash", hash((self.alphabet, self.images, self.antimorphic)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "SymmetryMap":

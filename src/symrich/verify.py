@@ -72,13 +72,17 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     The complete return words of a class C are the factors ``text[i:j + n]``
     for consecutive occurrences i < j of members of C.  Slicing them costs
     about |text| slices per order, so the orders are walked top-down and a
-    class with no special member is derived from order n + 2 instead.
+    class that is not bispecial is derived from the order above: from order
+    n + 2 when its representative is unique on both sides, from order n + 1
+    when it is unique on one side only.  Return words change only at
+    bispecial factors (Balkova, Pelantova and Steiner, Monatsh. Math. 2008;
+    Glen, Justin, Widmer and Zamboni, Eur. J. Combin. 2009).
 
-    Lemma.  Let the factor sets of orders n + 1 and n + 2 be closed under
-    ``group``, and let C be a class of order n whose representative m has
-    exactly one left extension b and one right extension c, with b·m·c a
-    factor.  (When b·m·c is no factor, C occurs only at 0 and |text| - n.)
-    Then:
+    Lemma 1 (order n + 2).  Let the factor sets of orders n + 1 and n + 2 be
+    closed under ``group``, and let C be a class of order n whose
+    representative m has exactly one left extension b and one right
+    extension c, with b·m·c a factor.  (When b·m·c is no factor, C occurs
+    only at 0 and |text| - n.)  Then:
 
     1. Every member g(m) has exactly one left extension and one right
        extension, and the words b'·m'·c' (m' in C, b' and c' its extensions)
@@ -105,12 +109,75 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     with one letter added on each side.  The remaining consecutive pairs
     touch position 0 or |text| - n.
 
-    The first and last occurrences follow from those of C2 and the two
-    boundary occurrences, while the violations are recomputed on the derived
-    words.  Classes with a special member or with no inner occurrence, the
-    two top orders, and languages not known to be closed under ``group`` (an
-    index built without a group, with closure additions, or for a group not
-    containing ``group``) are sliced directly.  ``text`` must be ``index.text``.
+    Lemma 2 (order n + 1).  Let the factor sets of orders n and n + 1 be
+    closed under ``group``, and let C be a class of order n whose
+    representative m is special on one side only: #Lext(m) >= 2 and
+    #Rext(m) = 1, or #Lext(m) = 1 and #Rext(m) >= 2.  Call a member u
+    right-unique when Rext(u) = {c} and left-unique when Lext(u) = {b}; its
+    extension word is u·c with shift 0, or b·u with shift 1 (the position of
+    u in it).  Then:
+
+    1. No member is bispecial, and each member is unique on exactly one
+       side: a morphism keeps the two sides of a member, an antimorphism
+       swaps them.
+    2. The extension words form one class C1 of order n + 1, the class of
+       the extension word e of m.  Let S(w) be the set of shifts of the
+       members whose extension word is w; S(w) is {0}, {1} or {0, 1}.
+    3. Every occurrence of C is q + s for exactly one occurrence q of an
+       extension word w and one s in S(w), except for a left-unique member
+       at 0 and a right-unique member at |text| - n.
+    4. crw(C) is {v[max S(v[:n+1]) : |v| - 1 + min S(v[-n-1:])] : v in
+       crw(C1)}, plus every w with S(w) = {0, 1} (C occurs at q and q + 1
+       for each occurrence q of w), plus the return word from 0 and the one
+       to the end of the text when the exceptions of (3) occur.
+
+    Proof.  (1) As in Lemma 1, g maps the one-letter extensions of m
+    one-to-one onto those of g(m), on the same side for a morphism and on
+    the other side for an antimorphism, since the factor set of order
+    n + 1 is closed.  So #Lext and #Rext of g(m) are those of m, swapped
+    for an antimorphism.  (2) For a morphism g with letter map s, g(m·c)
+    is g(m)·s(c) and g(b·m) is s(b)·g(m), the extension word of g(m) with
+    the same shift; for an antimorphism g(m·c) is s(c)·g(m) and g(b·m) is
+    g(m)·s(b), the extension word of g(m) with the other shift.  So the
+    extension words are the orbit of e, and g(m) has shift s0 in g(e) for a
+    morphism and 1 - s0 for an antimorphism, s0 being the shift of m in e.
+    (3) A right-unique member at p < |text| - n is followed by its letter c,
+    so its extension word occurs at p; a left-unique member at p > 0 is
+    preceded by b, so its extension word occurs at p - 1.  Conversely an
+    occurrence q of w puts the member of shift s at q + s for each s in
+    S(w).  The pair (q, s) is unique, since the member at p is unique and
+    has one shift.  (4) The occurrence q + s grows with q, and within one q
+    with s, since q + 1 = q' + 0 for occurrences q < q' would put a member
+    at q + 1 unique on both sides.  So consecutive occurrences of C come
+    from one occurrence q of a w with S(w) = {0, 1}, with return word w, or
+    from consecutive occurrences q < q' of C1, with return word v =
+    ``text[q:q' + n + 1]``, from q + max S(v[:n+1]) to q' + min S(v[-n-1:])
+    + n, or touch an exception.
+
+    Pitfall: one word can be both u·c and b·u', so S(w) is a set, not one
+    shift per word.  On the Thue-Morse word under {m:01, a:10} at order 7,
+    1001011 (right letter 0) and 0010110 (left letter 1) both give 10010110.
+
+    By both lemmas a derived record's first and last occurrences follow from
+    those of the class above, so order n - 1 can chain off it.  Only the
+    words derived from a violating return word and the boundary words are
+    tested for G-palindromicity:
+
+    * theta(a·u·b) = a·u·b implies theta(u) = u, so a word stripped on both
+      sides (or on neither) from a G-palindrome is one again;
+    * a G-palindrome v of Lemma 2 is never stripped on one side only: an
+      antimorphism theta with theta(v) = v maps v[:n+1] to v[-n-1:], and
+      S(theta(w)) is {1 - s : s in S(w)} by (2), so max S(v[:n+1]) is
+      1 - min S(v[-n-1:]);
+    * a w = b·u = u'·c with S(w) = {0, 1} is a G-palindrome: u' = g(u) for
+      some g swapping the unique sides, an antimorphism, and by (2) g maps
+      w, the extension word of u, to the extension word of u', which is w.
+
+    Bispecial classes, classes with no inner occurrence, the top order (and
+    the order below it for Lemma 1), and languages not known to be closed
+    under ``group`` (an index built without a group, with closure additions,
+    or for a group not containing ``group``) are sliced directly.  ``text``
+    must be ``index.text``.
     """
     if text != index.text:  # O(1) when both are one object
         raise SymrichError(f"text of length {len(text)} is not the indexed text "
@@ -123,43 +190,76 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
         classes: dict[str, list[str]] = {}
         for w in index.sorted_factors(n):
             classes.setdefault(group.class_representative(w), []).append(w)
-        up = levels.get(n + 2) if derive else None
         head = group.class_representative(text[:n])
         tail = group.class_representative(text[size - n:])
         level = levels[n] = {}
         for rep in sorted(classes):
-            entry = _outer_entry(group, index, up, rep) if up else None
-            if entry:
-                outer, first, last = entry
-                first, last = first + 1, last + 1
-                returns = {v[1:-1] for v in outer.return_words}
-                if rep == head:
+            source = _outer_entry(group, index, levels, rep) if derive and n < n_hi else None
+            if source:
+                (outer, first, last), shifts = source
+                if shifts is None:  # Lemma 1
+                    first, last = first + 1, last + 1
+                    returns = {v[1:-1] for v in outer.return_words}
+                    suspects = {v[1:-1] for v in outer.violations}
+                else:  # Lemma 2
+                    n1 = n + 1
+                    first += min(shifts[text[first:first + n1]])
+                    last += max(shifts[text[last:last + n1]])
+                    returns, suspects = set(), set()
+                    for v in outer.return_words:
+                        u = v[max(shifts[v[:n1]]):len(v) - 1 + min(shifts[v[-n1:]])]
+                        returns.add(u)
+                        if v in outer.violations:
+                            suspects.add(u)
+                    returns.update(w for w, s in shifts.items() if len(s) == 2)
+                if rep == head and first:
                     returns.add(text[:first + n])
+                    suspects.add(text[:first + n])
                     first = 0
-                if rep == tail:
+                if rep == tail and last != size - n:
                     returns.add(text[last:])
+                    suspects.add(text[last:])
                     last = size - n
             else:
                 # distinct factors of one length never share a start position
                 occ = sorted(chain.from_iterable(map(index.occurrences, classes[rep])))
-                returns = {text[i:j + n] for i, j in zip(occ, occ[1:])}
+                returns = suspects = {text[i:j + n] for i, j in zip(occ, occ[1:])}
                 first, last = (occ[0], occ[-1]) if occ else (-1, -1)
-            words = tuple(sorted(returns))
-            violations = tuple(v for v in words if not group.is_g_palindrome(v))
-            level[rep] = (CrwRecord(n, rep, words, violations), first, last)
+            violations = tuple(sorted(v for v in suspects if not group.is_g_palindrome(v)))
+            level[rep] = (CrwRecord(n, rep, tuple(sorted(returns)), violations), first, last)
     return [record for n in range(n_lo, n_hi + 1) for record, _, _ in levels[n].values()]
 
 
 def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
-                 up: dict[str, tuple[CrwRecord, int, int]], rep: str):
-    """The entry in ``up`` (order n + 2) of the class of b·rep·c, when rep has
-    exactly one left extension b and one right extension c and b·rep·c is a
-    factor; None otherwise."""
+                 levels: dict[int, dict[str, tuple[CrwRecord, int, int]]], rep: str):
+    """Where :func:`crw_records` derives the class of ``rep`` (order n) from.
+
+    For rep unique on both sides, the entry of the class of b·rep·c at order
+    n + 2 and None (Lemma 1); for rep special on one side only, the entry of
+    the class of its extension word e at order n + 1 and the shift table S
+    of that class (Lemma 2), read off e: g(e) takes the shift s0 of rep in e
+    for a morphism g and 1 - s0 for an antimorphism.  None when rep is
+    bispecial or has no extension on a side, or for Lemma 1 when order n + 2
+    or the entry is not in ``levels``; ``levels`` must hold order n + 1.
+    """
     left, right = index.lext(rep), index.rext(rep)
-    if len(left) != 1 or len(right) != 1:
+    if len(left) == 1 and len(right) == 1:
+        (b,), (c,) = left, right
+        up = levels.get(len(rep) + 2)
+        entry = up and up.get(group.class_representative(b + rep + c))
+        return (entry, None) if entry else None
+    if len(left) >= 2 and len(right) == 1:
+        (c,) = right
+        e, s0 = rep + c, 0
+    elif len(left) == 1 and len(right) >= 2:
+        (b,) = left
+        e, s0 = b + rep, 1
+    else:
         return None
-    (b,), (c,) = left, right
-    return up.get(group.class_representative(b + rep + c))
+    shifts: dict[str, set[int]] = {}
+    for g in group.elements:
+        shifts.setdefault(g.apply(e), set()).add(1 - s0 if g.antimorphic else s0)
+    return levels[len(e)][min(shifts)], shifts
 
 
 @dataclass(frozen=True)
@@ -264,11 +364,7 @@ def verify_text(
     say nothing about closure under ``group``.
     """
     text, n_max = index.text, index.n_max - 2
-    group.alphabet.check_word(text)
-    if not group.has_antimorphism:
-        raise GroupError("richness analysis requires a group containing an antimorphism")
-    if threshold < 1:
-        raise GroupError(f"threshold must be >= 1, got {threshold}")
+    _check_inputs(group, text, threshold)
     if n_max < 0:
         raise IndexRangeError(f"index of order {index.n_max} cannot support verification; "
                               f"it needs order >= 2")
@@ -432,6 +528,16 @@ def verify_text(
     )
 
 
+def _check_inputs(group: SymmetryGroup, text: str, threshold: int) -> None:
+    """The checks of :func:`verify_text` that need no index, so that
+    :func:`verify` runs them before it builds one."""
+    group.alphabet.check_word(text)
+    if not group.has_antimorphism:
+        raise GroupError("richness analysis requires a group containing an antimorphism")
+    if threshold < 1:
+        raise GroupError(f"threshold must be >= 1, got {threshold}")
+
+
 def _crosscheck_defect_head(group: SymmetryGroup, text: str, profile: DefectProfile) -> None:
     """Run the quadratic dual defect computation on a head of the text."""
     head = text[:DEFECT_CROSSCHECK_HEAD]
@@ -456,6 +562,7 @@ def verify(
     doubled (up to six times); persistent instability raises.
     """
     text, stability = _stable_prefix(source, length, n_max)
+    _check_inputs(group, text, threshold)
     return verify_text(
         group, LanguageIndex(text, n_max + 2, group), threshold=threshold, stability=stability,
         word_id=word_id or repr(source), group_id=group_id,

@@ -598,8 +598,8 @@ def preset_word(name):
 
 
 class TestCrwOnClosedLanguages:
-    """Return words derived from order n + 2 against the per-occurrence
-    oracle, on closed languages, where the derivation applies."""
+    """Return words derived from orders n + 1 and n + 2 against the
+    per-occurrence oracle, on closed languages, where the derivation applies."""
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
@@ -609,10 +609,13 @@ class TestCrwOnClosedLanguages:
         text = text[:data.draw(st.integers(50, 600))]
         sub = data.draw(st.sampled_from(subgroups))
         n_max = data.draw(st.integers(1, 20))
+        # orders below the top one chain off the orders above them
+        n_hi = data.draw(st.integers(1, n_max))
+        n_lo = data.draw(st.integers(1, n_hi))
         index = LanguageIndex(text, n_max, group)  # the full group, as subgroup_scan indexes
         assume(index.g_closed)
-        assert crw_records(sub, index, text, 1, n_max) == set_union_crw_records(
-            sub, index, text, 1, n_max
+        assert crw_records(sub, index, text, n_lo, n_hi) == set_union_crw_records(
+            sub, index, text, n_lo, n_hi
         )
 
     @pytest.mark.parametrize("name", ["tm", "fib", "t33", "octa", "hexa"])

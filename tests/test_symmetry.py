@@ -68,6 +68,22 @@ class TestSymmetryMap:
         with pytest.raises(GroupError):
             R.compose(other)
 
+    def test_equal_maps_built_differently_hash_equal(self):
+        # the hash is computed once per map; equal maps from every constructor must agree
+        ways = [
+            SymmetryMap(BINARY, ("1", "0"), antimorphic=True),
+            SymmetryMap.from_mapping(BINARY, {"0": "1", "1": "0"}, antimorphic=True),
+            E.inverse(),
+            R.compose(SymmetryMap(BINARY, ("1", "0"), antimorphic=False)),
+            E.compose(E).compose(E),
+        ]
+        for m in ways:
+            assert m == E and hash(m) == hash(E)
+            assert {E: "found"}[m] == "found"
+        assert hash(SymmetryMap.identity(BINARY)) == hash(R.compose(R))
+        assert E != SymmetryMap(BINARY, ("1", "0"), antimorphic=False)
+        assert len({E, *ways, R, R.compose(E)}) == 3
+
 
 class TestClosure:
     def test_reversal_group(self):

@@ -1,7 +1,9 @@
+import importlib
+
 import pytest
 
 from groups import cyclic4_antimorphism_group
-from oracles import g_occurrences
+from oracles import g_occurrences, set_union_crw_records
 from symrich import (
     AlphabetError,
     ConsistencyError,
@@ -68,13 +70,17 @@ class TestVerify:
     def test_bound_holds_even_when_refuted(self, tm_refuted_report):
         assert tm_refuted_report.bound_ok
 
-    def test_requires_antimorphism(self):
+    def test_requires_antimorphism(self, monkeypatch):
         from symrich.symmetry import SymmetryGroup, SymmetryMap
 
         exchange_morphism = SymmetryMap(Alphabet.from_string("01"), ("1", "0"), False)
         morphic_only = SymmetryGroup.close([exchange_morphism])
-        with pytest.raises(GroupError):
+        built = []
+        module = importlib.import_module("symrich.verify")  # the package's ``verify`` is the function
+        monkeypatch.setattr(module, "LanguageIndex", lambda *args: built.append(args))
+        with pytest.raises(GroupError, match="requires a group containing an antimorphism"):
             verify(morphic_only, thue_morse_source(), 500, 8)
+        assert built == []  # refused before any index is built
 
     def test_prefix_too_short(self, id_r):
         with pytest.raises(InsufficientPrefixError):
@@ -255,6 +261,71 @@ class TestCrw:
         copy = "".join(list(text))  # the same letters in another object
         assert copy is not text
         assert crw_records(i2_2, index, copy, 1, 6) == crw_records(i2_2, index, text, 1, 6)
+
+    @pytest.mark.parametrize("text, group, n_max", [
+        # under reversal, the order-10 return word from position 0 is no palindrome
+        ("011001100101100110010011001101001100110110011001011001", binary_full_group(), 15),
+        # under {m:012345, a:105432}, the order-2 return word to the end is no G-palindrome
+        (hexa_text(24), hexa_group(), 4),
+    ])
+    def test_boundary_words_of_derived_classes_are_tested(self, text, group, n_max):
+        index = LanguageIndex(text, n_max, group)
+        assert index.g_closed
+        for sub in group.subgroups():
+            if sub.has_antimorphism:
+                assert crw_records(sub, index, text, 1, n_max) == set_union_crw_records(
+                    sub, index, text, 1, n_max
+                )
+
+
+class TestCrwOneSided:
+    """Return words of classes special on one side only, derived from order n + 1."""
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        """Per class representative: what ``_outer_entry`` returned for it."""
+        module = importlib.import_module("symrich.verify")
+        real, found = module._outer_entry, {}
+
+        def spy(group, index, levels, rep):
+            found[rep] = real(group, index, levels, rep)
+            return found[rep]
+
+        monkeypatch.setattr(module, "_outer_entry", spy)
+        return found
+
+    def test_extension_word_with_both_shifts(self, i2_2, tm_text, derived):
+        # 1001011 is right-unique (right letter 0) and 0010110 left-unique (left
+        # letter 1); both extend to 10010110, whose shift set is {0, 1}
+        group = exchange_group()
+        index = LanguageIndex(tm_text, 10, i2_2)
+        records = crw_records(group, index, tm_text, 1, 10)
+        assert records == set_union_crw_records(group, index, tm_text, 1, 10)
+        assert group.equivalence_class("1001011") == ("0010110", "1001011")
+        assert index.rext("1001011") == {"0"} and len(index.lext("1001011")) == 2
+        assert index.lext("0010110") == {"1"} and len(index.rext("0010110")) == 2
+        _, shifts = derived["0010110"]
+        assert shifts["10010110"] == {0, 1}
+        # the class occurs at q and q + 1 for each occurrence q of 10010110
+        record = next(r for r in records if r.representative == "0010110")
+        assert "10010110" in record.return_words
+
+    @pytest.mark.parametrize("text, boundary", [
+        ("11011001001101", "11011"),  # 110 at 0 is left-unique: no extension word covers it
+        (thue_morse_source().prefix(19), "0010110100"),  # 100 at the end is right-unique
+    ])
+    def test_boundary_word_of_one_sided_class(self, i2_2, id_r, derived, text, boundary):
+        # order 3 chains off order 4, the top; the boundary word is a return
+        # word of the class nowhere but at the boundary
+        index = LanguageIndex(text, 4, i2_2)
+        assert index.g_closed
+        records = crw_records(id_r, index, text, 1, 4)
+        assert records == set_union_crw_records(id_r, index, text, 1, 4)
+        rep = id_r.class_representative(boundary[:3])
+        _, shifts = derived[rep]
+        assert shifts is not None  # derived from order 4
+        record = next(r for r in records if r.n == 3 and r.representative == rep)
+        assert boundary in record.return_words
 
 
 class TestDualDefectHead:
