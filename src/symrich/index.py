@@ -61,9 +61,11 @@ and one at p < n - m lies inside the prefix of length n of u.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import pairwise
 
 from .errors import GroupError, IndexRangeError
+from .palindromes import TextPalindromes
 from .symmetry import SymmetryGroup, SymmetryMap
 from .words import WordSource
 
@@ -148,6 +150,12 @@ class LanguageIndex:
 
         # (kind, n) -> factor of length n -> its extensions of that kind
         self._tables: dict[tuple[str, int], dict[str, frozenset]] = {}
+
+    @cached_property
+    def _palindromes(self) -> TextPalindromes:
+        """The palindrome work on the text under the index's group, built on first
+        use and read by every subgroup the text is verified against."""
+        return TextPalindromes(self.group, self.text)
 
     # -- basic queries --------------------------------------------------------
 

@@ -20,20 +20,38 @@ is fixed by theta, so the members g theta^k of a left coset g<theta> all
 map P to one node, and each new node pays one child lookup per coset, not
 per element.  What the trees need from the group, cosets included, is
 tabulated once per group object (:attr:`SymmetryGroup.palindrome_tables`),
-so a call on a short word pays little set-up.  The only quadratic routine
-left here is :func:`g_defect`, the brute-force dual of :func:`defect_profile`
-that every verify run applies to a head of its text.
+so a call on a short word pays little set-up.
+
+A scan under G serves every subgroup H of G as well: H's lps is the longest
+node over the trees of H's antimorphisms, and its unioccurrence reads only
+the image columns of H's elements.  :class:`TextPalindromes` holds one scan
+of a text under one group, and a :class:`~symrich.index.LanguageIndex` keeps
+one for its text under its group, so verifying a text under each of its
+subgroups scans it once.
+
+The only quadratic routine here is the brute-force dual of
+:func:`defect_profile`, run for every verified group on a head of its text
+and by :func:`g_defect` on a whole word.  It shares no code with the
+eertrees: a table of every suffix of every prefix of the head with the
+bitmask of the antimorphisms that fix it (:func:`_fixed_suffixes`), built
+once per text under the indexing group, and a count per group that reads
+only its own bits and checks the palindromic classes, gamma and the defect
+of every prefix against that group's profile (:func:`_check_dual`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, compress
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .errors import ConsistencyError, GroupError
 from .symmetry import PalindromeTables, SymmetryGroup
+
+#: prefix length of the quadratic dual defect computation run for every verified group
+DEFECT_CROSSCHECK_HEAD = 160
 
 # -- longest palindromic suffix ----------------------------------------------------
 
@@ -213,13 +231,28 @@ def _linked_scan(group: SymmetryGroup, word: str) -> _Scan:
     return _palindrome_scan(word, group.palindrome_tables)
 
 
-def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan) -> DefectProfile:
-    """The :func:`defect_profile` of ``word`` from a linked scan of it under ``group``."""
+def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan,
+                    within: SymmetryGroup | None = None) -> DefectProfile:
+    """The :func:`defect_profile` of ``word`` under ``group`` from a linked scan of it
+    under ``within``, a group containing ``group`` (``group`` itself by default).
+
+    A subgroup reads the scan of a larger group: its lps is the longest node
+    over the trees of its own antimorphisms, and that node is unioccurrent
+    when it was born at i and none of its images under the subgroup's
+    elements (the columns of their positions in ``within``) was born earlier.
+    An image node stands for one string, born where that string first
+    occurs, so which tree holds it does not matter.  When ``within`` is
+    ``group`` every tree and every column is read.
+    """
     length, born, image, width = scan.length, scan.born, scan.image, scan.width
+    ends, pick = scan.ends, None
+    if within is not None and within != group:
+        ends = [ends[within.antimorphisms.index(t)] for t in group.antimorphisms]
+        pick = itemgetter(*(within.elements.index(g) for g in group.elements))
     # per prefix length, the node of the longest G-palindromic suffix; on equal
     # lengths the earlier tree's node is kept (both nodes are the same string)
-    best = scan.ends[0]
-    for nodes in scan.ends[1:]:
+    best = ends[0]
+    for nodes in ends[1:]:
         best = [b if length[b] >= length[e] else e for b, e in zip(best, nodes)]
     letter_class = group._letter_classes
     letter_fixed = group._letter_fixed
@@ -233,7 +266,12 @@ def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan) -> DefectProfi
         # a node born at i > 0 is a nonempty palindrome; the identity's image of a
         # node is the node itself, so the minimum over its images is at most i
         x = best[i]
-        lps_unioccurrent = born[x] == i and min(map(born.__getitem__, image[x * width:(x + 1) * width])) == i
+        lps_unioccurrent = False
+        if born[x] == i:
+            images = image[x * width:(x + 1) * width]
+            if pick is not None:
+                images = pick(images)
+            lps_unioccurrent = min(map(born.__getitem__, images)) == i
         if lps_unioccurrent:
             pal_steps[i] = 1
         if a not in seen:
@@ -256,6 +294,9 @@ def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan) -> DefectProfi
     return DefectProfile(word, defect, pal, gamma, lacunas, lps)
 
 
+# -- the brute-force dual ------------------------------------------------------------
+
+
 def _suffix_fixed(word: str, translated: str, start: int, end: int) -> bool:
     """Is word[start:end] fixed by the antimorphism whose letterwise image is ``translated``."""
     return (
@@ -265,28 +306,51 @@ def _suffix_fixed(word: str, translated: str, start: int, end: int) -> bool:
     )
 
 
-def g_defect(group: SymmetryGroup, word: str) -> DefectProfile:
-    """Defect profile computed twice: by formula and by lacuna count.
+def _fixed_suffixes(group: SymmetryGroup, word: str) -> list[tuple[tuple[str, int], ...]]:
+    """Per prefix length i of ``word``, the suffixes of ``word[:i]`` fixed by some
+    antimorphism of ``group`` whose string ends no shorter prefix, each with the
+    bitmask of the antimorphisms that fix it (bit t for the t-th of
+    ``group.antimorphisms``); a later occurrence of a string adds no class, so it is
+    left out.  Every suffix of every prefix is tested against every antimorphism
+    (quadratic, and independent of the eertrees)."""
+    translations = [t.translated(word) for t in group.antimorphisms]
+    seen: set[str] = set()
+    table = [()]
+    for i in range(1, len(word) + 1):
+        row = []
+        for start in range(i):
+            mask = 0
+            for t, tr in enumerate(translations):
+                if _suffix_fixed(word, tr, start, i):
+                    mask |= 1 << t
+            if mask and (s := word[start:i]) not in seen:
+                seen.add(s)
+                row.append((s, mask))
+        table.append(tuple(row))
+    return table
 
-    Brute-force oracle for :func:`defect_profile`.  The formula side
-    enumerates palindromic factor classes directly (suffix by suffix,
-    quadratic), independent of the lacuna machinery; the two must agree at
-    every prefix.  Use :func:`defect_profile` alone for long texts.
+
+def _check_dual(group: SymmetryGroup, word: str, table: list[tuple[tuple[str, int], ...]],
+                profile: DefectProfile, within: SymmetryGroup | None = None) -> None:
+    """Count the palindromic classes, gamma and the defect of every prefix of
+    ``word`` under ``group`` by formula, and check ``profile`` against them.
+
+    ``table`` is the :func:`_fixed_suffixes` of ``word`` under ``within``, a
+    group containing ``group`` (``group`` itself by default).  Only the bits of
+    ``group``'s antimorphisms are read, and each fixed string costs one class
+    representative.  ``profile`` may cover a longer word of which ``word`` is
+    a prefix.
     """
-    profile = defect_profile(group, word)
-
-    antims = group.antimorphisms
-    translations = [t.translated(word) for t in antims]
-    letter_class = group.letter_classes()
-    letter_fixed = group.letter_fixed()
+    antimorphisms = (group if within is None else within).antimorphisms
+    bits = sum(1 << t for t, theta in enumerate(antimorphisms) if theta in group)
+    letter_class = group._letter_classes
+    letter_fixed = group._letter_fixed
     pal_reps: set[str] = set()
     gamma_classes: set[frozenset[str]] = set()
-
-    for i in range(1, len(word) + 1):
-        for m in range(1, i + 1):
-            if any(_suffix_fixed(word, tr, i - m, i) for tr in translations):
-                pal_reps.add(group.class_representative(word[i - m:i]))
-        a = word[i - 1]
+    for i, (a, row) in enumerate(zip(word, table[1:]), 1):
+        for s, mask in row:
+            if mask & bits:
+                pal_reps.add(group.class_representative(s))
         if not letter_fixed[a]:
             gamma_classes.add(letter_class[a])
         pal_count = len(pal_reps) + 1
@@ -298,11 +362,51 @@ def g_defect(group: SymmetryGroup, word: str) -> DefectProfile:
             or gamma_count != profile.gamma[i]
         ):
             raise ConsistencyError(
-                f"defect formula and lacuna count disagree at position {i} of {word!r}: "
-                f"formula {formula} (pal {pal_count}, gamma {gamma_count}) vs "
+                f"incremental defect profile disagrees with the dual computation at position {i} "
+                f"of {word!r}: formula {formula} (pal {pal_count}, gamma {gamma_count}) vs "
                 f"lacunas {profile.defect[i]} (pal {profile.pal_classes[i]}, gamma {profile.gamma[i]})"
             )
+
+
+def g_defect(group: SymmetryGroup, word: str) -> DefectProfile:
+    """Defect profile computed twice: by formula and by lacuna count.
+
+    Brute-force oracle for :func:`defect_profile`.  The formula side tests
+    every suffix of every prefix for fixedness (quadratic) and counts the
+    palindromic factor classes directly, independent of the lacuna machinery;
+    the two must agree at every prefix.  Use :func:`defect_profile` alone for
+    long texts.
+    """
+    profile = defect_profile(group, word)
+    _check_dual(group, word, _fixed_suffixes(group, word), profile)
     return profile
+
+
+class TextPalindromes:
+    """The linked scan of one text under one group and the dual table of its
+    first ``DEFECT_CROSSCHECK_HEAD`` letters, each built on first use and read
+    by every subgroup of the group (see the module docstring)."""
+
+    def __init__(self, group: SymmetryGroup, text: str):
+        self.group = group
+        self.text = text
+
+    @cached_property
+    def scan(self) -> _Scan:
+        return _linked_scan(self.group, self.text)
+
+    @cached_property
+    def head(self) -> list[tuple[tuple[str, int], ...]]:
+        return _fixed_suffixes(self.group, self.text[:DEFECT_CROSSCHECK_HEAD])
+
+    def profile(self, group: SymmetryGroup) -> DefectProfile:
+        """The :func:`defect_profile` of the text under ``group``, a subgroup of ``self.group``."""
+        return _lacuna_profile(group, self.text, self.scan, self.group)
+
+    def check_head(self, group: SymmetryGroup, profile: DefectProfile) -> None:
+        """Check ``profile``, the text's profile under ``group``, against the brute-force
+        dual at every prefix of the head; raise :class:`ConsistencyError` where they differ."""
+        _check_dual(group, self.text[:DEFECT_CROSSCHECK_HEAD], self.head, profile, self.group)
 
 
 # -- per-prefix palindrome table -----------------------------------------------------

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import (
-    ConsistencyError,
     GroupError,
     IndexRangeError,
     InsufficientPrefixError,
@@ -34,7 +33,7 @@ from .graphs import (
     tls_verdict,
 )
 from .index import LanguageIndex, _stable_under_doubling
-from .palindromes import DefectProfile, defect_profile, g_defect
+from .palindromes import DEFECT_CROSSCHECK_HEAD, DefectProfile, defect_profile
 from .symmetry import SymmetryGroup, reversal_group
 from .words import WordSource
 
@@ -42,9 +41,6 @@ RICH = "rich-up-to-nmax"
 ALMOST = "almost-rich-candidate"
 REFUTED = "refuted"
 INCONSISTENT = "inconsistent"
-
-#: prefix length of the quadratic dual defect computation run on every verify
-DEFECT_CROSSCHECK_HEAD = 160
 
 
 def min_distinguishing(group: SymmetryGroup, index: LanguageIndex, n_max: int) -> int | None:
@@ -362,6 +358,12 @@ def verify_text(
     with a group containing ``group``.  When closure added factors to it,
     that group must be ``group`` itself, since additions under a larger group
     say nothing about closure under ``group``.
+
+    The defect profile and its dual check read the linked scan of the text
+    and the dual table of its head that the index keeps under its group
+    (:class:`palindromes.TextPalindromes`), so verifying one index under
+    several subgroups builds each once; every group is still checked against
+    the dual at every prefix of the head.
     """
     text, n_max = index.text, index.n_max - 2
     _check_inputs(group, text, threshold)
@@ -411,8 +413,9 @@ def verify_text(
     crw = tuple(crw_records(group, index, text, 1, n_max))
     identity = tuple(complexity_identity(group, index, range(0, n_max + 1)))
     bisp = tuple(bispecial_check(group, index, range(1, n_max + 1)))
-    profile = defect_profile(group, text)
-    _crosscheck_defect_head(group, text, profile)
+    shared = index._palindromes
+    profile = shared.profile(group)
+    shared.check_head(group, profile)
     n0 = next((r.n for r in identity if r.distinguishing), None)
 
     distinguishing_at = {r.n: r.distinguishing for r in identity}
@@ -536,14 +539,6 @@ def _check_inputs(group: SymmetryGroup, text: str, threshold: int) -> None:
         raise GroupError("richness analysis requires a group containing an antimorphism")
     if threshold < 1:
         raise GroupError(f"threshold must be >= 1, got {threshold}")
-
-
-def _crosscheck_defect_head(group: SymmetryGroup, text: str, profile: DefectProfile) -> None:
-    """Run the quadratic dual defect computation on a head of the text."""
-    head = text[:DEFECT_CROSSCHECK_HEAD]
-    dual = g_defect(group, head)
-    if dual.defect != profile.defect[:len(head) + 1]:
-        raise ConsistencyError("incremental defect profile disagrees with the dual computation")
 
 
 def verify(

@@ -1,9 +1,9 @@
 import dataclasses
-import importlib
 
 import pytest
 
 from symrich import LanguageIndex
+from symrich.palindromes import TextPalindromes
 from symrich.presets import (
     BINARY,
     binary_full_group,
@@ -65,17 +65,30 @@ def t33_index(t33_text, i2_3):
     return LanguageIndex(t33_text, 14, i2_3)
 
 
-@pytest.fixture
-def corrupted_defect_head(monkeypatch):
-    """Make ``symrich.verify`` read defect profiles whose entry 5, inside the
-    head the dual defect computation checks, is one too high."""
-    module = importlib.import_module("symrich.verify")  # the package's ``verify`` is the function
-    real = module.defect_profile
+def corrupt_profiles(monkeypatch, affected):
+    """Make the defect profiles that ``verify_text`` reads off its index
+    (``TextPalindromes.profile``) one too high at entry 5, inside the head the
+    dual defect computation checks, for the groups that ``affected`` accepts."""
+    real = TextPalindromes.profile
 
-    def corrupted(group, text):
-        profile = real(group, text)
+    def corrupted(self, group):
+        profile = real(self, group)
+        if not affected(group):
+            return profile
         defect = list(profile.defect)
         defect[5] += 1
         return dataclasses.replace(profile, defect=tuple(defect))
 
-    monkeypatch.setattr(module, "defect_profile", corrupted)
+    monkeypatch.setattr(TextPalindromes, "profile", corrupted)
+
+
+@pytest.fixture
+def corrupted_defect_head(monkeypatch):
+    """Corrupt the profile of every group (see :func:`corrupt_profiles`)."""
+    corrupt_profiles(monkeypatch, lambda group: True)
+
+
+@pytest.fixture
+def corrupt_one_group(monkeypatch):
+    """Call with a group to corrupt its profile only (see :func:`corrupt_profiles`)."""
+    return lambda target: corrupt_profiles(monkeypatch, lambda group: group == target)

@@ -13,3 +13,15 @@ def cyclic4_antimorphism_group() -> SymmetryGroup:
     """
     alphabet = Alphabet.from_string("0123")
     return SymmetryGroup.close([SymmetryMap(alphabet, ("1", "2", "3", "0"), True)])
+
+
+def cyclic4_reversal_group() -> SymmetryGroup:
+    """Order-8 group generated by reversal and by reversal composed with a 4-cycle.
+
+    Its proper subgroup generated by the second generator has two
+    antimorphisms, neither of them an involution, so a subgroup's share of
+    work done under the whole group must handle non-involutive ones.
+    """
+    alphabet = Alphabet.from_string("0123")
+    return SymmetryGroup.close([SymmetryMap(alphabet, ("1", "2", "3", "0"), True),
+                                SymmetryMap.reversal(alphabet)])

@@ -26,6 +26,26 @@ def brute_lps(antimorphisms, word):
     return next((word[i:] for i in range(n) if any(word[i:] == im[:n - i] for im in images)), "")
 
 
+def per_group_dual_defect(group, word):
+    """Per prefix length i of ``word``: (defect, palindromic classes, gamma) under
+    ``group``, by the formula D(i) = i + 1 - #pal_classes(i) - gamma(i).  A class
+    is found by testing every suffix of every prefix against every antimorphism
+    of ``group`` (the empty word is one class); gamma counts the letter orbits
+    met so far that no antimorphism fixes."""
+    reps, letter_orbits, rows = set(), set(), [(0, 1, 0)]
+    for i in range(1, len(word) + 1):
+        for start in range(i):
+            s = word[start:i]
+            if any(t.apply(s) == s for t in group.antimorphisms):
+                reps.add(min(g.apply(s) for g in group.elements))
+        a = word[i - 1]
+        if not any(t.image_of(a) == a for t in group.antimorphisms):
+            letter_orbits.add(frozenset(g.image_of(a) for g in group.elements))
+        pal, gamma = len(reps) + 1, len(letter_orbits)
+        rows.append((i + 1 - pal - gamma, pal, gamma))
+    return rows
+
+
 def windows(text, n):
     """The factors of length n of ``text``."""
     return {text[i:i + n] for i in range(len(text) - n + 1)}

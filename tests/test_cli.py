@@ -1,6 +1,13 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from symrich.cli import EXIT_CONFIG, EXIT_INSUFFICIENT_PREFIX, EXIT_REFUTED_INVARIANT, main
+from symrich.presets import hexa_group
+
+BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 
 TM_CONFIG = """\
 alphabet: "01"
@@ -172,6 +179,13 @@ class TestExitCodes:
         assert code == EXIT_REFUTED_INVARIANT and out == ""
         assert "violated invariant: incremental defect profile disagrees" in err
 
+    def test_dual_defect_disagreement_in_one_subgroup(self, capsys, corrupt_one_group):
+        # the last proper subgroup, verified after nine that pass their checks
+        corrupt_one_group([s for s in hexa_group().subgroups() if s.has_antimorphism][-2])
+        code, out, err = run(capsys, "--length", "1000", "repro", "subgroups")
+        assert code == EXIT_REFUTED_INVARIANT and out == ""
+        assert "violated invariant: incremental defect profile disagrees" in err
+
     def test_unwritable_out_path(self, capsys, tm_config, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"
         code, out, err = run(capsys, "--config", tm_config, "--out", str(target), "complexity")
@@ -301,6 +315,12 @@ class TestRepro:
         code, out, _ = run(capsys, "--length", "700", "--nmax", "13", "repro", "ex6")
         assert code == 0
         assert "overall ok: True" in out
+
+    def test_subgroups_match_benchmark_reference(self, capsys):
+        # the exit code and stdout digest recorded for the subgroup-scan benchmark workload
+        expected = json.loads(BENCH_REFERENCE.read_text())["subgroup-scan"]["repro-subgroups"]
+        code, out, _ = run(capsys, "--length", "1000", "repro", "subgroups")
+        assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == expected
 
     def test_subgroups_scaled_down(self, capsys):
         code, out, _ = run(capsys, "--length", "900", "--nmax", "12", "repro", "subgroups")

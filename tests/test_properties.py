@@ -5,6 +5,7 @@ searches adversarially over random words, maps, and small groups.
 """
 
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -13,12 +14,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import pytest
 
+from groups import cyclic4_reversal_group
 from oracles import (
     brute_lps,
     classical_palindromes,
     closure_involutively_generated,
     closure_subgroups,
     complete_g_return_words,
+    per_group_dual_defect,
     position_walk_edges,
     set_union_crw_records,
     theta_palindromic_factors,
@@ -27,6 +30,8 @@ from oracles import (
 )
 from symrich import (
     Alphabet,
+    ConsistencyError,
+    DefectProfile,
     IndexRangeError,
     InsufficientPrefixError,
     LanguageIndex,
@@ -43,7 +48,7 @@ from symrich import (
     stability_check,
 )
 from symrich.cli import EXIT_CONFIG, main
-from symrich.palindromes import _palindrome_scan
+from symrich.palindromes import TextPalindromes, _check_dual, _fixed_suffixes, _palindrome_scan
 from symrich.presets import (
     BINARY,
     binary_full_group,
@@ -346,6 +351,46 @@ class TestLpsRegressions:
         assert defect_profile(group, "0101").lps == (0, 0, 2, 2, 4)
         for word in ("0", "0101", "00110"):
             assert defect_profile(group, word) == g_defect(group, word)
+
+
+@st.composite
+def subgroup_case_st(draw, max_size=30):
+    """A group, one of its subgroups with an antimorphism, and a word."""
+    group = draw(group_st() | st.sampled_from([rotation_group(), cyclic4_reversal_group()]))
+    sub = draw(st.sampled_from([s for s in group.subgroups() if s.has_antimorphism]))
+    return group, sub, draw(word_st(group.alphabet, max_size) | closure_word_st(group, max_size))
+
+
+class TestSharedPalindromes:
+    """A subgroup's share of the palindrome work done once under a larger group:
+    the dual table of fixed suffixes and the linked scan."""
+
+    @given(case=subgroup_case_st(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_dual_count_matches_per_group_formula(self, case, data):
+        group, sub, word = case
+        defect, pal, gamma = map(tuple, zip(*per_group_dual_defect(sub, word)))
+        profile = DefectProfile(word, defect, pal, gamma, (), ())
+        table = _fixed_suffixes(group, word)
+        _check_dual(sub, word, table, profile, group)  # raises at the first prefix that disagrees
+        if word:
+            i = data.draw(st.integers(1, len(word)))
+            field = data.draw(st.sampled_from(["defect", "pal_classes", "gamma"]))
+            wrong = list(getattr(profile, field))
+            wrong[i] += 1
+            with pytest.raises(ConsistencyError, match=f"at position {i} of"):
+                _check_dual(sub, word, table, dataclasses.replace(profile, **{field: tuple(wrong)}), group)
+
+    @given(case=subgroup_case_st())
+    @settings(max_examples=150, deadline=None)
+    def test_restricted_profile_matches_own_scan(self, case):
+        group, sub, word = case
+        shared = TextPalindromes(group, word)
+        own = defect_profile(sub, word)
+        restricted = shared.profile(sub)
+        for field in dataclasses.fields(DefectProfile):
+            assert getattr(restricted, field.name) == getattr(own, field.name), field.name
+        shared.check_head(sub, restricted)
 
 
 class TestRichnessBounds:

@@ -1,4 +1,5 @@
 import importlib
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from symrich import (
     verify,
     verify_text,
 )
+from symrich import palindromes
 from symrich.presets import (
     BINARY,
     binary_full_group,
@@ -328,11 +330,37 @@ class TestCrwOneSided:
         assert boundary in record.return_words
 
 
+HEXA_SUBGROUPS = [s for s in hexa_group().subgroups() if s.has_antimorphism]
+
+
 class TestDualDefectHead:
     def test_disagreement_raises(self, i2_2, tm_text, corrupted_defect_head):
         index = LanguageIndex(tm_text[:300], 12, i2_2)
         with pytest.raises(ConsistencyError, match="disagrees with the dual computation"):
             verify_text(i2_2, index)
+
+    @pytest.mark.parametrize("target", HEXA_SUBGROUPS, ids=lambda s: ",".join(e.name for e in s))
+    def test_every_subgroup_is_checked(self, corrupt_one_group, target):
+        corrupt_one_group(target)
+        with pytest.raises(ConsistencyError, match="disagrees with the dual computation"):
+            subgroup_scan(hexa_group(), hexa_text(300), 8)
+
+    def test_subgroups_share_one_scan_and_one_table(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(palindromes, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in ("_palindrome_scan", "_fixed_suffixes"):
+            monkeypatch.setattr(palindromes, name, counted(name))
+        results = subgroup_scan(hexa_group(), hexa_text(300), 8)
+        assert len(results) == len(HEXA_SUBGROUPS) == 11
+        assert calls == {"_palindrome_scan": 1, "_fixed_suffixes": 1}
 
 
 def return_word_shape_ok(group, v, n):
