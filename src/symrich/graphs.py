@@ -124,21 +124,19 @@ def _vertex_classes(
     Requires the factor data to be closed under the group at length n, and
     checks that orbit classes of special factors consist of special factors.
     """
-    specials = index.specials(n)
-    special_set = set(specials)
+    specials = index.special_rows(n)
     classes = []
     rep_of: dict[str, str] = {}
-    for w in specials:
+    for w, members in zip(specials, index.orbits(group, n, specials.values())):
         if w in rep_of:
             continue
-        members = group.equivalence_class(w)
         for m in members:
             if not index.is_factor(m):
                 raise ClosureError(
                     f"orbit member {m!r} of special factor {w!r} is not an indexed factor; "
                     f"the language is not closed under the group at length {n}"
                 )
-            if m not in special_set:
+            if m not in specials:
                 raise ConsistencyError(
                     f"orbit member {m!r} of special factor {w!r} is not special; "
                     "closure or extension data is inconsistent"
@@ -404,7 +402,7 @@ def complexity_identity(group: SymmetryGroup, index: LanguageIndex, n_range) -> 
             raise IndexRangeError(f"identity at order {n} needs factors of length {n + 1}")
         lhs = (c[n + 1] - c[n]) + group.order
         rhs = sum(len(pals[t][n]) + len(pals[t][n + 1]) for t in group.involutive_antimorphisms)
-        distinguishing = group.is_distinguishing(index.factors(n))
+        distinguishing = index.is_distinguishing(group, n)
         second = None
         if n + 2 <= index.n_max:
             d2 = (c[n + 2] - c[n + 1]) - (c[n + 1] - c[n])

@@ -35,7 +35,21 @@ g(v) is g(u') for a length-m factor u' of v, and u' is in F_m.
 By (1), the orders whose level closure changes form an upper range, so the
 index closes level ``n_max`` first and walks down to the first level that
 closure leaves unchanged.  By (2), each completed level holds the length-n
-factors of the completed level above it.
+factors of the completed level above it.  Closure translates each level once
+per map: every factor of level n has n letters, so the image of the joined
+level cuts back into the images of the factors with no separator, in
+reverse order for an antimorphism.
+
+Orbit columns.  For a map g and an order n, the column of g is the tuple of
+the images g(w) of the factors w of level n, in level order, made by that
+same cut of one translate.  A column is built on its first query, after
+closure, and kept; columns are keyed by map, not by group, so every subgroup
+of the index's group reads the translates the first one made.  The class
+representatives of a group at order n are the element-wise ``min`` of its
+columns, the orbit of a factor is the set of its row across them, a factor
+is a theta-palindrome when it equals its row in the column of theta, and an
+order distinguishes the antimorphisms when their columns differ in every
+row.
 
 Extension sets are read off the level above.  One pass over level n + 1
 gives every length-n factor w its left letters (a with a·w at level n + 1)
@@ -44,8 +58,10 @@ and its right letters; one pass over level n + 2 gives its bilateral pairs
 (a, theta(a)) among them.  By (2), every word of level n + 1 or n + 2 lands
 on a factor of level n.  Each table is built on the first query at its order
 and kept; most factors have one of a few extension sets, and equal sets are
-shared.  As the extensions are defined by membership, the classical counting
-identities are exact on any finite text:
+shared.  The special and bispecial factors of an order are read in one pass
+off its lext and rext tables, once for every group.  As the extensions are
+defined by membership, the classical counting identities are exact on any
+finite text:
 
 * sum over L_n of (#Lext - 1) = C(n+1) - C(n), likewise for Rext,
 * sum over L_n of b(w) = second difference of C,
@@ -134,12 +150,8 @@ class LanguageIndex:
             # top-order closure lemma: stop at the first level closure leaves unchanged
             for n in range(n_max, 0, -1):
                 level = self._levels[n]
-                # every factor has length n, so the image of the joined level under g
-                # cuts back into the images of the factors (in reverse order for an
-                # antimorphism) with no separator
                 joined = "".join(level)
-                images = [g.apply(joined) for g in others]
-                added = {im[i:i + n] for im in images for i in range(0, len(im), n)}.difference(level)
+                added = set(_cut([g.apply(joined) for g in others], n)).difference(level)
                 if not added:
                     break
                 self.closure_added[n] = frozenset(added)
@@ -150,6 +162,10 @@ class LanguageIndex:
 
         # (kind, n) -> factor of length n -> its extensions of that kind
         self._tables: dict[tuple[str, int], dict[str, frozenset]] = {}
+        # (map, n) -> the images of the factors of length n, in level order
+        self._columns: dict[tuple[SymmetryMap, int], tuple[str, ...]] = {}
+        # n -> what _special_lists returns for n
+        self._specials: dict[int, tuple[dict[str, int], tuple[str, ...]]] = {}
 
     @cached_property
     def _palindromes(self) -> TextPalindromes:
@@ -191,9 +207,9 @@ class LanguageIndex:
 
     # -- extensions -----------------------------------------------------------
 
-    def _extensions(self, kind: str, w: str) -> frozenset:
+    def _table(self, kind: str, n: int) -> dict[str, frozenset]:
+        """The extensions of that kind of every factor of length n."""
         room, split = _EXTENSIONS[kind]
-        n = len(w)
         self._check_n(n, room=room)
         table = self._tables.get((kind, n))
         if table is None:
@@ -204,6 +220,10 @@ class LanguageIndex:
             sets = {v: frozenset(xs) for v, xs in found.items()}
             shared = {xs: xs for xs in sets.values()}  # one object per distinct set
             table = self._tables[kind, n] = {v: shared[xs] for v, xs in sets.items()}
+        return table
+
+    def _extensions(self, kind: str, w: str) -> frozenset:
+        table = self._table(kind, len(w))
         if w not in table:
             raise IndexRangeError(f"{w!r} is not an indexed factor")
         return table[w]
@@ -242,13 +262,67 @@ class LanguageIndex:
     def is_bispecial(self, w: str) -> bool:
         return self.is_left_special(w) and self.is_right_special(w)
 
+    def _special_lists(self, n: int) -> tuple[dict[str, int], tuple[str, ...]]:
+        """The special factors of length n with their rows, and the bispecial ones."""
+        found = self._specials.get(n)
+        if found is None:
+            left, right = self._table("lext", n), self._table("rext", n)
+            special, bispecial = {}, []
+            for row, w in enumerate(self._levels[n]):
+                a, b = len(left[w]) >= 2, len(right[w]) >= 2
+                if a or b:
+                    special[w] = row
+                    if a and b:
+                        bispecial.append(w)
+            found = self._specials[n] = (special, tuple(bispecial))
+        return found
+
+    def special_rows(self, n: int) -> dict[str, int]:
+        """The special factors of length n, in level order, each with its row:
+        its position in the level, which indexes every column of that order.
+        The mapping is the index's own; do not modify it."""
+        return self._special_lists(n)[0]
+
     def specials(self, n: int) -> tuple[str, ...]:
-        self._check_n(n, room=1)
-        return tuple(w for w in self.sorted_factors(n) if self.is_special(w))
+        return tuple(self._special_lists(n)[0])
 
     def bispecials(self, n: int) -> tuple[str, ...]:
-        self._check_n(n, room=1)
-        return tuple(w for w in self.sorted_factors(n) if self.is_bispecial(w))
+        return self._special_lists(n)[1]
+
+    # -- orbit columns --------------------------------------------------------
+
+    def column(self, g: SymmetryMap, n: int) -> tuple[str, ...]:
+        """The images under ``g`` of the factors of length n, in level order."""
+        self._check_n(n)
+        column = self._columns.get((g, n))
+        if column is None:
+            images = self._levels[n]  # the identity's column, and every map's at n = 0
+            if n and not g.is_identity():
+                images = _cut([g.apply("".join(images))], n)
+                if g.antimorphic:
+                    images.reverse()
+            column = self._columns[g, n] = tuple(images)
+        return column
+
+    def representatives(self, group: SymmetryGroup, n: int) -> tuple[str, ...]:
+        """Per factor of length n, in level order: the least word of its orbit
+        under ``group`` (``group.class_representative``)."""
+        return tuple(map(min, zip(*(self.column(g, n) for g in group.elements))))
+
+    def orbits(self, group: SymmetryGroup, n: int, rows) -> list[tuple[str, ...]]:
+        """Per row of level n in ``rows``: the orbit of its factor under ``group``,
+        sorted (``group.equivalence_class``)."""
+        columns = [self.column(g, n) for g in group.elements]
+        return [tuple(sorted({column[i] for column in columns})) for i in rows]
+
+    def is_distinguishing(self, group: SymmetryGroup, n: int) -> bool:
+        """Whether distinct antimorphisms of ``group`` act distinctly on every
+        factor of length n (``group.is_distinguishing(self.factors(n))``)."""
+        antims = group.antimorphisms
+        if len(antims) <= 1:
+            return True
+        rows = zip(*(self.column(t, n) for t in antims))
+        return all(len(set(row)) == len(antims) for row in rows)
 
     # -- complexities ---------------------------------------------------------
 
@@ -258,8 +332,8 @@ class LanguageIndex:
     def theta_palindromes(self, theta: SymmetryMap, n: int) -> tuple[str, ...]:
         if not theta.antimorphic:
             raise GroupError(f"{theta.name} is not an antimorphism")
-        self._check_n(n)
-        return tuple(w for w in self.sorted_factors(n) if theta.apply(w) == w)
+        column = self.column(theta, n)
+        return tuple(w for w, image in zip(self._levels[n], column) if w == image)
 
     def palindromic_complexity(self, theta: SymmetryMap) -> list[int]:
         """P(n) for n = 0..n_max: count of theta-fixed indexed factors."""
@@ -274,6 +348,14 @@ class LanguageIndex:
             for theta in self.group.antimorphisms:
                 p[theta] = self.palindromic_complexity(theta)
         return ComplexityTable(n_max=self.n_max, c=c, delta_c=delta, delta2_c=delta2, p_theta=p)
+
+
+def _cut(images: list[str], n: int) -> list[str]:
+    """The ``images`` cut into pieces of n >= 1 letters, in order.  For the
+    image under a map g of a joined level of length-n factors, these are the
+    images of the factors, in level order for a morphism and in reverse for
+    an antimorphism (see the module docstring)."""
+    return [image[i:i + n] for image in images for i in range(0, len(image), n)]
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ INCONSISTENT = "inconsistent"
 def min_distinguishing(group: SymmetryGroup, index: LanguageIndex, n_max: int) -> int | None:
     """Smallest indexed order at which distinct antimorphisms act distinctly."""
     for n in range(n_max + 1):
-        if group.is_distinguishing(index.factors(n)):
+        if index.is_distinguishing(group, n):
             return n
     return None
 
@@ -173,22 +173,28 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     the order below it for Lemma 1), and languages not known to be closed
     under ``group`` (an index built without a group, with closure additions,
     or for a group not containing ``group``) are sliced directly.  ``text``
-    must be ``index.text``.
+    must be ``index.text``.  Each order is grouped into classes by the
+    index's representatives (:meth:`LanguageIndex.representatives`), and
+    every factor of an order points at the entry of its class, so the classes
+    of the head, the tail, Lemma 1's b·m·c and Lemma 2's e are found by the
+    factor itself.
     """
     if text != index.text:  # O(1) when both are one object
         raise SymrichError(f"text of length {len(text)} is not the indexed text "
                            f"(length {len(index.text)})")
     derive = index.g_closed and all(g in index.group for g in group.elements)
     size = len(text)
-    # per order: class representative -> (record, first occurrence, last occurrence)
+    # per order: factor -> (record, first occurrence, last occurrence) of its class
     levels: dict[int, dict[str, tuple[CrwRecord, int, int]]] = {}
+    records: dict[int, list[CrwRecord]] = {}
     for n in range(n_hi, n_lo - 1, -1):
+        rep_of = dict(zip(index.sorted_factors(n), index.representatives(group, n)))
         classes: dict[str, list[str]] = {}
-        for w in index.sorted_factors(n):
-            classes.setdefault(group.class_representative(w), []).append(w)
-        head = group.class_representative(text[:n])
-        tail = group.class_representative(text[size - n:])
+        for w, rep in rep_of.items():
+            classes.setdefault(rep, []).append(w)
+        head, tail = rep_of[text[:n]], rep_of[text[size - n:]]
         level = levels[n] = {}
+        records[n] = []
         for rep in sorted(classes):
             source = _outer_entry(group, index, levels, rep) if derive and n < n_hi else None
             if source:
@@ -222,8 +228,10 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
                 returns = suspects = {text[i:j + n] for i, j in zip(occ, occ[1:])}
                 first, last = (occ[0], occ[-1]) if occ else (-1, -1)
             violations = tuple(sorted(v for v in suspects if not group.is_g_palindrome(v)))
-            level[rep] = (CrwRecord(n, rep, tuple(sorted(returns)), violations), first, last)
-    return [record for n in range(n_lo, n_hi + 1) for record, _, _ in levels[n].values()]
+            record = CrwRecord(n, rep, tuple(sorted(returns)), violations)
+            records[n].append(record)
+            level.update(dict.fromkeys(classes[rep], (record, first, last)))
+    return [record for n in range(n_lo, n_hi + 1) for record in records[n]]
 
 
 def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
@@ -242,7 +250,7 @@ def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
     if len(left) == 1 and len(right) == 1:
         (b,), (c,) = left, right
         up = levels.get(len(rep) + 2)
-        entry = up and up.get(group.class_representative(b + rep + c))
+        entry = up and up.get(b + rep + c)  # none when b·rep·c is no factor
         return (entry, None) if entry else None
     if len(left) >= 2 and len(right) == 1:
         (c,) = right
@@ -255,7 +263,7 @@ def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
     shifts: dict[str, set[int]] = {}
     for g in group.elements:
         shifts.setdefault(g.apply(e), set()).add(1 - s0 if g.antimorphic else s0)
-    return levels[len(e)][min(shifts)], shifts
+    return levels[len(e)][e], shifts
 
 
 @dataclass(frozen=True)

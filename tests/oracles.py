@@ -109,6 +109,27 @@ def set_union_crw_records(group, index, text, n_lo, n_hi):
     return records
 
 
+OrbitData = namedtuple("OrbitData", "columns representatives orbits distinguishing specials bispecials")
+
+
+def per_factor_orbit_data(group, index, n):
+    """Oracle for the orbit columns of ``index`` at order n and what is read off
+    them, through the per-word methods of ``group`` and ``index``: per element
+    of ``group`` its images of the factors in level order, per factor its class
+    representative and orbit, the distinguishing flag, and the special and
+    bispecial factors (None when order n + 1 is not indexed)."""
+    level = index.sorted_factors(n)
+    room = n < index.n_max
+    return OrbitData(
+        columns={g: tuple(g.apply(w) for w in level) for g in group.elements},
+        representatives=tuple(group.class_representative(w) for w in level),
+        orbits=[group.equivalence_class(w) for w in level],
+        distinguishing=group.is_distinguishing(index.factors(n)),
+        specials=tuple(w for w in level if index.is_special(w)) if room else None,
+        bispecials=tuple(w for w in level if index.is_bispecial(w)) if room else None,
+    )
+
+
 def position_walk_edges(group, index, n):
     """Oracle for the edges of ``directed_symmetry_graph``: every occurrence of
     every special factor is sorted into one position list, and each

@@ -1,9 +1,12 @@
 import hashlib
+import importlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from symrich import LanguageIndex, SymmetryGroup
 from symrich.cli import EXIT_CONFIG, EXIT_INSUFFICIENT_PREFIX, EXIT_REFUTED_INVARIANT, main
 from symrich.presets import hexa_group
 
@@ -321,6 +324,43 @@ class TestRepro:
         expected = json.loads(BENCH_REFERENCE.read_text())["subgroup-scan"]["repro-subgroups"]
         code, out, _ = run(capsys, "--length", "1000", "repro", "subgroups")
         assert {"exit": code, "sha256": hashlib.sha256(out.encode()).hexdigest()} == expected
+
+    def test_subgroups_translate_each_column_once(self, capsys, monkeypatch):
+        # the 11 subgroups read one index's columns: each (map, order) pair is
+        # translated once, and the return words make no per-factor class call
+        builds, in_crw, representatives = Counter(), [], []
+        real_column = LanguageIndex.column
+
+        def column(self, g, n):
+            if (g, n) not in self._columns:
+                builds[g, n] += 1
+            return real_column(self, g, n)
+
+        verify_module = importlib.import_module("symrich.verify")  # not the function
+        real_crw = verify_module.crw_records
+
+        def crw_records(*args):
+            in_crw.append(True)
+            try:
+                return real_crw(*args)
+            finally:
+                in_crw.pop()
+
+        real_representative = SymmetryGroup.class_representative
+
+        def class_representative(self, word):
+            if in_crw:
+                representatives.append(word)
+            return real_representative(self, word)
+
+        monkeypatch.setattr(LanguageIndex, "column", column)
+        monkeypatch.setattr(verify_module, "crw_records", crw_records)
+        monkeypatch.setattr(SymmetryGroup, "class_representative", class_representative)
+        code, out, _ = run(capsys, "--length", "1000", "repro", "subgroups")
+        assert code == 0 and out.count("subgroup ") == 11
+        assert {g for g, _ in builds} == set(hexa_group().elements)
+        assert set(builds.values()) == {1}
+        assert representatives == []
 
     def test_subgroups_scaled_down(self, capsys):
         code, out, _ = run(capsys, "--length", "900", "--nmax", "12", "repro", "subgroups")

@@ -21,6 +21,7 @@ from oracles import (
     closure_involutively_generated,
     closure_subgroups,
     complete_g_return_words,
+    per_factor_orbit_data,
     per_group_dual_defect,
     position_walk_edges,
     set_union_crw_records,
@@ -626,6 +627,55 @@ class TestIndexDifferential:
         assert crw_records(group, index, word, 1, n_max) == set_union_crw_records(
             group, index, word, 1, n_max
         )
+
+
+@st.composite
+def orbit_column_case_st(draw):
+    """A word, an order n_max <= |word|, a group to index it with, and a
+    subgroup of that group; the group is random or generated by one
+    antimorphism that need not be an involution."""
+    if draw(st.booleans()):
+        group = draw(group_st())
+    else:
+        group = SymmetryGroup.close([draw(antimorphism_st(draw(alphabet_st())))])
+    word = draw(word_st(group.alphabet) | closure_word_st(group))
+    sub = draw(st.sampled_from(group.subgroups()))
+    return word, draw(st.integers(0, len(word))), group, sub
+
+
+class TestOrbitColumns:
+    """The orbit columns of the index and the representatives, orbits,
+    palindromes, distinguishing flags and special lists read off them, against
+    per-factor calls, for the indexing group and for a subgroup reading its
+    columns."""
+
+    @given(case=orbit_column_case_st())
+    @example(case=("0001000100010001000", 6, binary_full_group(),  # closure adds 11, 111, ...
+                   reversal_group(BINARY)))
+    @example(case=("0123" * 5, 8, cyclic4_reversal_group(),  # a subgroup whose antimorphisms
+                   SymmetryGroup.close([next(  # have order 4
+                       t for t in cyclic4_reversal_group().antimorphisms if not t.is_involution()
+                   )])))
+    @settings(max_examples=150, deadline=None)
+    def test_columns_match_per_factor_calls(self, case):
+        word, n_max, group, sub = case
+        index = LanguageIndex(word, n_max, group)
+        for n in range(n_max + 1):
+            level = index.sorted_factors(n)
+            for h in (group, sub):
+                expected = per_factor_orbit_data(h, index, n)
+                assert {g: index.column(g, n) for g in h.elements} == expected.columns
+                assert index.representatives(h, n) == expected.representatives
+                assert index.orbits(h, n, range(len(level))) == expected.orbits
+                assert index.is_distinguishing(h, n) == expected.distinguishing
+            for theta in group.antimorphisms:
+                assert index.theta_palindromes(theta, n) == tuple(
+                    w for w in level if theta.apply(w) == w
+                )
+            if n < n_max:
+                assert index.specials(n) == expected.specials
+                assert index.bispecials(n) == expected.bispecials
+                assert index.special_rows(n) == {w: level.index(w) for w in expected.specials}
 
 
 @functools.cache
