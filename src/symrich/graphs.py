@@ -147,10 +147,11 @@ def _vertex_classes(
 
 
 def directed_symmetry_graph(group: SymmetryGroup, index: LanguageIndex, n: int) -> SymmetryGraph:
-    """Edges are discovered by walking the text forward from the first occurrence
-    of each special factor w followed by each of its right extensions a to the
-    next occurrence of any special factor, so every edge label is a genuine
-    factor of the analyzed prefix."""
+    """Edges are the index's walks from the first occurrence of each special
+    factor w followed by each of its right extensions a to the next occurrence
+    of any special factor (:meth:`LanguageIndex.edge_labels`), so every edge
+    label is a genuine factor of the analyzed prefix.  The walks do not depend
+    on the group; only their endpoints are labelled by its classes."""
     if n < 1:
         raise IndexRangeError("symmetry graphs are built for orders n >= 1")
     if n + 1 > index.n_max:
@@ -161,25 +162,9 @@ def directed_symmetry_graph(group: SymmetryGroup, index: LanguageIndex, n: int) 
             f"(lengths {sorted(index.closure_added)}); the prefix is too short for graph analysis"
         )
     vertex_classes, rep_of = _vertex_classes(group, index, n)
-    text = index.text
-    last = len(text) - n  # the last start of a length-n window
-
-    edges = []
-    for w in sorted(rep_of):
-        for a in sorted(index.rext(w)):
-            # w + a is a factor of the text: the closure guard above has passed
-            q = text.find(w + a)
-            p = q + 1
-            while p <= last and text[p:p + n] not in rep_of:
-                p += 1
-            if p > last:
-                raise InsufficientPrefixError(
-                    f"edge walk from special factor {w!r} with extension {a!r} runs off "
-                    "the prefix before reaching another special factor; extend the prefix"
-                )
-            label = text[q:p + n]
-            edges.append(DirectedEdge(label, rep_of[w], rep_of[label[-n:]]))
-    edges.sort(key=lambda e: (e.source, e.target, e.label))
+    edges = sorted((DirectedEdge(label, rep_of[label[:n]], rep_of[label[-n:]])
+                    for label in index.edge_labels(n)),
+                   key=lambda e: (e.source, e.target, e.label))
     return SymmetryGraph(n, True, vertex_classes, tuple(edges), ())
 
 

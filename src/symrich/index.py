@@ -67,6 +67,11 @@ finite text:
 * sum over L_n of b(w) = second difference of C,
 * P(n+2) = sum of #Pext over fixed factors of length n, per antimorphism.
 
+The edges of the graphs of symmetries of order n are walks of the text
+between special windows, and the special factors are the same for every
+group, so each order is walked once and every group labels the edges by its
+own classes.
+
 :func:`stability_check` compares factor sets at the top order only.  Let u
 be a prefix of v and n <= |u|.  If u and v have the same factors of length
 n, they have the same factors of every length m <= n: a length-m factor of v
@@ -80,7 +85,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
 
-from .errors import GroupError, IndexRangeError
+from .errors import GroupError, IndexRangeError, InsufficientPrefixError
 from .palindromes import TextPalindromes
 from .symmetry import SymmetryGroup, SymmetryMap
 from .words import WordSource
@@ -166,6 +171,8 @@ class LanguageIndex:
         self._columns: dict[tuple[SymmetryMap, int], tuple[str, ...]] = {}
         # n -> what _special_lists returns for n
         self._specials: dict[int, tuple[dict[str, int], tuple[str, ...]]] = {}
+        # n -> the edge labels of order n, or the error their walk raised
+        self._edges: dict[int, tuple[str, ...] | InsufficientPrefixError] = {}
 
     @cached_property
     def _palindromes(self) -> TextPalindromes:
@@ -204,6 +211,12 @@ class LanguageIndex:
         self._check_n(len(w))
         a, b = self._levels[len(w)].get(w, (0, 0))
         return tuple(sorted(self._order[a:b]))
+
+    def occurrence_count(self, w: str) -> int:
+        """How often ``w`` occurs in the text, read off its run without listing it."""
+        self._check_n(len(w))
+        a, b = self._levels[len(w)].get(w, (0, 0))
+        return b - a
 
     # -- extensions -----------------------------------------------------------
 
@@ -288,6 +301,39 @@ class LanguageIndex:
 
     def bispecials(self, n: int) -> tuple[str, ...]:
         return self._special_lists(n)[1]
+
+    def edge_labels(self, n: int) -> tuple[str, ...]:
+        """The edges of the graphs of symmetries of order n, for every group:
+        per special factor w of length n and right letter a, in that order, the
+        word from the first occurrence of w·a to the next special length-n
+        window.  The walk runs once per order; the index must have no closure
+        additions.  Raises InsufficientPrefixError when a walk runs off the text."""
+        found = self._edges.get(n)
+        if found is None:
+            found = self._edges[n] = self._walk_edges(n)
+        if isinstance(found, InsufficientPrefixError):
+            raise found.with_traceback(None)
+        return found
+
+    def _walk_edges(self, n: int) -> tuple[str, ...] | InsufficientPrefixError:
+        """The labels :meth:`edge_labels` reads, or the error it raises."""
+        specials = self.special_rows(n)
+        text = self.text
+        last = len(text) - n  # the last start of a length-n window
+        labels = []
+        for w in specials:
+            for a in sorted(self.rext(w)):
+                q = text.find(w + a)
+                p = q + 1
+                while p <= last and text[p:p + n] not in specials:
+                    p += 1
+                if p > last:
+                    return InsufficientPrefixError(
+                        f"edge walk from special factor {w!r} with extension {a!r} runs off "
+                        "the prefix before reaching another special factor; extend the prefix"
+                    )
+                labels.append(text[q:p + n])
+        return tuple(labels)
 
     # -- orbit columns --------------------------------------------------------
 

@@ -169,12 +169,40 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
       some g swapping the unique sides, an antimorphism, and by (2) g maps
       w, the extension word of u, to the extension word of u', which is w.
 
-    Bispecial classes, classes with no inner occurrence, the top order (and
-    the order below it for Lemma 1), and languages not known to be closed
-    under ``group`` (an index built without a group, with closure additions,
-    or for a group not containing ``group``) are sliced directly.  ``text``
-    must be ``index.text``.  Each order is grouped into classes by the
-    index's representatives (:meth:`LanguageIndex.representatives`), and
+    Lemma 3 (a walk on the index).  Let the index have no closure additions,
+    so that its level m is the set of length-m factors of the text for every
+    m <= n_max, and let C be a class of order n.  A word f with |f| > n is a
+    complete return word of C iff f is a factor, f[:n] and f[-n:] are
+    members of C, and no other length-n window of f is a member.
+
+    Proof.  The return word ``text[i:j + n]`` of consecutive occurrences
+    i < j is a factor longer than n that starts and ends with a member; a
+    member at offset k of it, 0 < k < j - i, would occur at i + k, between
+    i and j.  Conversely, if f occurs at p, then p and p + |f| - n are
+    occurrences of C, and no window of f between them is a member, so they
+    are consecutive and f is their return word.
+
+    So crw(C) is found by a depth-first walk from every member: a word s,
+    whose only member window is its first, is extended by each letter a of
+    ``index.rext(s)``; t = s·a is a factor, and it is recorded when t[-n:] is
+    a member and extended further when not.  Every return word is reached
+    through its prefixes.  The walk falls back to slicing when a word of
+    ``index.n_max`` letters would have to be extended, as the index knows no
+    longer factors, or when it has visited more words than C has
+    occurrences, so it never costs more than the slicing it replaces.  The
+    first and last occurrences that lower orders chain off are the least
+    ``text.find`` and the greatest ``text.rfind`` over the members.
+
+    Below the top order n_hi, every class that neither Lemma 1 nor Lemma 2
+    derives is walked when the index has no closure additions: bispecial
+    classes, classes with no inner occurrence or with a side that has no
+    extension, Lemma 1's classes at order n_hi - 1, and every class when the
+    language is not known to be closed under ``group`` (an index built
+    without a group, or for a group not containing ``group``).  The top
+    order, the walks that fall back and indexes with closure additions are
+    sliced: ``text[i:j + n]`` for each pair of consecutive occurrences.
+    ``text`` must be ``index.text``.  Each order is grouped into classes by
+    the index's representatives (:meth:`LanguageIndex.representatives`), and
     every factor of an order points at the entry of its class, so the classes
     of the head, the tail, Lemma 1's b·m·c and Lemma 2's e are found by the
     factor itself.
@@ -183,6 +211,7 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
         raise SymrichError(f"text of length {len(text)} is not the indexed text "
                            f"(length {len(index.text)})")
     derive = index.g_closed and all(g in index.group for g in group.elements)
+    walk = not index.closure_added
     size = len(text)
     # per order: factor -> (record, first occurrence, last occurrence) of its class
     levels: dict[int, dict[str, tuple[CrwRecord, int, int]]] = {}
@@ -223,10 +252,16 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
                     suspects.add(text[last:])
                     last = size - n
             else:
-                # distinct factors of one length never share a start position
-                occ = sorted(chain.from_iterable(map(index.occurrences, classes[rep])))
-                returns = suspects = {text[i:j + n] for i, j in zip(occ, occ[1:])}
-                first, last = (occ[0], occ[-1]) if occ else (-1, -1)
+                members = classes[rep]
+                returns = suspects = _walk_returns(index, members) if walk and n < n_hi else None
+                if returns is not None:  # Lemma 3
+                    first = min(text.find(m) for m in members)
+                    last = max(text.rfind(m) for m in members)
+                else:
+                    # distinct factors of one length never share a start position
+                    occ = sorted(chain.from_iterable(map(index.occurrences, members)))
+                    returns = suspects = {text[i:j + n] for i, j in zip(occ, occ[1:])}
+                    first, last = (occ[0], occ[-1]) if occ else (-1, -1)
             violations = tuple(sorted(v for v in suspects if not group.is_g_palindrome(v)))
             record = CrwRecord(n, rep, tuple(sorted(returns)), violations)
             records[n].append(record)
@@ -264,6 +299,30 @@ def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
     for g in group.elements:
         shifts.setdefault(g.apply(e), set()).add(1 - s0 if g.antimorphic else s0)
     return levels[len(e)][e], shifts
+
+
+def _walk_returns(index: LanguageIndex, members: list[str]) -> set[str] | None:
+    """The complete return words of the class with these ``members`` (factors
+    of one length n), by the walk of Lemma 3 in :func:`crw_records`, or None
+    when the walk must fall back to slicing.  ``index`` must have no closure
+    additions."""
+    n = len(members[0])
+    inside = set(members)
+    budget = sum(map(index.occurrence_count, members))
+    found: set[str] = set()
+    stack = list(members)
+    while stack:
+        s = stack.pop()
+        budget -= 1
+        if budget < 0 or len(s) == index.n_max:
+            return None
+        for a in index.rext(s):
+            t = s + a
+            if t[-n:] in inside:
+                found.add(t)
+            else:
+                stack.append(t)
+    return found
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from oracles import connected
 from symrich import (
     IndexRangeError,
+    InsufficientPrefixError,
     LanguageIndex,
     bispecial_check,
     complexity_identity,
@@ -11,8 +14,17 @@ from symrich import (
     tls_verdict,
     undirected_symmetry_graph,
 )
+from symrich.cli import main
 from symrich.graphs import SymmetryGraph, TlsVerdict, UndirectedEdge, _tree_check
-from symrich.presets import BINARY, exchange_group, octa_group, octa_source
+from symrich.presets import (
+    BINARY,
+    binary_full_group,
+    exchange_group,
+    octa_group,
+    octa_source,
+    reversal_group,
+    thue_morse_source,
+)
 from symrich.symmetry import SymmetryGroup, SymmetryMap
 from symrich.words import Alphabet, PeriodicSource
 
@@ -99,6 +111,49 @@ def orbit_collapsed(group, directed):
         undirected.setdefault(members[0], UndirectedEdge(members[0], members, endpoints))
     edges = tuple(sorted(undirected.values(), key=lambda e: (e.endpoints, e.representative)))
     return SymmetryGraph(directed.order, False, directed.vertex_classes, directed.directed_edges, edges)
+
+
+class TestEdgeWalkPerIndex:
+    """The edge walks of the graphs of symmetries run once per order of an
+    index, whichever groups read them."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Per (index, order): how often the edges were walked."""
+        real, found = LanguageIndex._walk_edges, Counter()
+
+        def spy(index, n):
+            found[id(index), n] += 1
+            return real(index, n)
+
+        monkeypatch.setattr(LanguageIndex, "_walk_edges", spy)
+        return found
+
+    def test_subgroups_walk_each_order_once(self, walks, monkeypatch, capsys):
+        real, reads = LanguageIndex.edge_labels, Counter()
+
+        def spy(index, n):
+            reads[n] += 1
+            return real(index, n)
+
+        monkeypatch.setattr(LanguageIndex, "edge_labels", spy)
+        assert main(["--length", "1000", "repro", "subgroups"]) == 0
+        assert capsys.readouterr().out.count("subgroup ") == 11
+        # one index, orders 1..20, each walked once and read by all 11 subgroups
+        assert len({index for index, _ in walks}) == 1
+        assert sorted(n for _, n in walks) == list(range(1, 21))
+        assert set(walks.values()) == {1}
+        assert reads == dict.fromkeys(range(1, 21), 11)
+
+    def test_walk_off_the_prefix_raises_for_every_group(self, walks):
+        index = LanguageIndex(thue_morse_source().prefix(13), 6)
+        message = ("edge walk from special factor '1001' with extension '0' runs off "
+                   "the prefix before reaching another special factor; extend the prefix")
+        for group in (reversal_group(BINARY), binary_full_group(), reversal_group(BINARY)):
+            with pytest.raises(InsufficientPrefixError) as error:
+                directed_symmetry_graph(group, index, 4)
+            assert str(error.value) == message
+        assert walks == {(id(index), 4): 1}
 
 
 class TestUndirectedGraphs:

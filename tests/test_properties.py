@@ -694,16 +694,17 @@ def preset_word(name):
 
 class TestCrwOnClosedLanguages:
     """Return words derived from orders n + 1 and n + 2 against the
-    per-occurrence oracle, on closed languages, where the derivation applies."""
+    per-occurrence oracle, on closed languages, where the derivation applies;
+    below the top order, the classes that neither derives walk (Lemma 3)."""
 
     @given(data=st.data())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_subgroups_of_preset_words(self, data):
         name = data.draw(st.sampled_from(["tm", "fib", "t33", "octa", "hexa"]))
         text, group, subgroups = preset_word(name)
         text = text[:data.draw(st.integers(50, 600))]
         sub = data.draw(st.sampled_from(subgroups))
-        n_max = data.draw(st.integers(1, 20))
+        n_max = data.draw(st.integers(1, 40))
         # orders below the top one chain off the orders above them
         n_hi = data.draw(st.integers(1, n_max))
         n_lo = data.draw(st.integers(1, n_hi))
@@ -722,6 +723,41 @@ class TestCrwOnClosedLanguages:
             assert crw_records(sub, index, text, 1, 16) == set_union_crw_records(
                 sub, index, text, 1, 16
             )
+
+
+@st.composite
+def walk_case_st(draw):
+    """A group (random, or generated by one antimorphism that need not be an
+    involution), a word over its alphabet, and orders n_lo <= n_hi <= n_max <=
+    |word|.  The word is random, grown by closure, or a repeated block, whose
+    classes recur at short distances, so that many walks end within their
+    budget."""
+    if draw(st.booleans()):
+        group = draw(group_st())
+    else:
+        group = SymmetryGroup.close([draw(antimorphism_st(draw(alphabet_st())))])
+    block = draw(word_st(group.alphabet, min_size=1, max_size=5))
+    word = draw(word_st(group.alphabet, min_size=1) | closure_word_st(group)
+                | st.integers(1, 40).map(lambda size: (block * size)[:size]))
+    n_max = draw(st.integers(1, len(word)))
+    n_hi = draw(st.integers(1, n_max))
+    return group, word, draw(st.integers(1, n_hi)), n_hi, n_max
+
+
+class TestCrwWalk:
+    """The walk of Lemma 3 in ``crw_records`` against the per-occurrence
+    oracle.  An index built without a group has no closure additions and is
+    not known to be closed, so every class below the top order tries the walk."""
+
+    @given(case=walk_case_st())
+    @settings(max_examples=200, deadline=None)
+    def test_index_without_group(self, case):
+        group, word, n_lo, n_hi, n_max = case
+        index = LanguageIndex(word, n_max)
+        assert not index.closure_added
+        assert crw_records(group, index, word, n_lo, n_hi) == set_union_crw_records(
+            group, index, word, n_lo, n_hi
+        )
 
 
 def edges_or_error(build, group, index, n):

@@ -22,6 +22,12 @@ def test_thue_morse_order_four_verify():
     assert report.identity and all(record.holds for record in report.identity)
 
 
+def test_thue_morse_order_four_verify_at_1m():
+    # the million-letter scale target; no timing is asserted
+    report = verify(binary_full_group(), thue_morse_source(), 1_024_000, 60)
+    assert report.overall == RICH
+
+
 def test_fibonacci_reversal_defect():
     assert defect_profile(reversal_group(BINARY), fibonacci_source().prefix(64000)).final == 0
 

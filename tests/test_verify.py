@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from groups import cyclic4_antimorphism_group
-from oracles import g_occurrences, set_union_crw_records
+from oracles import complete_g_return_words, g_occurrences, set_union_crw_records
 from symrich import (
     AlphabetError,
     ConsistencyError,
@@ -328,6 +328,80 @@ class TestCrwOneSided:
         assert shifts is not None  # derived from order 4
         record = next(r for r in records if r.n == 3 and r.representative == rep)
         assert boundary in record.return_words
+
+
+class TestCrwWalk:
+    """Return words of the classes that neither lemma derives, by the walk of
+    Lemma 3 on the index, and its two ways of falling back to slicing."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Per (order, least member) of each class that tried the walk: whether
+        the walk ended (True) or fell back to slicing (False)."""
+        module = importlib.import_module("symrich.verify")
+        real, found = module._walk_returns, {}
+
+        def spy(index, members):
+            result = real(index, members)
+            found[len(members[0]), min(members)] = result is not None
+            return result
+
+        monkeypatch.setattr(module, "_walk_returns", spy)
+        return found
+
+    def test_deep_index_classes(self, walks):
+        # the benchmark's deep-index input; the bispecial classes of orders 24,
+        # 32 and 48 have return words longer than 62 letters, Lemma 1's classes
+        # at order 59 have no order 61 to derive from, and order 60 is the top
+        text = thue_morse_source().prefix(32000)
+        group = binary_full_group()
+        index = LanguageIndex(text, 62, group)
+        records = crw_records(group, index, text, 1, 60)
+        walked = {n: rep for (n, rep), ended in walks.items() if ended}
+        assert sorted(walked) == [1, 2, 3, 4, 6, 8, 12, 16]
+        assert all(index.is_bispecial(rep) for rep in walked.values())
+        assert Counter(n for (n, _), ended in walks.items() if not ended) == {
+            24: 1, 32: 1, 48: 1, 59: 44,
+        }
+        for record in records:
+            if walked.get(record.n) == record.representative:
+                assert record.return_words == tuple(sorted(
+                    complete_g_return_words(group, record.representative, text)
+                ))
+
+    def test_walk_that_outgrows_the_index(self, walks):
+        # the order-24 bispecial class of Thue-Morse has return words of 32, 48
+        # and 80 letters: an index of order 62 cannot hold the longest one
+        text = thue_morse_source().prefix(4000)
+        group = binary_full_group()
+        for n_max, ended in [(62, False), (100, True)]:
+            index = LanguageIndex(text, n_max, group)
+            assert crw_records(group, index, text, 24, 25) == set_union_crw_records(
+                group, index, text, 24, 25
+            )
+            assert walks[24, "011010011001011001101001"] is ended
+
+    def test_walk_over_its_budget(self, walks, id_r):
+        # 0 occurs 3 times, and its return words of 12 letters need 12 visits
+        text = "0" + "1" * 10 + "0" + "1" * 10 + "0"
+        index = LanguageIndex(text, len(text))
+        records = crw_records(id_r, index, text, 1, 2)
+        assert records == set_union_crw_records(id_r, index, text, 1, 2)
+        assert walks[1, "0"] is False
+        assert records[0].return_words == ("011111111110",)
+
+    def test_first_occurrence_over_all_members(self, walks):
+        # the head 15 of the hexa text is special on the left only, so under
+        # psi_2, psi_0 its class derives from the class of 150 at order 3, which
+        # walks; that class first occurs at 0 through 150, not its least member
+        text = hexa_text(50)
+        sub = hexa_subgroup(2)
+        index = LanguageIndex(text, 6, hexa_group())
+        assert index.g_closed and text.startswith("150")
+        assert walks == {} and sub.class_representative("150") == "031"
+        records = crw_records(sub, index, text, 1, 5)
+        assert records == set_union_crw_records(sub, index, text, 1, 5)
+        assert walks[3, "031"] is True and text.find("031") == 6
 
 
 HEXA_SUBGROUPS = [s for s in hexa_group().subgroups() if s.has_antimorphism]
