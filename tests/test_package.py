@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from test_outputs import digest, recorded
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -27,11 +29,12 @@ def test_all_names_resolve():
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(path):
-    """Every demo runs to the end, so every name it imports resolves, and
-    writes nothing to stderr."""
+    """Every demo runs to the end, so every name it imports resolves, writes
+    nothing to stderr, and prints what ``outputs.json`` recorded."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stderr) == (0, "")
+    assert digest(proc.stdout) == recorded()["demos"][path.name]
 
 
 @pytest.mark.parametrize("category", [DeprecationWarning, UserWarning, RuntimeWarning])
