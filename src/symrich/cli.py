@@ -268,11 +268,7 @@ def _cmd_graph(args) -> str:
         raise ConfigError("graph command needs --n <order>")
     _nonnegative(args.n, "--n")
     index = LanguageIndex(cfg.source.prefix(cfg.length), cfg.n_max + 2, cfg.group)
-    if args.kind == "rauzy":
-        return rauzy_graph(index, args.n).to_dot()
-    if args.kind == "sym-directed":
-        return directed_symmetry_graph(cfg.group, index, args.n).to_dot()
-    return undirected_symmetry_graph(cfg.group, index, args.n).to_dot()
+    return GRAPHS[args.kind](cfg.group, index, args.n).to_dot()
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -286,54 +282,17 @@ def _cmd_verify(args) -> tuple[str, int]:
 # -- reproduction presets --------------------------------------------------------------
 
 
-def _tm_group_index(n_depth: int, length: int = 400) -> tuple[SymmetryGroup, LanguageIndex]:
-    group = presets.binary_full_group()
-    text = presets.thue_morse_source().prefix(length)
-    return group, LanguageIndex(text, n_depth, group)
-
-
 def _repro_table1(_args) -> str:
     group = presets.binary_full_group()
     text = presets.thue_morse_source().prefix(19)
     return prefix_table_csv(group, text)
 
 
-def _repro_fig1(_args) -> str:
-    group = presets.reversal_group(presets.BINARY)
-    text = presets.fibonacci_source().prefix(300)
-    index = LanguageIndex(text, 12, group)
-    directed = directed_symmetry_graph(group, index, 3)
-    undirected = undirected_symmetry_graph(group, index, 3)
-    return directed.to_dot() + undirected.to_dot()
-
-
-def _repro_fig3(_args) -> str:
-    _, index = _tm_group_index(6)
-    return rauzy_graph(index, 3).to_dot()
-
-
-def _repro_fig4(_args) -> str:
-    group, index = _tm_group_index(12)
-    return directed_symmetry_graph(group, index, 3).to_dot()
-
-
-def _repro_fig5(_args) -> str:
-    group, index = _tm_group_index(12)
-    return undirected_symmetry_graph(group, index, 3).to_dot()
-
-
-def _repro_fig6(_args) -> str:
-    group = presets.reversal_group(presets.BINARY)
-    text = presets.thue_morse_source().prefix(400)
-    index = LanguageIndex(text, 12, group)
-    return undirected_symmetry_graph(group, index, 3).to_dot()
-
-
-def _repro_fig7(_args) -> str:
-    source = presets.generalized_thue_morse(3, 3)
-    group = dihedral_group(3)
-    index = LanguageIndex(source.prefix(600), 14, group)
-    return undirected_symmetry_graph(group, index, 3).to_dot()
+def _repro_figure(args) -> str:
+    make_group, make_source, length, order, kinds = FIGURES[args.preset]
+    group = make_group()
+    index = LanguageIndex(make_source().prefix(length), order, group)
+    return "".join(GRAPHS[kind](group, index, 3).to_dot() for kind in kinds)
 
 
 def _preset_size(value: int | None, default: int, flag: str) -> int:
@@ -345,39 +304,49 @@ def _preset_size(value: int | None, default: int, flag: str) -> int:
     return value
 
 
-def _repro_ex8(args) -> tuple[str, int]:
-    report = repro_octa(length=_preset_size(args.length, 2000, "--length"),
-                        n_max=_preset_size(args.nmax, 30, "--nmax"))
-    return report.to_text(), 0 if report.ok else EXIT_REFUTED_INVARIANT
-
-
-def _repro_ex6(args) -> tuple[str, int]:
-    report = repro_hexa(length=_preset_size(args.length, 2000, "--length"),
-                        n_max=_preset_size(args.nmax, 30, "--nmax"))
+def _repro_case_study(args) -> tuple[str, int]:
+    report = CASE_STUDIES[args.preset](length=_preset_size(args.length, 2000, "--length"),
+                                       n_max=_preset_size(args.nmax, 30, "--nmax"))
     return report.to_text(), 0 if report.ok else EXIT_REFUTED_INVARIANT
 
 
 def _repro_subgroups(args) -> tuple[str, int]:
-    results = subgroup_scan(
-        presets.hexa_group(),
-        text=presets.hexa_text(_preset_size(args.length, 2000, "--length")),
-        n_max=_preset_size(args.nmax, 20, "--nmax"),
-    )
+    length = _preset_size(args.length, 2000, "--length")
+    n_max = _preset_size(args.nmax, 20, "--nmax")
+    if length < n_max + 2:
+        raise InsufficientPrefixError(f"prefix of length {length} cannot support n_max={n_max}")
+    results = subgroup_scan(LanguageIndex(presets.hexa_text(length), n_max + 2, presets.hexa_group()))
     bad = any(r.identity_ok is False for r in results)
     body = "\n".join(r.render() for r in results) + "\n"
     return body, EXIT_REFUTED_INVARIANT if bad else 0
 
 
+#: graph kind -> builder of its graph of (group, index, order)
+GRAPHS = {
+    "rauzy": lambda _group, index, n: rauzy_graph(index, n),
+    "sym-directed": directed_symmetry_graph,
+    "sym-undirected": undirected_symmetry_graph,
+}
+
+#: figure -> (group, word source, prefix length, index order, graph kinds drawn at order 3)
+FIGURES = {
+    "fig1": (lambda: presets.reversal_group(presets.BINARY), presets.fibonacci_source, 300, 12,
+             ("sym-directed", "sym-undirected")),
+    "fig3": (presets.binary_full_group, presets.thue_morse_source, 400, 6, ("rauzy",)),
+    "fig4": (presets.binary_full_group, presets.thue_morse_source, 400, 12, ("sym-directed",)),
+    "fig5": (presets.binary_full_group, presets.thue_morse_source, 400, 12, ("sym-undirected",)),
+    "fig6": (lambda: presets.reversal_group(presets.BINARY), presets.thue_morse_source, 400, 12,
+             ("sym-undirected",)),
+    "fig7": (lambda: dihedral_group(3), lambda: presets.generalized_thue_morse(3, 3), 600, 14,
+             ("sym-undirected",)),
+}
+
+CASE_STUDIES = {"ex8": repro_octa, "ex6": repro_hexa}
+
 REPRO_PRESETS = {
     "table1": _repro_table1,
-    "fig1": _repro_fig1,
-    "fig3": _repro_fig3,
-    "fig4": _repro_fig4,
-    "fig5": _repro_fig5,
-    "fig6": _repro_fig6,
-    "fig7": _repro_fig7,
-    "ex8": _repro_ex8,
-    "ex6": _repro_ex6,
+    **dict.fromkeys(FIGURES, _repro_figure),
+    **dict.fromkeys(CASE_STUDIES, _repro_case_study),
     "subgroups": _repro_subgroups,
 }
 
@@ -438,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lps.add_argument("prefix_length", type=int)
 
     p_graph = sub.add_parser("graph", help="emit a graph in DOT form")
-    p_graph.add_argument("kind", choices=["rauzy", "sym-directed", "sym-undirected"])
+    p_graph.add_argument("kind", choices=list(GRAPHS))
     p_graph.add_argument("--n", type=int, help="graph order")
 
     sub.add_parser("verify", help="full richness verification report")

@@ -182,22 +182,27 @@ def repro_hexa(length: int = 2000, n_max: int = 30) -> CaseStudyReport:
         f"P0(1)={p[0][1]} P2(1)={p[2][1]} P1(1)={p[1][1]}",
     ))
 
-    transport_bad = _hexa_transport_violations(text, n_max)
+    # one octa index for both checks: bispecials up to u read level u + 2,
+    # transported palindromes up to t read level t
+    u = (n_max - 3) // 2
+    t = max(u, 4)
+    u_index = LanguageIndex(octa_source().prefix(max(length, 8 * u, 4 * t)), max(t, u + 2),
+                            octa_group())
+    transport_bad = _hexa_transport_violations(u_index, t, text)
     checks.append(CheckLine("palindrome transport", not transport_bad,
                             f"violations: {transport_bad[:3]}" if transport_bad else "holds"))
 
-    corr_ok, corr_detail = _hexa_bispecial_correspondence(index, n_max)
+    corr_ok, corr_detail = _hexa_bispecial_correspondence(u_index, u, index, n_max)
     checks.append(CheckLine("bispecial correspondence", corr_ok, corr_detail))
 
-    scan = subgroup_scan(group, text=text, n_max=min(n_max, 20))
+    scan = subgroup_scan(LanguageIndex(text, min(n_max, 20) + 2, group))
     return CaseStudyReport("hexa word / order-8 group", report, tuple(scan), tuple(checks))
 
 
-def _hexa_transport_violations(v_text: str, n_max: int) -> list[tuple[str, int]]:
-    """theta_i-palindromic factors of the octa word map to psi_i-palindromic factors."""
-    u_max = max((n_max - 3) // 2, 4)
-    u_text = octa_source().prefix(max(len(v_text), 4 * u_max))
-    u_index = LanguageIndex(u_text, u_max, octa_group())
+def _hexa_transport_violations(u_index: LanguageIndex, u_max: int,
+                               v_text: str) -> list[tuple[str, int]]:
+    """theta_i-palindromic factors of the octa word up to length u_max map to
+    psi_i-palindromic factors of the image word."""
     bad = []
     for i in range(3):
         theta, psi = octa_theta(i), hexa_psi(i)
@@ -209,12 +214,10 @@ def _hexa_transport_violations(v_text: str, n_max: int) -> list[tuple[str, int]]
     return bad
 
 
-def _hexa_bispecial_correspondence(v_index: LanguageIndex, n_max: int) -> tuple[bool, str]:
-    """Bispecials of the image word of length >= 5 are exactly the mapped
-    bispecials of the octa word, one each."""
-    u_max = (n_max - 3) // 2
-    u_text = octa_source().prefix(max(len(v_index.text), 8 * u_max))
-    u_index = LanguageIndex(u_text, u_max + 2, octa_group())
+def _hexa_bispecial_correspondence(u_index: LanguageIndex, u_max: int,
+                                   v_index: LanguageIndex, n_max: int) -> tuple[bool, str]:
+    """Bispecials of the image word of length 5..n_max are exactly the mapped
+    bispecials of the octa word up to length u_max, one each."""
     mapped = {}
     for n in range(1, u_max + 1):
         for w in u_index.bispecials(n):

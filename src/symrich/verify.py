@@ -433,10 +433,10 @@ def verify_text(
     the dual at every prefix of the head.
     """
     text, n_max = index.text, index.n_max - 2
-    _check_inputs(group, text, threshold)
     if n_max < 0:
         raise IndexRangeError(f"index of order {index.n_max} cannot support verification; "
                               f"it needs order >= 2")
+    _check_inputs(group, text, threshold, n_max)
     if index.group is None or any(g not in index.group for g in group.elements):
         raise GroupError(f"index group {index.group!r} does not contain the verified group {group!r}")
     if index.closure_added and index.group != group:
@@ -598,14 +598,17 @@ def verify_text(
     )
 
 
-def _check_inputs(group: SymmetryGroup, text: str, threshold: int) -> None:
+def _check_inputs(group: SymmetryGroup, text: str, threshold: int, n_max: int) -> None:
     """The checks of :func:`verify_text` that need no index, so that
-    :func:`verify` runs them before it builds one."""
+    :func:`verify` runs them before it builds one.  The orders checked,
+    threshold..n_max, must not be empty."""
     group.alphabet.check_word(text)
     if not group.has_antimorphism:
         raise GroupError("richness analysis requires a group containing an antimorphism")
     if threshold < 1:
         raise GroupError(f"threshold must be >= 1, got {threshold}")
+    if threshold > n_max:
+        raise GroupError(f"threshold {threshold} exceeds n_max={n_max}, so no order is checked")
 
 
 def verify(
@@ -624,7 +627,7 @@ def verify(
     doubled (up to six times); persistent instability raises.
     """
     text, stability = _stable_prefix(source, length, n_max)
-    _check_inputs(group, text, threshold)
+    _check_inputs(group, text, threshold, n_max)
     return verify_text(
         group, LanguageIndex(text, n_max + 2, group), threshold=threshold, stability=stability,
         word_id=word_id or repr(source), group_id=group_id,
@@ -679,18 +682,20 @@ class SubgroupResult:
         return out
 
 
-def subgroup_scan(group: SymmetryGroup, text: str, n_max: int) -> list[SubgroupResult]:
-    """Verify every subgroup containing an antimorphism and, for proper rich
-    subgroups, check the half-order palindromic-complexity identity.
+def subgroup_scan(index: LanguageIndex) -> list[SubgroupResult]:
+    """Verify every subgroup of ``index.group`` containing an antimorphism on
+    ``index`` and, for proper rich subgroups, check the half-order
+    palindromic-complexity identity.
 
-    A ``text`` that does not close under ``group`` up to order n_max + 2
-    raises, so no subgroup's report depends on the stability of ``text``
-    under doubling.
+    The index must be built with the full group, at order n_max + 2 for the
+    orders 1..n_max, as for :func:`verify_text`.  An index to which closure
+    added factors raises, so no subgroup's report depends on the stability of
+    the text under doubling.
     """
-    group.alphabet.check_word(text)
-    if len(text) < n_max + 2:
-        raise InsufficientPrefixError(f"prefix of length {len(text)} cannot support n_max={n_max}")
-    index = LanguageIndex(text, n_max + 2, group)
+    group, n_max = index.group, index.n_max - 2
+    if group is None:
+        raise GroupError("subgroup scan needs an index built with a group")
+    group.alphabet.check_word(index.text)
     if index.closure_added:
         raise InsufficientPrefixError(
             f"prefix does not close under the full group at lengths {sorted(index.closure_added)}"

@@ -249,6 +249,18 @@ class TestExitCodes:
         code, out, err = run(capsys, "--config", tm_config, *command)
         assert code == EXIT_CONFIG and named in err and out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--length", "200", "--threshold", "11", "--nmax", "10", "verify"],
+         "threshold 11 exceeds n_max=10"),
+        (["--nmax", "0", "verify"], "threshold 1 exceeds n_max=0"),
+    ])
+    def test_empty_order_range(self, capsys, tmp_path, argv, message):
+        """No order is checked, so the order-bounded verdicts would pass vacuously."""
+        path = tmp_path / "reversal.yaml"
+        path.write_text(TM_CONFIG.replace('  - kind: antimorphism\n    map: ["0 -> 1", "1 -> 0"]\n', ""))
+        code, out, err = run(capsys, "--config", str(path), *argv)
+        assert (code, out) == (EXIT_CONFIG, "") and message in err
+
     @pytest.mark.parametrize("argv, code, message", [
         (["returns", ""], EXIT_CONFIG, "return words are only defined for nonempty factors"),
         (["--length", "5", "returns", "010110"], EXIT_CONFIG, "length 6 cannot occur in text of length 5"),

@@ -29,9 +29,11 @@ from symrich.presets import (
     hexa_group,
     hexa_psi,
     hexa_text,
+    octa_source,
     reversal_group,
     thue_morse_source,
 )
+from symrich.repro import repro_hexa
 from symrich.symmetry import SymmetryGroup, dihedral_group
 from symrich.verify import ALMOST, REFUTED, RICH, crw_records, min_distinguishing
 from symrich.words import Alphabet, LiteralSource, PeriodicSource, WordSource
@@ -225,7 +227,13 @@ class TestInputChecks:
 
     def test_foreign_glyph_rejected_by_subgroup_scan(self):
         with pytest.raises(AlphabetError, match="glyph '2' at position 99"):
-            subgroup_scan(binary_full_group(), self.FOREIGN, 10)
+            subgroup_scan(LanguageIndex(self.FOREIGN, 12, binary_full_group()))
+
+    def test_threshold_above_n_max_rejected(self, i2_2):
+        with pytest.raises(GroupError, match="threshold 11 exceeds n_max=10"):
+            verify_text(i2_2, LanguageIndex(self.TM, 12, i2_2), threshold=11, stability=True)
+        with pytest.raises(GroupError, match="threshold 11 exceeds n_max=10"):
+            verify(i2_2, thue_morse_source(), 200, 10, threshold=11)
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_index_of_order_below_two(self, i2_2, order):
@@ -417,7 +425,7 @@ class TestDualDefectHead:
     def test_every_subgroup_is_checked(self, corrupt_one_group, target):
         corrupt_one_group(target)
         with pytest.raises(ConsistencyError, match="disagrees with the dual computation"):
-            subgroup_scan(hexa_group(), hexa_text(300), 8)
+            subgroup_scan(LanguageIndex(hexa_text(300), 10, hexa_group()))
 
     def test_subgroups_share_one_scan_and_one_table(self, monkeypatch):
         calls = Counter()
@@ -432,7 +440,7 @@ class TestDualDefectHead:
 
         for name in ("_palindrome_scan", "_fixed_suffixes"):
             monkeypatch.setattr(palindromes, name, counted(name))
-        results = subgroup_scan(hexa_group(), hexa_text(300), 8)
+        results = subgroup_scan(LanguageIndex(hexa_text(300), 10, hexa_group()))
         assert len(results) == len(HEXA_SUBGROUPS) == 11
         assert calls == {"_palindrome_scan": 1, "_fixed_suffixes": 1}
 
@@ -490,7 +498,8 @@ class TestMinDistinguishing:
 
 class TestSubgroupScan:
     def test_binary_full_group_over_thue_morse(self):
-        results = subgroup_scan(binary_full_group(), thue_morse_source().prefix(1000), 12)
+        results = subgroup_scan(LanguageIndex(thue_morse_source().prefix(1000), 14,
+                                              binary_full_group()))
         by_id = {r.group_id: r for r in results}
         reversal = by_id["{m:01,a:01}"]
         assert reversal.overall == REFUTED
@@ -498,6 +507,33 @@ class TestSubgroupScan:
         assert full.overall == RICH
         exchange = by_id["{m:01,a:10}"]
         assert exchange.overall == REFUTED
+
+    def test_index_without_group_rejected(self):
+        with pytest.raises(GroupError, match="index built with a group"):
+            subgroup_scan(LanguageIndex(thue_morse_source().prefix(200), 12))
+
+    def test_closure_additions_rejected(self, i2_2):
+        index = LanguageIndex("00010", 4, i2_2)
+        assert index.closure_added
+        with pytest.raises(InsufficientPrefixError,
+                           match=r"does not close under the full group at lengths \[2, 3, 4\]"):
+            subgroup_scan(index)
+
+
+def test_repro_hexa_builds_one_index_per_text_and_order(monkeypatch):
+    """The hexa text is indexed for its report and for the capped subgroup
+    scan; the octa text once, for transport and bispecial correspondence."""
+    built = []
+    real = LanguageIndex.__init__
+
+    def spy(self, text, n_max, group=None):
+        built.append((text, n_max))
+        real(self, text, n_max, group)
+
+    monkeypatch.setattr(LanguageIndex, "__init__", spy)
+    repro_hexa(2000, 30)
+    hexa, octa = hexa_text(2000), octa_source().prefix(2000)
+    assert built == [(hexa, 32), (octa, 15), (hexa, 22)]
 
 
 class TestDefectSum:
