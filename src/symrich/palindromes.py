@@ -29,19 +29,20 @@ of a text under one group, and a :class:`~symrich.index.LanguageIndex` keeps
 one for its text under its group, so verifying a text under each of its
 subgroups scans it once.
 
-The only quadratic routine here is the brute-force dual of
-:func:`defect_profile`, run for every verified group on a head of its text
-and by :func:`g_defect` on a whole word.  It shares no code with the
-eertrees: a table of every suffix of every prefix of the head with the
-bitmask of the antimorphisms that fix it (:func:`_fixed_suffixes`), built
-once per text under the indexing group, and a count per group that reads
-only its own bits and checks the palindromic classes, gamma and the defect
-of every prefix against that group's profile (:func:`_check_dual`).
+The brute-force dual of :func:`defect_profile` runs for every verified group
+on a head of its text and in :func:`g_defect` on a whole word.  It shares no
+code with the eertrees: a table of the fixed suffixes of every prefix of the
+head with the bitmask of the antimorphisms that fix them, found by centre
+expansion and quadratic only in the worst case (:func:`_fixed_suffixes`),
+built once per text under the indexing group, and a count per group that
+reads only its own bits and checks the palindromic classes, gamma and the
+defect of every prefix against that group's profile (:func:`_check_dual`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
@@ -297,36 +298,33 @@ def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan,
 # -- the brute-force dual ------------------------------------------------------------
 
 
-def _suffix_fixed(word: str, translated: str, start: int, end: int) -> bool:
-    """Is word[start:end] fixed by the antimorphism whose letterwise image is ``translated``."""
-    return (
-        word[start] == translated[end - 1]
-        and word[end - 1] == translated[start]
-        and word[start:end] == translated[start:end][::-1]
-    )
-
-
 def _fixed_suffixes(group: SymmetryGroup, word: str) -> list[tuple[tuple[str, int], ...]]:
     """Per prefix length i of ``word``, the suffixes of ``word[:i]`` fixed by some
-    antimorphism of ``group`` whose string ends no shorter prefix, each with the
-    bitmask of the antimorphisms that fix it (bit t for the t-th of
-    ``group.antimorphisms``); a later occurrence of a string adds no class, so it is
-    left out.  Every suffix of every prefix is tested against every antimorphism
-    (quadratic, and independent of the eertrees)."""
-    translations = [t.translated(word) for t in group.antimorphisms]
+    antimorphism of ``group`` whose string ends no shorter prefix, longest first,
+    each with the bitmask of the antimorphisms that fix it (bit t for the t-th of
+    ``group.antimorphisms``); a later occurrence of a string adds no class.
+
+    Brute force by centre expansion, independent of the eertrees: for each
+    antimorphism (pi, reversal) and each of the 2|word| - 1 centres,
+    ``word[l:r + 1]`` grows while word[l] == pi(word[r]) and word[r] == pi(word[l])
+    (both, as pi need not be an involution).  Only fixed factors are visited,
+    so the time is quadratic only in the worst case, a word of one letter.
+    """
+    n = len(word)
+    masks = [defaultdict(int) for _ in range(n + 1)]  # per prefix length, start -> bitmask
+    for t, theta in enumerate(group.antimorphisms):
+        image, bit = theta.translated(word), 1 << t
+        for centre in range(2 * n - 1):
+            l, r = centre // 2, (centre + 1) // 2
+            while l >= 0 and r < n and word[l] == image[r] and word[r] == image[l]:
+                masks[r + 1][l] |= bit
+                l, r = l - 1, r + 1
     seen: set[str] = set()
-    table = [()]
-    for i in range(1, len(word) + 1):
-        row = []
-        for start in range(i):
-            mask = 0
-            for t, tr in enumerate(translations):
-                if _suffix_fixed(word, tr, start, i):
-                    mask |= 1 << t
-            if mask and (s := word[start:i]) not in seen:
-                seen.add(s)
-                row.append((s, mask))
-        table.append(tuple(row))
+    table = []
+    for end, fixed in enumerate(masks):
+        row = tuple((s, m) for start, m in sorted(fixed.items()) if (s := word[start:end]) not in seen)
+        seen.update(s for s, _ in row)  # the strings of one row differ in length
+        table.append(row)
     return table
 
 
@@ -371,11 +369,11 @@ def _check_dual(group: SymmetryGroup, word: str, table: list[tuple[tuple[str, in
 def g_defect(group: SymmetryGroup, word: str) -> DefectProfile:
     """Defect profile computed twice: by formula and by lacuna count.
 
-    Brute-force oracle for :func:`defect_profile`.  The formula side tests
-    every suffix of every prefix for fixedness (quadratic) and counts the
-    palindromic factor classes directly, independent of the lacuna machinery;
-    the two must agree at every prefix.  Use :func:`defect_profile` alone for
-    long texts.
+    Brute-force oracle for :func:`defect_profile`.  The formula side finds
+    the fixed suffixes of every prefix by centre expansion (quadratic in the
+    worst case) and counts the palindromic factor classes directly,
+    independent of the lacuna machinery; the two must agree at every prefix.
+    Use :func:`defect_profile` alone for long texts.
     """
     profile = defect_profile(group, word)
     _check_dual(group, word, _fixed_suffixes(group, word), profile)
@@ -383,9 +381,9 @@ def g_defect(group: SymmetryGroup, word: str) -> DefectProfile:
 
 
 class TextPalindromes:
-    """The linked scan of one text under one group and the dual table of its
-    first ``DEFECT_CROSSCHECK_HEAD`` letters, each built on first use and read
-    by every subgroup of the group (see the module docstring)."""
+    """The linked scan of one text under one group and the brute-force dual
+    table of its first ``DEFECT_CROSSCHECK_HEAD`` letters (centre expansion),
+    each built on first use and read by every subgroup (see the module docstring)."""
 
     def __init__(self, group: SymmetryGroup, text: str):
         self.group = group

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .symmetry import SymmetryGroup, SymmetryMap, dihedral_group
 from .symmetry import reversal_group  # noqa: F401  (re-exported beside the bundled groups)
-from .words import Alphabet, DigitSumSource, FixedPointSource, apply_morphism
+from .words import Alphabet, DigitSumSource, FixedPointSource, WordSource, apply_morphism
 
 # -- binary / dihedral classics ---------------------------------------------------
 
@@ -116,7 +116,16 @@ def hexa_group() -> SymmetryGroup:
     return SymmetryGroup.close([hexa_psi(0), hexa_psi(1), hexa_psi(2)])
 
 
+class _HexaSource(WordSource):
+    """The hexa word, the 2-block image of the octa word."""
+
+    alphabet = HEXA_ALPHABET
+
+    def prefix(self, length: int) -> str:
+        self._check_length(length)
+        return apply_morphism(HEXA_MU, octa_source().prefix(-(-length // 2)))[:length]
+
+
 def hexa_text(length: int) -> str:
-    """Prefix of the hexa word (the 2-block image of the octa word)."""
-    octa = octa_source().prefix(-(-length // 2))
-    return apply_morphism(HEXA_MU, octa)[:length]
+    """Prefix of the hexa word."""
+    return _HexaSource().prefix(length)

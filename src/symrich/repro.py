@@ -11,16 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InsufficientPrefixError
-from .index import LanguageIndex, _stable_under_doubling
+from .index import LanguageIndex
 from .presets import (
     HEXA_ETA,
     HEXA_MU,
     OCTA_PI,
     OCTA_RULES,
+    _HexaSource,
     hexa_group,
     hexa_psi,
-    hexa_text,
     octa_group,
     octa_source,
     octa_theta,
@@ -156,11 +155,9 @@ def _octa_commutation_violations(index: LanguageIndex, n_max: int) -> list[tuple
 
 def repro_hexa(length: int = 2000, n_max: int = 30) -> CaseStudyReport:
     """The 6-letter image word against its order-8 group and its subgroups."""
-    if length < n_max + 2:
-        raise InsufficientPrefixError(f"length {length} cannot support n_max={n_max}")
     group = hexa_group()
-    text = hexa_text(length)
-    stability = _stable_under_doubling(text, hexa_text(2 * length), n_max + 2)
+    # the prefix may have been doubled, as in repro_octa
+    text, stability = _stable_prefix(_HexaSource(), length, n_max)
     index = LanguageIndex(text, n_max + 2, group)
     report = verify_text(group, index, stability=stability, word_id="hexa", group_id="hexa-group")
     checks: list[CheckLine] = []
@@ -186,7 +183,7 @@ def repro_hexa(length: int = 2000, n_max: int = 30) -> CaseStudyReport:
     # transported palindromes up to t read level t
     u = (n_max - 3) // 2
     t = max(u, 4)
-    u_index = LanguageIndex(octa_source().prefix(max(length, 8 * u, 4 * t)), max(t, u + 2),
+    u_index = LanguageIndex(octa_source().prefix(max(len(text), 8 * u, 4 * t)), max(t, u + 2),
                             octa_group())
     transport_bad = _hexa_transport_violations(u_index, t, text)
     checks.append(CheckLine("palindrome transport", not transport_bad,

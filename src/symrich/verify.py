@@ -15,6 +15,7 @@ can refute but never fully certify them.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from itertools import chain
 
@@ -41,6 +42,8 @@ RICH = "rich-up-to-nmax"
 ALMOST = "almost-rich-candidate"
 REFUTED = "refuted"
 INCONSISTENT = "inconsistent"
+
+_log = logging.getLogger("symrich")
 
 
 def min_distinguishing(group: SymmetryGroup, index: LanguageIndex, n_max: int) -> int | None:
@@ -639,8 +642,8 @@ def _stable_prefix(source: WordSource, length: int, n_max: int) -> tuple[str, bo
 
     Each stability step generates prefix(2L) once and reads prefix(L) as its
     head, since a source's prefixes agree; a doubling step reuses the long
-    prefix as its short one.  The stability is None when a bounded source
-    cannot produce the doubled prefix, as in :func:`stability_check`.
+    prefix as its short one and logs it at INFO on the ``symrich`` logger.  The
+    stability is None when a bounded source cannot produce the doubled prefix.
     """
     if length < n_max + 2:
         raise InsufficientPrefixError(f"length {length} cannot support n_max={n_max}")
@@ -659,6 +662,8 @@ def _stable_prefix(source: WordSource, length: int, n_max: int) -> tuple[str, bo
                 f"beyond {length} letters"
             )
         attempts -= 1
+        _log.info("prefix doubled from %d to %d letters: its factors up to length %d changed",
+                  length, 2 * length, n_max + 2)
         length, short = 2 * length, long_
     return (source.prefix(length) if short is None else short), None
 

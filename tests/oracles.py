@@ -46,6 +46,25 @@ def per_group_dual_defect(group, word):
     return rows
 
 
+def every_fixed_suffix(group, word):
+    """The table of ``palindromes._fixed_suffixes`` by testing every suffix of
+    every prefix of ``word`` against every antimorphism of ``group``: per prefix
+    length i, start ascending, each fixed suffix whose string ends no shorter
+    prefix, with the bitmask of the antimorphisms that fix it."""
+    translations = [t.translated(word) for t in group.antimorphisms]
+    seen, table = set(), [()]
+    for i in range(1, len(word) + 1):
+        row = []
+        for start in range(i):
+            s = word[start:i]
+            mask = sum(1 << t for t, tr in enumerate(translations) if s == tr[start:i][::-1])
+            if mask and s not in seen:
+                seen.add(s)
+                row.append((s, mask))
+        table.append(tuple(row))
+    return table
+
+
 def windows(text, n):
     """The factors of length n of ``text``."""
     return {text[i:i + n] for i in range(len(text) - n + 1)}

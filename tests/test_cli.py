@@ -1,6 +1,9 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +13,8 @@ from symrich import LanguageIndex, SymmetryGroup
 from symrich.cli import EXIT_CONFIG, EXIT_INSUFFICIENT_PREFIX, EXIT_REFUTED_INVARIANT, main
 from symrich.presets import hexa_group
 
-BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_REFERENCE = ROOT / "bench" / "reference.json"
 
 TM_CONFIG = """\
 alphabet: "01"
@@ -330,6 +334,17 @@ class TestRepro:
         code, out, _ = run(capsys, "--length", "700", "--nmax", "13", "repro", "ex6")
         assert code == 0
         assert "overall ok: True" in out
+
+    def test_ex6_checks_the_doubled_prefix(self):
+        # the hexa prefix of 60 letters is unstable at n_max 20, so it is doubled to
+        # 240; the doubling is logged at INFO, and with no handler nothing reaches stderr
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from symrich.cli import main; sys.exit(main(sys.argv[1:]))",
+             "--length", "60", "--nmax", "20", "repro", "ex6"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "overall ok: True" in proc.stdout and "prefix length 240" in proc.stdout
 
     def test_subgroups_match_benchmark_reference(self, capsys):
         # the exit code and stdout digest recorded for the subgroup-scan benchmark workload

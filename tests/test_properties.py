@@ -14,13 +14,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import pytest
 
-from groups import cyclic4_reversal_group
+from groups import cyclic4_antimorphism_group, cyclic4_reversal_group
 from oracles import (
     brute_lps,
     classical_palindromes,
     closure_involutively_generated,
     closure_subgroups,
     complete_g_return_words,
+    every_fixed_suffix,
     per_factor_orbit_data,
     per_group_dual_defect,
     position_walk_edges,
@@ -49,7 +50,13 @@ from symrich import (
     stability_check,
 )
 from symrich.cli import EXIT_CONFIG, main
-from symrich.palindromes import TextPalindromes, _check_dual, _fixed_suffixes, _palindrome_scan
+from symrich.palindromes import (
+    DEFECT_CROSSCHECK_HEAD,
+    TextPalindromes,
+    _check_dual,
+    _fixed_suffixes,
+    _palindrome_scan,
+)
 from symrich.presets import (
     BINARY,
     binary_full_group,
@@ -392,6 +399,41 @@ class TestSharedPalindromes:
         for field in dataclasses.fields(DefectProfile):
             assert getattr(restricted, field.name) == getattr(own, field.name), field.name
         shared.check_head(sub, restricted)
+
+
+@st.composite
+def fixed_suffix_case_st(draw):
+    """A group, non-involutive antimorphisms included, and a word: random,
+    grown by closures, of one repeated letter (every factor fixed by the
+    antimorphisms that fix the letter) or empty."""
+    group = draw(group_st() | st.sampled_from([cyclic4_reversal_group(), cyclic4_antimorphism_group()]))
+    glyphs = list(group.alphabet.glyphs)
+    repeated = st.builds(lambda a, k: a * k, st.sampled_from(glyphs), st.integers(1, 80))
+    word = draw(word_st(group.alphabet) | closure_word_st(group) | repeated | st.just(""))
+    return group, word
+
+
+class TestFixedSuffixes:
+    """The dual table by centre expansion against testing every suffix of every prefix."""
+
+    @given(case=fixed_suffix_case_st())
+    @example(case=(rotation_group(), "1010201"))
+    @example(case=(cyclic4_antimorphism_group(), "0123210"))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_every_suffix_test(self, case):
+        group, word = case
+        assert _fixed_suffixes(group, word) == every_fixed_suffix(group, word)
+
+    @pytest.mark.parametrize("group, source", [
+        (binary_full_group(), thue_morse_source()),
+        (reversal_group(BINARY), thue_morse_source()),
+        (reversal_group(BINARY), fibonacci_source()),
+        (dihedral_group(3), generalized_thue_morse(3, 3)),
+    ], ids=["tm/order-4", "tm/reversal", "fib/reversal", "t33/dihedral-3"])
+    def test_verify_heads(self, group, source):
+        """The heads that verify checks, and a word of one letter as long, the worst case."""
+        for word in (source.prefix(DEFECT_CROSSCHECK_HEAD), "1" * DEFECT_CROSSCHECK_HEAD):
+            assert _fixed_suffixes(group, word) == every_fixed_suffix(group, word)
 
 
 class TestRichnessBounds:

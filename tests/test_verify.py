@@ -1,4 +1,5 @@
 import importlib
+import logging
 from collections import Counter
 
 import pytest
@@ -188,6 +189,29 @@ class TestStablePrefix:
         assert source.calls == generating == steps
         index = LanguageIndex(inner.prefix(final), n_max + 2, group)
         assert report == verify_text(group, index, stability=stability, word_id=repr(inner))
+
+    @pytest.mark.parametrize("group, inner, length, n_max, doubled", [
+        (binary_full_group(), thue_morse_source(), 1000, 16, []),  # stable at once
+        (dihedral_group(3), generalized_thue_morse(3, 3), 40, 20, [40, 80, 160, 320]),
+        (reversal_group(BINARY), FIB50, 13, 5, [13]),  # one doubling, then out of letters
+    ])
+    def test_each_doubling_is_logged(self, caplog, group, inner, length, n_max, doubled):
+        caplog.set_level(logging.INFO, logger="symrich")
+        verify(group, inner, length, n_max)
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("symrich", logging.INFO,
+             f"prefix doubled from {n} to {2 * n} letters: its factors up to length {n_max + 2} changed")
+            for n in doubled
+        ]
+
+    def test_repro_ex6_logs_its_doublings(self, caplog):
+        caplog.set_level(logging.INFO, logger="symrich")
+        report = repro_hexa(60, 20)
+        assert report.ok and report.richness.length == 240
+        assert [r.getMessage() for r in caplog.records] == [
+            "prefix doubled from 60 to 120 letters: its factors up to length 22 changed",
+            "prefix doubled from 120 to 240 letters: its factors up to length 22 changed",
+        ]
 
     def test_never_stable_raises_after_six_doublings(self, id_r):
         # factors of length 22 keep appearing in the binary numerals well past 40 * 2^7 letters
