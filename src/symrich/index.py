@@ -17,7 +17,9 @@ of factors, not |text| * n_max.
 With a group, each level is completed under it: images of its factors that
 do not occur join it, in order, with the empty run ``(0, 0)``, so they have
 no occurrences, and ``closure_added`` records them (nothing, on a
-sufficiently long prefix of a closed word).
+sufficiently long prefix of a closed word).  When it records any, one INFO
+record on the ``symrich`` logger names how many factors of each length
+closure added.
 
 Lemma (top-order closure).  Let F_m be the set of length-m factors of the
 text, m <= N <= |text|, and G a group of morphisms and antimorphisms.
@@ -51,17 +53,23 @@ is a theta-palindrome when it equals its row in the column of theta, and an
 order distinguishes the antimorphisms when their columns differ in every
 row.
 
-Extension sets are read off the level above.  One pass over level n + 1
-gives every length-n factor w its left letters (a with a·w at level n + 1)
-and its right letters; one pass over level n + 2 gives its bilateral pairs
-(a, b) with a·w·b at level n + 2, and Pext_theta(w) is the set of a with
-(a, theta(a)) among them.  By (2), every word of level n + 1 or n + 2 lands
-on a factor of level n.  Each table is built on the first query at its order
-and kept; most factors have one of a few extension sets, and equal sets are
-shared.  The special and bispecial factors of an order are read in one pass
-off its lext and rext tables, once for every group.  As the extensions are
-defined by membership, the classical counting identities are exact on any
-finite text:
+Extension sets are read off the level above.  A length-n factor w has the
+left letters a with a·w at level n + 1, the right letters b with w·b there,
+and the bilateral pairs (a, b) with a·w·b at level n + 2; Pext_theta(w) is
+the set of a with (a, theta(a)) among them.  Each table is built on the
+first query at its order, in whole-level passes, and kept.  The words u of
+the level above split into keys (u[1:], u[:-1] or u[1:-1]) and extensions
+(u[0], u[-1] or the pair of both); the table starts as level n, every
+factor with no extension, and each key gets the one-element set of its
+extension, one shared set object per extension.  By (2), every key is a
+factor of level n; a key outside it would grow the table, and that raises
+ConsistencyError.  A factor with several extensions is a key that occurs
+more than once, so it sits next to itself in the sorted keys; only those
+factors are fixed up with their whole sets, and equal sets are again one
+object.  The tables list the factors in level order, so the special and
+bispecial factors of an order are read off the set sizes of its lext and
+rext tables, once for every group.  As the extensions are defined by
+membership, the classical counting identities are exact on any finite text:
 
 * sum over L_n of (#Lext - 1) = C(n+1) - C(n), likewise for Rext,
 * sum over L_n of b(w) = second difference of C,
@@ -81,22 +89,36 @@ and one at p < n - m lies inside the prefix of length n of u.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import pairwise
+from functools import cached_property, partial
+from itertools import compress, count, pairwise
+from operator import and_, eq, itemgetter, lt, or_
 
-from .errors import GroupError, IndexRangeError, InsufficientPrefixError
+from .errors import ConsistencyError, GroupError, IndexRangeError, InsufficientPrefixError
 from .palindromes import TextPalindromes
 from .symmetry import SymmetryGroup, SymmetryMap
 from .words import WordSource
 
+_log = logging.getLogger("symrich")
+
 #: per extension kind: the levels above the factor it reads, and how a word
-#: of that level splits into the factor and its extension
+#: of that level splits into the factor (key) and its extension (value)
 _EXTENSIONS = {
-    "lext": (1, lambda u: (u[1:], u[0])),
-    "rext": (1, lambda u: (u[:-1], u[-1])),
-    "bext": (2, lambda u: (u[1:-1], (u[0], u[-1]))),
+    "lext": (1, itemgetter(slice(1, None)), itemgetter(0)),
+    "rext": (1, itemgetter(slice(None, -1)), itemgetter(-1)),
+    "bext": (2, itemgetter(slice(1, -1)), itemgetter(0, -1)),
 }
+
+_several = partial(lt, 1)  # a set size of two or more: a special side
+
+
+class _Singletons(dict):
+    """x -> frozenset({x}), made on first use: one set object per extension."""
+
+    def __missing__(self, x):
+        self[x] = single = frozenset((x,))
+        return single
 
 
 class LanguageIndex:
@@ -164,9 +186,14 @@ class LanguageIndex:
                 merged = dict.fromkeys(sorted([*level, *added]), (0, 0))
                 merged.update(level)
                 self._levels[n] = merged
+            if self.closure_added:
+                _log.info("group closure added factors to the index: %s", ", ".join(
+                    f"{len(added)} of length {n}" for n, added in sorted(self.closure_added.items())
+                ))
 
         # (kind, n) -> factor of length n -> its extensions of that kind
         self._tables: dict[tuple[str, int], dict[str, frozenset]] = {}
+        self._singletons = _Singletons()  # shared by the tables of every kind and order
         # (map, n) -> the images of the factors of length n, in level order
         self._columns: dict[tuple[SymmetryMap, int], tuple[str, ...]] = {}
         # n -> what _special_lists returns for n
@@ -222,17 +249,31 @@ class LanguageIndex:
 
     def _table(self, kind: str, n: int) -> dict[str, frozenset]:
         """The extensions of that kind of every factor of length n."""
-        room, split = _EXTENSIONS[kind]
-        self._check_n(n, room=room)
         table = self._tables.get((kind, n))
-        if table is None:
-            found: dict[str, set] = {v: set() for v in self._levels[n]}
-            for u in self._levels[n + room]:
-                v, x = split(u)
-                found[v].add(x)
-            sets = {v: frozenset(xs) for v, xs in found.items()}
-            shared = {xs: xs for xs in sets.values()}  # one object per distinct set
-            table = self._tables[kind, n] = {v: shared[xs] for v, xs in sets.items()}
+        if table is not None:
+            return table
+        room, key, value = _EXTENSIONS[kind]
+        self._check_n(n, room=room)
+        level, above = self._levels[n], self._levels[n + room]
+        keys, values = list(map(key, above)), list(map(value, above))
+        table = dict.fromkeys(level, frozenset())
+        table.update(zip(keys, map(self._singletons.__getitem__, values)))
+        if len(table) != len(level):
+            raise ConsistencyError(
+                f"level {n + room} extends {len(table) - len(level)} word(s) of length {n} "
+                f"that are not at level {n}"
+            )
+        # a factor with several extensions is a key that sorts next to itself
+        ranked = sorted(keys)
+        several = set(compress(ranked, map(eq, ranked, ranked[1:])))
+        found: dict[str, set] = {w: set() for w in several}
+        for w, x in compress(zip(keys, values), map(several.__contains__, keys)):
+            found[w].add(x)
+        shared: dict[frozenset, frozenset] = {}  # one object per distinct set
+        for w, xs in found.items():
+            xs = frozenset(xs)
+            table[w] = shared.setdefault(xs, xs)
+        self._tables[kind, n] = table
         return table
 
     def _extensions(self, kind: str, w: str) -> frozenset:
@@ -279,15 +320,12 @@ class LanguageIndex:
         """The special factors of length n with their rows, and the bispecial ones."""
         found = self._specials.get(n)
         if found is None:
-            left, right = self._table("lext", n), self._table("rext", n)
-            special, bispecial = {}, []
-            for row, w in enumerate(self._levels[n]):
-                a, b = len(left[w]) >= 2, len(right[w]) >= 2
-                if a or b:
-                    special[w] = row
-                    if a and b:
-                        bispecial.append(w)
-            found = self._specials[n] = (special, tuple(bispecial))
+            # the tables list the factors in level order, so their columns align
+            level = self._levels[n]
+            left = list(map(_several, map(len, self._table("lext", n).values())))
+            right = list(map(_several, map(len, self._table("rext", n).values())))
+            special = dict(compress(zip(level, count()), map(or_, left, right)))
+            found = self._specials[n] = (special, tuple(compress(level, map(and_, left, right))))
         return found
 
     def special_rows(self, n: int) -> dict[str, int]:
@@ -368,7 +406,7 @@ class LanguageIndex:
         if len(antims) <= 1:
             return True
         rows = zip(*(self.column(t, n) for t in antims))
-        return all(len(set(row)) == len(antims) for row in rows)
+        return min(map(len, map(set, rows)), default=len(antims)) == len(antims)
 
     # -- complexities ---------------------------------------------------------
 
@@ -378,8 +416,9 @@ class LanguageIndex:
     def theta_palindromes(self, theta: SymmetryMap, n: int) -> tuple[str, ...]:
         if not theta.antimorphic:
             raise GroupError(f"{theta.name} is not an antimorphism")
-        column = self.column(theta, n)
-        return tuple(w for w, image in zip(self._levels[n], column) if w == image)
+        column = self.column(theta, n)  # checks n before the level is read
+        level = self._levels[n]
+        return tuple(compress(level, map(eq, level, column)))
 
     def palindromic_complexity(self, theta: SymmetryMap) -> list[int]:
         """P(n) for n = 0..n_max: count of theta-fixed indexed factors."""

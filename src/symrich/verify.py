@@ -194,7 +194,11 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     longer factors, or when it has visited more words than C has
     occurrences, so it never costs more than the slicing it replaces.  The
     first and last occurrences that lower orders chain off are the least
-    ``text.find`` and the greatest ``text.rfind`` over the members.
+    ``text.find`` and the greatest ``text.rfind`` over the members.  A walk
+    is not started when it cannot finish: the k occurrences of C leave k - 1
+    gaps between consecutive ones, and when last - first exceeds
+    (k - 1)(``index.n_max`` - n), one gap exceeds ``index.n_max`` - n, so
+    one return word has more than ``index.n_max`` letters.
 
     Below the top order n_hi, every class that neither Lemma 1 nor Lemma 2
     derives is walked when the index has no closure additions: bispecial
@@ -202,10 +206,11 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     extension, Lemma 1's classes at order n_hi - 1, and every class when the
     language is not known to be closed under ``group`` (an index built
     without a group, or for a group not containing ``group``).  The top
-    order, the walks that fall back and indexes with closure additions are
-    sliced: ``text[i:j + n]`` for each pair of consecutive occurrences.
-    ``text`` must be ``index.text``.  Each order is grouped into classes by
-    the index's representatives (:meth:`LanguageIndex.representatives`), and
+    order, the walks that fall back or are not started and indexes with
+    closure additions are sliced: ``text[i:j + n]`` for each pair of
+    consecutive occurrences.  ``text`` must be ``index.text``.  Each order
+    is grouped into classes by the index's representatives
+    (:meth:`LanguageIndex.representatives`), and
     every factor of an order points at the entry of its class, so the classes
     of the head, the tail, Lemma 1's b·m·c and Lemma 2's e are found by the
     factor itself.
@@ -256,11 +261,14 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
                     last = size - n
             else:
                 members = classes[rep]
-                returns = suspects = _walk_returns(index, members) if walk and n < n_hi else None
-                if returns is not None:  # Lemma 3
+                returns = suspects = None
+                if walk and n < n_hi:  # Lemma 3
                     first = min(text.find(m) for m in members)
                     last = max(text.rfind(m) for m in members)
-                else:
+                    gaps = sum(map(index.occurrence_count, members)) - 1
+                    if last - first <= gaps * (index.n_max - n):
+                        returns = suspects = _walk_returns(index, members)
+                if returns is None:
                     # distinct factors of one length never share a start position
                     occ = sorted(chain.from_iterable(map(index.occurrences, members)))
                     returns = suspects = {text[i:j + n] for i, j in zip(occ, occ[1:])}

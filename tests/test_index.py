@@ -1,7 +1,9 @@
+import logging
+
 import pytest
 
 from oracles import windows
-from symrich import GroupError, IndexRangeError, LanguageIndex, stability_check
+from symrich import ConsistencyError, GroupError, IndexRangeError, LanguageIndex, stability_check
 from symrich.presets import (
     BINARY,
     fibonacci_source,
@@ -65,6 +67,16 @@ class TestBuild:
         assert index.rext("10") == {"0"} and index.lext("00") == {"1"}
         assert index.bext("0") == {("0", "1"), ("1", "0")}
 
+    def test_closure_additions_are_logged(self, caplog, tm_text):
+        caplog.set_level(logging.INFO, logger="symrich")
+        LanguageIndex(tm_text, 8, reversal_group(BINARY))  # closed: no record
+        assert caplog.records == []
+        LanguageIndex("0010", 4, reversal_group(BINARY))
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("symrich", logging.INFO,
+             "group closure added factors to the index: 1 of length 3, 1 of length 4"),
+        ]
+
     @pytest.mark.parametrize("word,n_max,closed_levels", [
         ("0010", 4, 3),  # orders 4 and 3 fail, order 2 ends the walk
         ("0110100110010110", 8, 1),  # closed at the top order: one level
@@ -111,6 +123,14 @@ class TestExtensions:
     def test_missing_factor_rejected(self, tm_index):
         with pytest.raises(IndexRangeError):
             tm_index.lext("000")
+
+    @pytest.mark.parametrize("kind", ["lext", "rext", "bext"])
+    def test_level_without_a_key_is_loud(self, kind):
+        # "1" is dropped from level 1, but words one and two orders up extend it
+        index = LanguageIndex("0110", 3)
+        del index._levels[1]["1"]
+        with pytest.raises(ConsistencyError, match="extends 1 word"):
+            getattr(index, kind)("0")
 
 
 class TestPext:

@@ -605,19 +605,29 @@ class TestIndexDifferential:
             assert index.sorted_factors(n) == tuple(sorted(index.factors(n)))
 
     @given(case=indexed_word_st())
+    @example(case=("0010200", 3, None))  # "0" has three left and three right letters
+    @example(case=("0010", 4, reversal_group(BINARY)))  # closure adds 100 and 0100
     @settings(max_examples=150, deadline=None)
     def test_extensions_match_windows(self, case):
         # a·w, w·b and a·w·b tested for membership in the closed windows one and
-        # two orders up, for every factor w, closure-added ones included
+        # two orders up, for every factor w, closure-added ones included; the
+        # special and bispecial factors of each order follow from them
         word, n_max, group = case
         index = LanguageIndex(word, n_max, group)
         closed = [closed_windows(word, n, group) for n in range(n_max + 1)]
         letters = closed[1] if n_max >= 1 else set()
         antimorphisms = group.antimorphisms if group is not None else ()
         for n in range(n_max):
+            left_special, right_special = set(), set()
             for w in closed[n]:
-                assert index.lext(w) == {a for a in letters if a + w in closed[n + 1]}
-                assert index.rext(w) == {b for b in letters if w + b in closed[n + 1]}
+                left = {a for a in letters if a + w in closed[n + 1]}
+                right = {b for b in letters if w + b in closed[n + 1]}
+                assert index.lext(w) == left
+                assert index.rext(w) == right
+                if len(left) >= 2:
+                    left_special.add(w)
+                if len(right) >= 2:
+                    right_special.add(w)
                 if n + 2 > n_max:
                     continue
                 assert index.bext(w) == {
@@ -628,6 +638,8 @@ class TestIndexDifferential:
                         assert index.pext(theta, w) == {
                             a for a in letters if a + w + theta.apply(a) in closed[n + 2]
                         }
+            assert index.specials(n) == tuple(sorted(left_special | right_special))
+            assert index.bispecials(n) == tuple(sorted(left_special & right_special))
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)

@@ -69,3 +69,24 @@ def test_edge_walk_at_order_62():
     index = LanguageIndex(text, 62, group)
     for n in range(1, 61):
         assert directed_symmetry_graph(group, index, n).directed_edges == position_walk_edges(group, index, n)
+
+
+def test_extension_tables_at_order_62():
+    # every extension table of a long prefix against the counting identities,
+    # and the specials of three orders against scans of the text
+    text = thue_morse_source().prefix(256000)
+    index = LanguageIndex(text, 62, binary_full_group())
+    assert index.g_closed
+    c = index.complexities()
+    for n in range(62):
+        level = index.sorted_factors(n)
+        assert sum(len(index.lext(w)) - 1 for w in level) == c[n + 1] - c[n]
+        assert sum(len(index.rext(w)) - 1 for w in level) == c[n + 1] - c[n]
+        if n < 61:
+            assert sum(map(index.bilateral_order, index.bispecials(n))) == c[n + 2] - 2 * c[n + 1] + c[n]
+    for n in (5, 31, 60):
+        assert index.specials(n)
+        for w in index.specials(n):
+            starts = [i for i in range(len(text) - n + 1) if text.startswith(w, i)]
+            assert index.lext(w) == {text[i - 1] for i in starts if i}
+            assert index.rext(w) == {text[i + n] for i in starts if i + n < len(text)}

@@ -384,7 +384,9 @@ class TestCrwWalk:
     def test_deep_index_classes(self, walks):
         # the benchmark's deep-index input; the bispecial classes of orders 24,
         # 32 and 48 have return words longer than 62 letters, Lemma 1's classes
-        # at order 59 have no order 61 to derive from, and order 60 is the top
+        # at order 59 have no order 61 to derive from, and order 60 is the top;
+        # the classes of order 48 and 59 have occurrences too far apart on
+        # average for any walk to finish, so their walks are not started
         text = thue_morse_source().prefix(32000)
         group = binary_full_group()
         index = LanguageIndex(text, 62, group)
@@ -393,7 +395,7 @@ class TestCrwWalk:
         assert sorted(walked) == [1, 2, 3, 4, 6, 8, 12, 16]
         assert all(index.is_bispecial(rep) for rep in walked.values())
         assert Counter(n for (n, _), ended in walks.items() if not ended) == {
-            24: 1, 32: 1, 48: 1, 59: 44,
+            24: 1, 32: 1,
         }
         for record in records:
             if walked.get(record.n) == record.representative:
