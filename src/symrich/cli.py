@@ -91,6 +91,14 @@ def _as_glyph(value, what: str) -> str:
     return text
 
 
+def _as_string(value, what: str) -> str:
+    """A field that YAML must read as a string: unquoted, 01 reads as the
+    number 1 and 0110 as the octal 72."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}; quote it in the YAML")
+    return value
+
+
 def _parse_arrow_pairs(entries, what: str) -> dict[str, str]:
     """Parse 'x -> yz' lines into a mapping."""
     if not isinstance(entries, list):
@@ -115,7 +123,7 @@ def _parse_alphabet(raw) -> Alphabet:
         raise ConfigError("config must declare an alphabet")
     if isinstance(raw, list):
         return Alphabet(tuple(_as_glyph(g, "alphabet entry") for g in raw))
-    return Alphabet.from_string(str(raw))
+    return Alphabet.from_string(_as_string(raw, "alphabet"))
 
 
 def _parse_source(raw, alphabet: Alphabet) -> WordSource:
@@ -135,9 +143,9 @@ def _parse_source(raw, alphabet: Alphabet) -> WordSource:
             )
         return source
     if kind == "periodic":
-        return PeriodicSource(alphabet, str(raw.get("period", "")))
+        return PeriodicSource(alphabet, _as_string(raw.get("period", ""), "word.period"))
     if kind == "literal":
-        return LiteralSource(alphabet, str(raw.get("word", "")))
+        return LiteralSource(alphabet, _as_string(raw.get("word", ""), "word.word"))
     raise ConfigError(f"unknown word kind {kind!r} (morphic | digit-sum | periodic | literal)")
 
 

@@ -238,7 +238,8 @@ class TlsVerdict:
         return "; ".join(parts)
 
 
-def _forest_path(forest: dict[str, set[str]], a: str, b: str) -> list[str]:
+def _forest_path(forest: dict[str, set[str]], a: str, b: str) -> list[str] | None:
+    """The path from a to b in the forest, or None when the forest does not join them."""
     stack = [[a]]
     seen = {a}
     while stack:
@@ -249,7 +250,7 @@ def _forest_path(forest: dict[str, set[str]], a: str, b: str) -> list[str]:
             if nb not in seen:
                 seen.add(nb)
                 stack.append(path + [nb])
-    return [a, b]
+    return None
 
 
 def _tree_check(graph: SymmetryGraph) -> tuple[bool, str | None]:
@@ -264,29 +265,20 @@ def _tree_check(graph: SymmetryGraph) -> tuple[bool, str | None]:
             )
         pair_seen[e.endpoints] = e.representative
 
-    parent: dict[str, str] = {v: v for v in vertices}
-
-    def root(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     forest: dict[str, set[str]] = {v: set() for v in vertices}
     components = len(vertices)
     cycle = None
     for e in edges:
         a, b = e.endpoints
-        ra, rb = root(a), root(b)
-        if ra == rb:
+        path = _forest_path(forest, a, b)
+        if path is not None:
+            # the forest built so far already joins a and b: this edge closes a cycle
             if cycle is None:
-                # the path a..b in the forest built so far closes the cycle
-                cycle = _forest_path(forest, a, b) + [a]
+                cycle = path + [a]
             continue
-        parent[ra] = rb
         forest[a].add(b)
         forest[b].add(a)
-        components -= 1
+        components -= 1  # the edge joins two components of the forest
     if components > 1:
         return False, "loop-free graph is disconnected"
     if cycle is not None:

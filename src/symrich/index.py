@@ -310,9 +310,6 @@ class LanguageIndex:
     def is_right_special(self, w: str) -> bool:
         return len(self.rext(w)) >= 2
 
-    def is_special(self, w: str) -> bool:
-        return self.is_left_special(w) or self.is_right_special(w)
-
     def is_bispecial(self, w: str) -> bool:
         return self.is_left_special(w) and self.is_right_special(w)
 
@@ -333,9 +330,6 @@ class LanguageIndex:
         its position in the level, which indexes every column of that order.
         The mapping is the index's own; do not modify it."""
         return self._special_lists(n)[0]
-
-    def specials(self, n: int) -> tuple[str, ...]:
-        return tuple(self._special_lists(n)[0])
 
     def bispecials(self, n: int) -> tuple[str, ...]:
         return self._special_lists(n)[1]
@@ -401,7 +395,7 @@ class LanguageIndex:
 
     def is_distinguishing(self, group: SymmetryGroup, n: int) -> bool:
         """Whether distinct antimorphisms of ``group`` act distinctly on every
-        factor of length n (``group.is_distinguishing(self.factors(n))``)."""
+        factor of length n."""
         antims = group.antimorphisms
         if len(antims) <= 1:
             return True

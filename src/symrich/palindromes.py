@@ -15,19 +15,21 @@ The G-lps of a prefix is the longest of the per-tree lps, and it is
 G-unioccurrent iff its node is new there and no orbit image is older, the
 group form of the rule of Droubay, Justin & Pirillo.  A whole profile thus
 takes time linear in |w| * |G|.  The image links of all nodes sit in one
-flat list, one row of |G| entries per node.  A node P of the tree of theta
-is fixed by theta, so the members g theta^k of a left coset g<theta> all
-map P to one node, and each new node pays one child lookup per coset, not
-per element.  What the trees need from the group, cosets included, is
-tabulated once per group object (:attr:`SymmetryGroup.palindrome_tables`),
-so a call on a short word pays little set-up.
+flat list, one row of |G| entries per node, and each new node pays one child
+lookup per left coset of its tree's antimorphism, not per element (the coset
+rule of :class:`~symrich.symmetry.PalindromeTables`).  What the trees need
+from the group, cosets included, is tabulated once per group object
+(:attr:`SymmetryGroup.palindrome_tables`), so a call on a short word pays
+little set-up.
 
-A scan under G serves every subgroup H of G as well: H's lps is the longest
-node over the trees of H's antimorphisms, and its unioccurrence reads only
-the image columns of H's elements.  :class:`TextPalindromes` holds one scan
-of a text under one group, and a :class:`~symrich.index.LanguageIndex` keeps
-one for its text under its group, so verifying a text under each of its
-subgroups scans it once.
+One scan per index, read by every subgroup.  A scan under G serves every
+subgroup H of G as well: H's lps is the longest node over the trees of H's
+antimorphisms, and its unioccurrence reads only the image columns of H's
+elements.  An image node stands for one string, born where that string
+first occurs, so which tree holds it does not matter.
+:class:`TextPalindromes` holds one scan of a text under one group, and a
+:class:`~symrich.index.LanguageIndex` keeps one for its text under its
+group, so verifying a text under each of its subgroups scans it once.
 
 The brute-force dual of :func:`defect_profile` runs for every verified group
 on a head of its text and in :func:`g_defect` on a whole word.  It shares no
@@ -95,16 +97,16 @@ def _palindrome_scan(word: str, tables: PalindromeTables) -> _Scan:
     Node P of the tree of theta is linked, for every element g, to node g(P)
     of the tree of g theta g^-1: the image of pi(c) X c is the child of
     image(X, g) along sigma(c) for a morphism g with letter map sigma, and
-    along sigma(pi(c)) for an antimorphism.  Since theta fixes P and X, every
-    member g theta^k of the left coset g<theta> maps them as g does, so that
-    child is looked up once per coset and written to the row entries of all
-    its members, and the back-links to the entries of their inverses.  The
-    rows are flat, ``width`` = |G| entries per node in node order.  The trees
-    are grown one after another over the whole word, and both directions of
-    a link are set when the second of its two nodes is made.  A node is born
-    at the prefix length where its palindrome first occurs, so the G-lps of
-    ``word[:i]`` is G-unioccurrent iff its node was born at i and no orbit
-    image was born earlier.  Time and space are linear in |word| * |G|.
+    along sigma(pi(c)) for an antimorphism.  By the coset rule of
+    :class:`PalindromeTables` that child is looked up once per left coset of
+    <theta> and written to the row entries of all its members, and the
+    back-links to the entries of their inverses.  The rows are flat,
+    ``width`` = |G| entries per node in node order.  The trees are grown one
+    after another over the whole word, and both directions of a link are set
+    when the second of its two nodes is made.  A node is born at the prefix
+    length where its palindrome first occurs, so the G-lps of ``word[:i]`` is
+    G-unioccurrent iff its node was born at i and no orbit image was born
+    earlier.  Time and space are linear in |word| * |G|.
     """
     n = len(word)
     trees = len(tables.closing)
@@ -237,13 +239,9 @@ def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan,
     """The :func:`defect_profile` of ``word`` under ``group`` from a linked scan of it
     under ``within``, a group containing ``group`` (``group`` itself by default).
 
-    A subgroup reads the scan of a larger group: its lps is the longest node
-    over the trees of its own antimorphisms, and that node is unioccurrent
-    when it was born at i and none of its images under the subgroup's
-    elements (the columns of their positions in ``within``) was born earlier.
-    An image node stands for one string, born where that string first
-    occurs, so which tree holds it does not matter.  When ``within`` is
-    ``group`` every tree and every column is read.
+    A subgroup reads the trees of its own antimorphisms and the image columns
+    of its elements' positions in ``within`` (see the module docstring); when
+    ``within`` is ``group`` every tree and every column is read.
     """
     length, born, image, width = scan.length, scan.born, scan.image, scan.width
     ends, pick = scan.ends, None
@@ -255,8 +253,8 @@ def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan,
     best = ends[0]
     for nodes in ends[1:]:
         best = [b if length[b] >= length[e] else e for b, e in zip(best, nodes)]
-    letter_class = group._letter_classes
-    letter_fixed = group._letter_fixed
+    letter_class = group.letter_classes
+    letter_fixed = group.letter_fixed
 
     n = len(word)
     pal_steps = [1] + [0] * n  # the empty-word class is always present
@@ -341,8 +339,8 @@ def _check_dual(group: SymmetryGroup, word: str, table: list[tuple[tuple[str, in
     """
     antimorphisms = (group if within is None else within).antimorphisms
     bits = sum(1 << t for t, theta in enumerate(antimorphisms) if theta in group)
-    letter_class = group._letter_classes
-    letter_fixed = group._letter_fixed
+    letter_class = group.letter_classes
+    letter_fixed = group.letter_fixed
     pal_reps: set[str] = set()
     gamma_classes: set[frozenset[str]] = set()
     for i, (a, row) in enumerate(zip(word, table[1:]), 1):
@@ -383,7 +381,8 @@ def g_defect(group: SymmetryGroup, word: str) -> DefectProfile:
 class TextPalindromes:
     """The linked scan of one text under one group and the brute-force dual
     table of its first ``DEFECT_CROSSCHECK_HEAD`` letters (centre expansion),
-    each built on first use and read by every subgroup (see the module docstring)."""
+    each built on first use; one scan per index, read by every subgroup (see
+    the module docstring)."""
 
     def __init__(self, group: SymmetryGroup, text: str):
         self.group = group

@@ -20,6 +20,7 @@ from .presets import (
     _HexaSource,
     hexa_group,
     hexa_psi,
+    hexa_text,
     octa_group,
     octa_source,
     octa_theta,
@@ -96,27 +97,20 @@ def repro_octa(length: int = 2000, n_max: int = 30) -> CaseStudyReport:
     checks.append(CheckLine("palindromic letters", len(pal1) == 8, f"{len(pal1)} of 8"))
     checks.append(CheckLine("palindromic length-2 classes", len(pal2) == 4, f"{pal2}"))
 
-    bispecials = [w for n in range(1, n_max + 1) for w in index.bispecials(n)]
+    records = report.bispecials  # orders 1..n_max, as the verification recorded them
     bs_ok = all(
-        index.bilateral_order(w) == 0
-        and len(index.lext(w)) == 2
-        and len(index.rext(w)) == 2
-        for w in bispecials
+        r.bilateral == 0 and len(index.lext(r.factor)) == 2 and len(index.rext(r.factor)) == 2
+        for r in records
     )
     checks.append(CheckLine("bispecial bilateral orders", bs_ok,
-                            f"{len(bispecials)} bispecials, all b=0 with 2+2 extensions"))
-    pal_ext_ok = True
-    for w in bispecials:
-        fixers = group.antimorphic_fixers(w)
-        if len(fixers) != 1 or len(index.pext(fixers[0], w)) != 1:
-            pal_ext_ok = False
-            break
+                            f"{len(records)} bispecials, all b=0 with 2+2 extensions"))
+    pal_ext_ok = all(r.pext_sizes == (1,) for r in records)
     checks.append(CheckLine("bispecials are palindromic with one palindromic extension",
-                            pal_ext_ok, f"checked {len(bispecials)}"))
+                            pal_ext_ok, f"checked {len(records)}"))
 
     recursion_bad = []
-    for w in bispecials:
-        last = w[-1]
+    for r in records:
+        w, last = r.factor, r.factor[-1]
         if last not in OCTA_PI:
             recursion_bad.append((w, "last letter not in 0/2/4/6"))
             continue
@@ -124,7 +118,7 @@ def repro_octa(length: int = 2000, n_max: int = 30) -> CaseStudyReport:
         if len(image) > n_max:
             continue
         if not (index.is_factor(image) and index.is_bispecial(image)
-                and index.bilateral_order(image) == index.bilateral_order(w)):
+                and index.bilateral_order(image) == r.bilateral):
             recursion_bad.append((w, image))
     checks.append(CheckLine("bispecial image recursion", not recursion_bad,
                             f"violations: {recursion_bad[:3]}" if recursion_bad else "holds"))
@@ -179,13 +173,17 @@ def repro_hexa(length: int = 2000, n_max: int = 30) -> CaseStudyReport:
         f"P0(1)={p[0][1]} P2(1)={p[2][1]} P1(1)={p[1][1]}",
     ))
 
-    # one octa index for both checks: bispecials up to u read level u + 2,
-    # transported palindromes up to t read level t
+    # one octa index for both checks (bispecials up to u read level u + 2,
+    # transported palindromes up to t read level t), on a prefix stable up to
+    # that order, so closure adds no factor it lacks.  On 3,000 octa letters the
+    # image of a palindrome w first occurring at p ends by hexa position
+    # 2(p + |w|) + 3, so the images are searched in the image of the prefix.
     u = (n_max - 3) // 2
     t = max(u, 4)
-    u_index = LanguageIndex(octa_source().prefix(max(len(text), 8 * u, 4 * t)), max(t, u + 2),
-                            octa_group())
-    transport_bad = _hexa_transport_violations(u_index, t, text)
+    order = max(t, u + 2)
+    octa_text, _ = _stable_prefix(octa_source(), max(len(text), 8 * u, 4 * t, order), order - 2)
+    u_index = LanguageIndex(octa_text, order, octa_group())
+    transport_bad = _hexa_transport_violations(u_index, t, hexa_text(2 * len(octa_text) + 4))
     checks.append(CheckLine("palindrome transport", not transport_bad,
                             f"violations: {transport_bad[:3]}" if transport_bad else "holds"))
 

@@ -150,11 +150,9 @@ class SymmetryGroup:
                 if h not in self._index:
                     raise GroupError(f"element set not closed under composition: {f} * {g} = {h}")
                 self._cayley[(f, g)] = h
+                # in a finite set closed under composition every inverse is a power of its element
                 if h.is_identity():
                     self._inverse.setdefault(f, g)
-        missing = [e for e in self.elements if e not in self._inverse]
-        if missing:
-            raise GroupError(f"elements without inverses: {[e.name for e in missing]}")
 
     @classmethod
     def close(cls, generators) -> "SymmetryGroup":
@@ -253,21 +251,15 @@ class SymmetryGroup:
         when an antimorphism exists)."""
         return any(t.apply(word) == word for t in self.antimorphisms)
 
-    def letter_classes(self) -> dict[str, frozenset[str]]:
-        """Per letter: its orbit under the group."""
-        return dict(self._letter_classes)
-
-    def letter_fixed(self) -> dict[str, bool]:
-        """Per letter: is it fixed by some antimorphism of the group."""
-        return dict(self._letter_fixed)
-
     # the group is immutable, so both letter maps are computed once
     @functools.cached_property
-    def _letter_classes(self) -> dict[str, frozenset[str]]:
+    def letter_classes(self) -> dict[str, frozenset[str]]:
+        """Per letter: its orbit under the group (the group's own; do not modify)."""
         return {g: frozenset(self.equivalence_class(g)) for g in self.alphabet}
 
     @functools.cached_property
-    def _letter_fixed(self) -> dict[str, bool]:
+    def letter_fixed(self) -> dict[str, bool]:
+        """Per letter: is it fixed by some antimorphism (the group's own; do not modify)."""
         return {
             g: any(t.image_of(g) == g for t in self.antimorphisms)
             for g in self.alphabet
@@ -277,25 +269,6 @@ class SymmetryGroup:
     def palindrome_tables(self) -> "PalindromeTables":
         """The group data of the orbit links between palindrome trees, built once."""
         return PalindromeTables.of(self)
-
-    def is_distinguishing(self, factors) -> bool:
-        """Whether distinct antimorphisms act distinctly on every given factor.
-
-        The factors must be nonempty and share one length.
-        """
-        factors = list(factors)
-        if not factors:
-            raise GroupError("distinguishing test needs a nonempty factor set")
-        n = len(factors[0])
-        if any(len(w) != n for w in factors):
-            raise GroupError("distinguishing test needs factors of a single length")
-        antims = self.antimorphisms
-        if len(antims) <= 1:
-            return True
-        for w in factors:
-            if len({t.apply(w) for t in antims}) < len(antims):
-                return False
-        return True
 
     def describe(self) -> str:
         kinds = f"{len(self.morphisms)} morphisms + {len(self.antimorphisms)} antimorphisms"

@@ -437,11 +437,10 @@ def verify_text(
     that group must be ``group`` itself, since additions under a larger group
     say nothing about closure under ``group``.
 
-    The defect profile and its dual check read the linked scan of the text
-    and the dual table of its head that the index keeps under its group
-    (:class:`palindromes.TextPalindromes`), so verifying one index under
-    several subgroups builds each once; every group is still checked against
-    the dual at every prefix of the head.
+    The defect profile and its dual check read the scan and the dual head
+    table that the index keeps (:class:`palindromes.TextPalindromes`: one
+    scan per index, read by every subgroup); every group is still checked
+    against the dual at every prefix of the head.
     """
     text, n_max = index.text, index.n_max - 2
     if n_max < 0:
@@ -554,10 +553,8 @@ def verify_text(
         "return-words": not any(r.violations for r in crw if r.n >= at),
         "lps": not any(pos >= at for pos in profile.lacunas),
         "defect": profile.final == 0 if at == 1 else profile.stabilized,
-        "complexity": all(r.equal for r in identity if r.distinguishing and r.n >= at),
-        "bispecial": anchor_ok and all(
-            r.ok for r in bisp if distinguishing_at.get(r.n, False) and r.n >= at
-        ),
+        "complexity": not ceq_bad,
+        "bispecial": anchor_ok and not bisp_bad,
     }
     agreement_ok = len(set(verdicts.values())) == 1
     bound_ok = all(r.holds for r in identity if r.distinguishing)

@@ -1,0 +1,60 @@
+"""The table of the mutation gate (``tests/test_mutation_gate.py``).
+
+Each row names a file under ``src/symrich``, an exact snippet that occurs
+there once, the mutant that replaces it, and the id of the test that must
+fail on the mutated tree.  A refactor that changes a snippet fails the gate
+until its row is updated; a row is never dropped to make the gate pass.
+
+The tie rule of ``_lacuna_profile`` (on equal lengths the earlier tree's node
+is kept) has no killable mutant: two trees' nodes of one length at one prefix
+are one string, born at one position, whose images are the same strings, so
+taking the later node changes nothing.  Its row reverses the comparison
+instead, which keeps the shorter suffix.
+"""
+
+from collections import namedtuple
+
+Mutant = namedtuple("Mutant", "what file snippet mutant test")
+
+MUTANTS = (
+    Mutant("antimorphism reversal in LanguageIndex.column", "index.py",
+           "images.reverse()", "images",
+           "tests/test_properties.py::TestOrbitColumns::test_columns_match_per_factor_calls"),
+    Mutant("min -> max in LanguageIndex.representatives", "index.py",
+           "tuple(map(min, zip(", "tuple(map(max, zip(",
+           "tests/test_properties.py::TestOrbitColumns::test_columns_match_per_factor_calls"),
+    Mutant("max S <-> min S in the strip of Lemma 2", "verify.py",
+           "u = v[max(shifts[v[:n1]]):len(v) - 1 + min(shifts[v[-n1:]])]",
+           "u = v[min(shifts[v[:n1]]):len(v) - 1 + max(shifts[v[-n1:]])]",
+           "tests/test_verify.py::TestCrwOneSided::test_extension_word_with_both_shifts"),
+    Mutant("the break of the top-down closure loop, taken after the top level", "index.py",
+           "if not added:", "if not added or n < n_max:",
+           "tests/test_index.py::TestBuild::test_closure_walk_stops_at_first_closed_level"),
+    Mutant("the per-tree lps merge of _lacuna_profile keeps the shorter suffix", "palindromes.py",
+           "b if length[b] >= length[e] else e", "b if length[b] <= length[e] else e",
+           "tests/test_properties.py::TestLpsDifferential::test_profile_lps_column"),
+    Mutant("the coset member loop of _palindrome_scan", "palindromes.py",
+           "for j in members:", "for j in members[:0]:",
+           "tests/test_properties.py::TestLpsRegressions::test_non_involutive_extension_needs_both_tests"),
+    Mutant("the start offset of _stable_under_doubling", "index.py",
+           "start = len(short) - n + 1", "start = len(short) - n + 2",
+           "tests/test_properties.py::TestIndexDifferential::test_stability_outcomes_and_edges"),
+    Mutant("_check_dual skips the first antimorphism's own bit", "palindromes.py",
+           "if theta in group)", "if theta in group and t)",
+           "tests/test_palindromes.py::TestDefect::test_fast_profile_equals_dual"),
+    Mutant("the tree check takes an unjoined edge for a cycle", "graphs.py",
+           "if path is not None:", "if path is None:",
+           "tests/test_graphs.py::TestTreeCheckWitness::test_tree_check_against_oracle"),
+    Mutant("the complexity verdict ignores its failures", "verify.py",
+           '"complexity": not ceq_bad,', '"complexity": True,',
+           "tests/test_verify.py::TestVerify::test_refuted_run"),
+    Mutant("repro_octa wants two palindromic extensions", "repro.py",
+           "r.pext_sizes == (1,)", "r.pext_sizes == (2,)",
+           "tests/test_cli.py::TestRepro::test_ex8_scaled_down"),
+    Mutant("repro_hexa searches the transported images in the analysed text", "repro.py",
+           "hexa_text(2 * len(octa_text) + 4))", "text)",
+           "tests/test_verify.py::test_repro_hexa_transport_on_a_short_prefix"),
+    Mutant("an unquoted YAML word is read through str()", "cli.py",
+           "if not isinstance(value, str):", "if False:",
+           "tests/test_cli.py::TestExitCodes::test_unquoted_word_field"),
+)

@@ -128,6 +128,21 @@ def set_union_crw_records(group, index, text, n_lo, n_hi):
     return records
 
 
+def distinguishing(group, factors):
+    """Oracle for ``LanguageIndex.is_distinguishing``: whether distinct
+    antimorphisms of ``group`` act distinctly on every given factor, by
+    applying each of them to each factor.  The factors must be nonempty and
+    share one length."""
+    factors = list(factors)
+    if not factors:
+        raise GroupError("distinguishing test needs a nonempty factor set")
+    n = len(factors[0])
+    if any(len(w) != n for w in factors):
+        raise GroupError("distinguishing test needs factors of a single length")
+    antims = group.antimorphisms
+    return all(len({t.apply(w) for t in antims}) == len(antims) for w in factors)
+
+
 OrbitData = namedtuple("OrbitData", "columns representatives orbits distinguishing specials bispecials")
 
 
@@ -143,8 +158,9 @@ def per_factor_orbit_data(group, index, n):
         columns={g: tuple(g.apply(w) for w in level) for g in group.elements},
         representatives=tuple(group.class_representative(w) for w in level),
         orbits=[group.equivalence_class(w) for w in level],
-        distinguishing=group.is_distinguishing(index.factors(n)),
-        specials=tuple(w for w in level if index.is_special(w)) if room else None,
+        distinguishing=distinguishing(group, index.factors(n)),
+        specials=tuple(w for w in level if index.is_left_special(w) or index.is_right_special(w))
+        if room else None,
         bispecials=tuple(w for w in level if index.is_bispecial(w)) if room else None,
     )
 
@@ -164,7 +180,7 @@ def position_walk_edges(group, index, n):
             "group closure had to add factors "
             f"(lengths {sorted(index.closure_added)}); the prefix is too short for graph analysis"
         )
-    specials = index.specials(n)
+    specials = index.special_rows(n)
     rep_of = {}
     for w in specials:
         members = group.equivalence_class(w)

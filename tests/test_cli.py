@@ -176,6 +176,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "--config", str(path), "word")
         assert code == EXIT_CONFIG and field in err and out == ""
 
+    @pytest.mark.parametrize("field, old, new, quoted_word", [
+        ("word.period", "kind: digit-sum\n  base: 2\n  modulus: 2", "kind: periodic\n  period: 01", "0101"),
+        ("word.word", "kind: digit-sum\n  base: 2\n  modulus: 2", "kind: literal\n  word: 0110", "0110"),
+        ("alphabet", 'alphabet: "01"', "alphabet: 01", "0110"),
+    ], ids=["period", "literal", "alphabet"])
+    def test_unquoted_word_field(self, capsys, tmp_path, field, old, new, quoted_word):
+        # unquoted, YAML reads 01 as the number 1 and 0110 as the octal 72
+        path = tmp_path / "unquoted.yaml"
+        path.write_text(TM_CONFIG.replace(old, new))
+        code, out, err = run(capsys, "--config", str(path), "word")
+        assert code == EXIT_CONFIG and field in err and "quote" in err and out == ""
+        head, _, value = new.rpartition(" ")
+        path.write_text(TM_CONFIG.replace(old, f'{head} "{value}"'))
+        assert run(capsys, "--config", str(path), "--length", "4", "word") == (0, quoted_word + "\n", "")
+
     def test_integral_float_reads_as_integer(self, capsys, tm_config, tmp_path):
         path = tmp_path / "float_int.yaml"
         path.write_text(TM_CONFIG.replace("length: 600", "length: 600.0").replace("modulus: 2", "modulus: 2.0"))
@@ -334,6 +349,11 @@ class TestRepro:
         code, out, _ = run(capsys, "--length", "700", "--nmax", "13", "repro", "ex6")
         assert code == 0
         assert "overall ok: True" in out
+
+    def test_ex6_short_prefix(self, capsys):
+        code, out, _ = run(capsys, "--length", "40", "--nmax", "3", "repro", "ex6")
+        assert code == 0
+        assert "overall ok: True" in out and "[ok] palindrome transport: holds" in out
 
     def test_ex6_checks_the_doubled_prefix(self):
         # the hexa prefix of 60 letters is unstable at n_max 20, so it is doubled to

@@ -1,6 +1,9 @@
+import ast
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import connected
 from symrich import (
@@ -15,7 +18,7 @@ from symrich import (
     undirected_symmetry_graph,
 )
 from symrich.cli import main
-from symrich.graphs import SymmetryGraph, TlsVerdict, UndirectedEdge, _tree_check
+from symrich.graphs import DirectedEdge, SymmetryGraph, TlsVerdict, UndirectedEdge, _tree_check
 from symrich.presets import (
     BINARY,
     binary_full_group,
@@ -242,9 +245,24 @@ class TestTls:
 
 def hand_built(vertices, pairs):
     """An undirected graph of symmetries on the given class representatives,
-    one edge class per (label, a, b) triple."""
+    one edge class per (label, a, b) triple, each with one directed edge."""
+    directed = tuple(DirectedEdge(label, a, b) for label, a, b in pairs)
     edges = tuple(UndirectedEdge(label, (label,), (a, b)) for label, a, b in pairs)
-    return SymmetryGraph(1, False, tuple((v,) for v in vertices), (), edges)
+    return SymmetryGraph(1, False, tuple((v,) for v in vertices), directed, edges)
+
+
+@st.composite
+def multigraph_st(draw):
+    """Up to 6 vertices, up to 8 non-loop edges (parallel ones allowed) with
+    sorted endpoints, as in a graph of symmetries, and up to 2 loops."""
+    vertices = "abcdef"[:draw(st.integers(0, 6))]
+    if not vertices:
+        return vertices, []
+    vertex = st.sampled_from(vertices)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]).map(sorted),
+                          max_size=8 if len(vertices) > 1 else 0))
+    loops = draw(st.lists(vertex.map(lambda v: (v, v)), max_size=2))
+    return vertices, [(f"e{i}", a, b) for i, (a, b) in enumerate(draw(st.permutations(pairs + loops)))]
 
 
 class TestTreeCheckWitness:
@@ -270,6 +288,29 @@ class TestTreeCheckWitness:
         verdict = TlsVerdict(1, (), tree_ok, tree_witness, False)
         assert not tree_ok and kind in tree_witness
         assert verdict.witness == tree_witness
+
+    @given(case=multigraph_st())
+    @settings(max_examples=300, deadline=None)
+    def test_tree_check_against_oracle(self, case):
+        vertices, pairs = case
+        graph = hand_built(vertices, pairs)
+        links = [(a, b) for _, a, b in pairs if a != b]
+        parallel = len(set(links)) < len(links)
+        joined = connected(graph)
+        tree_ok, witness = _tree_check(graph)
+        # a graph with no vertices counts as a tree
+        assert tree_ok == (not parallel and joined and len(links) == max(len(vertices) - 1, 0))
+        if tree_ok:
+            assert witness is None
+        elif parallel:
+            assert witness.startswith("parallel edge classes ")
+        elif not joined:
+            assert witness == "loop-free graph is disconnected"
+        else:
+            assert witness.startswith("cycle through ")
+            walk = ast.literal_eval(witness.removeprefix("cycle through "))
+            assert len(walk) >= 4 and walk[0] == walk[-1] and len(set(walk)) == len(walk) - 1
+            assert all(tuple(sorted(step)) in links for step in zip(walk, walk[1:]))
 
     def test_small_graphs_are_trees(self):
         assert _tree_check(hand_built("", [])) == (True, None)

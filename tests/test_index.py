@@ -28,7 +28,7 @@ class TestBuild:
 
     def test_t33_level_3(self, t33_index):
         assert len(t33_index.factors(3)) == 15
-        assert t33_index.specials(3) == ("012", "120", "201")
+        assert tuple(t33_index.special_rows(3)) == ("012", "120", "201")
 
     def test_occurrences_consistent(self, tm_index, tm_text):
         for w in ("0", "011", "0110"):

@@ -458,7 +458,7 @@ class TestRichnessBounds:
     @settings(max_examples=100, deadline=None)
     def test_gamma_bounded_by_letter_classes(self, gw):
         group, word = gw
-        classes, fixed = group.letter_classes(), group.letter_fixed()
+        classes, fixed = group.letter_classes, group.letter_fixed
         gamma = len({classes[a] for a in set(word) if not fixed[a]})
         assert 0 <= gamma <= len(set(word))
 
@@ -638,7 +638,7 @@ class TestIndexDifferential:
                         assert index.pext(theta, w) == {
                             a for a in letters if a + w + theta.apply(a) in closed[n + 2]
                         }
-            assert index.specials(n) == tuple(sorted(left_special | right_special))
+            assert tuple(index.special_rows(n)) == tuple(sorted(left_special | right_special))
             assert index.bispecials(n) == tuple(sorted(left_special & right_special))
 
     @given(data=st.data())
@@ -727,7 +727,7 @@ class TestOrbitColumns:
                     w for w in level if theta.apply(w) == w
                 )
             if n < n_max:
-                assert index.specials(n) == expected.specials
+                assert tuple(index.special_rows(n)) == expected.specials
                 assert index.bispecials(n) == expected.bispecials
                 assert index.special_rows(n) == {w: level.index(w) for w in expected.specials}
 

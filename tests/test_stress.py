@@ -47,7 +47,7 @@ def test_thue_morse_index_at_order_62():
     assert index.g_closed
     for n in (1, 31, 62):
         assert index.factors(n) == {text[i:i + n] for i in range(len(text) - n + 1)}
-    specials = index.specials(30)
+    specials = index.special_rows(30)
     assert specials
     for w in specials:
         assert index.occurrences(w) == tuple(i for i in range(len(text) - 29) if text.startswith(w, i))
@@ -85,8 +85,8 @@ def test_extension_tables_at_order_62():
         if n < 61:
             assert sum(map(index.bilateral_order, index.bispecials(n))) == c[n + 2] - 2 * c[n + 1] + c[n]
     for n in (5, 31, 60):
-        assert index.specials(n)
-        for w in index.specials(n):
+        assert index.special_rows(n)
+        for w in index.special_rows(n):
             starts = [i for i in range(len(text) - n + 1) if text.startswith(w, i)]
             assert index.lext(w) == {text[i - 1] for i in starts if i}
             assert index.rext(w) == {text[i + n] for i in starts if i + n < len(text)}

@@ -562,6 +562,15 @@ def test_repro_hexa_builds_one_index_per_text_and_order(monkeypatch):
     assert built == [(hexa, 32), (octa, 15), (hexa, 22)]
 
 
+def test_repro_hexa_transport_on_a_short_prefix():
+    # a 24-letter octa prefix lacks factors such as 301 that closure adds, and
+    # their images lie beyond the 40-letter hexa text
+    report = repro_hexa(40, 3)
+    assert report.ok
+    assert [c.render() for c in report.checks if c.name == "palindrome transport"] == [
+        "  [ok] palindrome transport: holds"]
+
+
 class TestDefectSum:
     def test_fibonacci_matches(self):
         out = defect_sum_check(fibonacci_source(), 1500, 30)
