@@ -73,7 +73,7 @@ def _as_int(value, what: str) -> int:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if isinstance(value, float) and number != value:
+    if isinstance(value, bool) or isinstance(value, float) and number != value:
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return number
 

@@ -73,9 +73,10 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     about |text| slices per order, so the orders are walked top-down and a
     class that is not bispecial is derived from the order above: from order
     n + 2 when its representative is unique on both sides, from order n + 1
-    when it is unique on one side only.  Return words change only at
-    bispecial factors (Balkova, Pelantova and Steiner, Monatsh. Math. 2008;
-    Glen, Justin, Widmer and Zamboni, Eur. J. Combin. 2009).
+    when it is unique on one side only or, at order n_hi - 1, on both.
+    Return words change only at bispecial factors (Balkova, Pelantova and
+    Steiner, Monatsh. Math. 2008; Glen, Justin, Widmer and Zamboni, Eur. J.
+    Combin. 2009).
 
     Lemma 1 (order n + 2).  Let the factor sets of orders n + 1 and n + 2 be
     closed under ``group``, and let C be a class of order n whose
@@ -168,9 +169,19 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
       antimorphism theta with theta(v) = v maps v[:n+1] to v[-n-1:], and
       S(theta(w)) is {1 - s : s in S(w)} by (2), so max S(v[:n+1]) is
       1 - min S(v[-n-1:]);
-    * a w = b·u = u'·c with S(w) = {0, 1} is a G-palindrome: u' = g(u) for
-      some g swapping the unique sides, an antimorphism, and by (2) g maps
-      w, the extension word of u, to the extension word of u', which is w.
+    * a w with S(w) = {0, 1} is a G-palindrome: by (2) it is g(e) = h(e)
+      for a morphism g and an antimorphism h, and h·g^-1 fixes it.
+
+    Lemma 2 also holds for a class unique on both sides, with e = m·c and
+    shift 0, once the words of at most n letters are dropped from crw(C);
+    it serves order n_hi - 1, where Lemma 1 has no order n + 2.  g(e) is
+    g(m)·s(c) with shift 0 for a morphism g and s(c)·g(m) with shift 1 for
+    an antimorphism, and (2)-(4) carry over but for one step: a member
+    u = g(m) = g'(m), g a morphism and g' an antimorphism, has both
+    extension words, so an inner occurrence p of u is reached twice, as
+    (p, 0) and as (p - 1, 1).  So q + 1 = q' + 0 in (4) happens, for
+    q' = q + 1, and the return word b'·u·c' of that pair strips to u, of
+    n letters, while a complete return word has at least n + 1.
 
     Lemma 3 (a walk on the index).  Let the index have no closure additions,
     so that its level m is the set of length-m factors of the text for every
@@ -203,14 +214,13 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     Below the top order n_hi, every class that neither Lemma 1 nor Lemma 2
     derives is walked when the index has no closure additions: bispecial
     classes, classes with no inner occurrence or with a side that has no
-    extension, Lemma 1's classes at order n_hi - 1, and every class when the
-    language is not known to be closed under ``group`` (an index built
-    without a group, or for a group not containing ``group``).  The top
-    order, the walks that fall back or are not started and indexes with
-    closure additions are sliced: ``text[i:j + n]`` for each pair of
-    consecutive occurrences.  ``text`` must be ``index.text``.  Each order
-    is grouped into classes by the index's representatives
-    (:meth:`LanguageIndex.representatives`), and
+    extension, and every class when the language is not known to be closed
+    under ``group`` (an index built without a group, or for a group not
+    containing ``group``).  The top order, the walks that fall back or are
+    not started and indexes with closure additions are sliced:
+    ``text[i:j + n]`` for each pair of consecutive occurrences.  ``text``
+    must be ``index.text``.  Each order is grouped into classes by the
+    index's representatives (:meth:`LanguageIndex.representatives`), and
     every factor of an order points at the entry of its class, so the classes
     of the head, the tail, Lemma 1's b·m·c and Lemma 2's e are found by the
     factor itself.
@@ -247,9 +257,10 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
                     returns, suspects = set(), set()
                     for v in outer.return_words:
                         u = v[max(shifts[v[:n1]]):len(v) - 1 + min(shifts[v[-n1:]])]
-                        returns.add(u)
-                        if v in outer.violations:
-                            suspects.add(u)
+                        if len(u) > n:
+                            returns.add(u)
+                            if v in outer.violations:
+                                suspects.add(u)
                     returns.update(w for w, s in shifts.items() if len(s) == 2)
                 if rep == head and first:
                     returns.add(text[:first + n])
@@ -285,20 +296,20 @@ def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
     """Where :func:`crw_records` derives the class of ``rep`` (order n) from.
 
     For rep unique on both sides, the entry of the class of b·rep·c at order
-    n + 2 and None (Lemma 1); for rep special on one side only, the entry of
-    the class of its extension word e at order n + 1 and the shift table S
-    of that class (Lemma 2), read off e: g(e) takes the shift s0 of rep in e
-    for a morphism g and 1 - s0 for an antimorphism.  None when rep is
-    bispecial or has no extension on a side, or for Lemma 1 when order n + 2
-    or the entry is not in ``levels``; ``levels`` must hold order n + 1.
+    n + 2 and None (Lemma 1); for rep special on one side only, or unique on
+    both when order n + 2 is not in ``levels``, the entry of the class of its
+    extension word e at order n + 1 and the shift table S of that class
+    (Lemma 2), read off e: g(e) takes the shift s0 of rep in e for a
+    morphism g and 1 - s0 for an antimorphism.  None when rep is bispecial
+    or has no extension on a side, or for Lemma 1 when b·rep·c is no factor;
+    ``levels`` must hold order n + 1.
     """
     left, right = index.lext(rep), index.rext(rep)
-    if len(left) == 1 and len(right) == 1:
+    if len(left) == 1 and len(right) == 1 and len(rep) + 2 in levels:
         (b,), (c,) = left, right
-        up = levels.get(len(rep) + 2)
-        entry = up and up.get(b + rep + c)  # none when b·rep·c is no factor
+        entry = levels[len(rep) + 2].get(b + rep + c)  # none when b·rep·c is no factor
         return (entry, None) if entry else None
-    if len(left) >= 2 and len(right) == 1:
+    if left and len(right) == 1:  # special on the left only, or at n_hi - 1 unique on both sides
         (c,) = right
         e, s0 = rep + c, 0
     elif len(left) == 1 and len(right) >= 2:

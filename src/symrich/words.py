@@ -174,8 +174,9 @@ class DigitSumSource(WordSource):
     Prefixes are built by block substitution: for n = j·b^k + r with j < b
     and r < b^k, s(n) = j + s(r), so the first b^(k+1) letters are b copies
     of the first b^k, the j-th shifted by j mod m (one ``str.translate``
-    each); only the copies the requested length reaches are built.  The tests
-    check it against the digit sums themselves.
+    each, through one of m tables); only the copies the requested length
+    reaches are built.  The tests check it against the digit sums
+    themselves.
     """
 
     def __init__(self, base: int, modulus: int):
@@ -190,11 +191,11 @@ class DigitSumSource(WordSource):
     def prefix(self, length: int) -> str:
         self._check_length(length)
         glyphs, m = "".join(self.alphabet.glyphs), self.modulus
-        shifts = [str.maketrans(glyphs, glyphs[j % m:] + glyphs[:j % m]) for j in range(self.base)]
+        shifts = [str.maketrans(glyphs, glyphs[j:] + glyphs[:j]) for j in range(m)]
         block = glyphs[0]
         while len(block) < length:
-            copies = -(-length // len(block))
-            block = "".join(block.translate(shift) for shift in shifts[:copies])
+            copies = min(-(-length // len(block)), self.base)
+            block = "".join(block.translate(shifts[j % m]) for j in range(copies))
         return block[:length]
 
     def __repr__(self) -> str:

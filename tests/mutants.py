@@ -27,6 +27,12 @@ MUTANTS = (
            "u = v[max(shifts[v[:n1]]):len(v) - 1 + min(shifts[v[-n1:]])]",
            "u = v[min(shifts[v[:n1]]):len(v) - 1 + max(shifts[v[-n1:]])]",
            "tests/test_verify.py::TestCrwOneSided::test_extension_word_with_both_shifts"),
+    Mutant("Lemma 2 keeps the strips of n letters of doubly reached members", "verify.py",
+           "if len(u) > n:", "if len(u) >= n:",
+           "tests/test_verify.py::TestCrwBelowTop::test_doubly_reached_member[fib-reversal]"),
+    Mutant("shift 1 for the extension word m·c of Lemma 2", "verify.py",
+           "e, s0 = rep + c, 0", "e, s0 = rep + c, 1",
+           "tests/test_verify.py::TestCrwBelowTop::test_doubly_reached_member[t33-dihedral3]"),
     Mutant("the break of the top-down closure loop, taken after the top level", "index.py",
            "if not added:", "if not added or n < n_max:",
            "tests/test_index.py::TestBuild::test_closure_walk_stops_at_first_closed_level"),

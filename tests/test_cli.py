@@ -163,6 +163,24 @@ class TestExitCodes:
         assert code == EXIT_CONFIG and field in err and out == ""
 
     @pytest.mark.parametrize("field, old, new", [
+        ("analysis.length", "length: 600", "length: true"),
+        ("analysis.n_max", "n_max: 10", "n_max: false"),
+        ("word.base", "base: 2", "base: true"),
+    ])
+    def test_boolean_field(self, capsys, tmp_path, field, old, new):
+        # YAML reads true and false as booleans, which int() would take for 1 and 0
+        path = tmp_path / "bool.yaml"
+        path.write_text(TM_CONFIG.replace(old, new))
+        code, out, err = run(capsys, "--config", str(path), "word")
+        assert code == EXIT_CONFIG and field in err and out == ""
+
+    def test_huge_digit_sum_base(self, capsys, tmp_path):
+        path = tmp_path / "huge_base.yaml"
+        path.write_text(TM_CONFIG.replace("base: 2", "base: 100000000000000000000"))
+        code, out, err = run(capsys, "--config", str(path), "--length", "200", "word")
+        assert (code, err) == (0, "") and out == "01" * 100 + "\n"
+
+    @pytest.mark.parametrize("field, old, new", [
         ("analysis.length", "length: 600", "length: 600.5"),
         ("analysis.length", "length: 600", "length: .inf"),
         ("analysis.n_max", "n_max: 10", "n_max: 9.99"),

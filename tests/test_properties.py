@@ -732,6 +732,41 @@ class TestOrbitColumns:
                 assert index.special_rows(n) == {w: level.index(w) for w in expected.specials}
 
 
+def saturate(text, group, n, pick):
+    """``text`` with images of its factors of length n appended, one ``pick``
+    of the missing ones at a time, until its factors of length n, and so those
+    of every shorter length, are closed under ``group``; |text| >= n."""
+    have = set(windows(text, n))
+    missing = {g.apply(w) for w in have for g in group.elements} - have
+    while missing:
+        start = len(text) - n + 1
+        text += pick(missing)
+        new = {text[i:i + n] for i in range(start, len(text) - n + 1)} - have
+        have |= new
+        missing = (missing | {g.apply(w) for w in new for g in group.elements}) - have
+    return text
+
+
+@st.composite
+def closed_word_st(draw):
+    """A group (random, generated by one antimorphism that need not be an
+    involution, or a test group whose antimorphisms have order 4), a
+    subgroup with an antimorphism, a word whose factors up to order n_max are
+    closed under the group, and n_max.  The word doubles a seed by random
+    images of itself, which keeps many classes unique on both sides, and is
+    then saturated."""
+    group = draw(group_st() | st.sampled_from([cyclic4_antimorphism_group(), cyclic4_reversal_group()])
+                 | alphabet_st().flatmap(antimorphism_st).map(lambda t: SymmetryGroup.close([t])))
+    sub = draw(st.sampled_from([s for s in group.subgroups() if s.has_antimorphism]))
+    word = draw(word_st(group.alphabet, min_size=1, max_size=3))
+    for g in draw(st.lists(st.sampled_from(group.elements), min_size=2, max_size=6)):
+        word += g.apply(word)
+    size = len(group.alphabet.glyphs)
+    n_max = draw(st.integers(2, max(k for k in range(2, 10) if size ** k <= 300)))
+    assume(len(word) >= n_max)
+    return group, sub, saturate(word, group, n_max, draw(st.sampled_from([min, max]))), n_max
+
+
 @functools.cache
 def preset_word(name):
     """A 600-letter prefix of a preset word, its group, and the subgroups of
@@ -766,6 +801,19 @@ class TestCrwOnClosedLanguages:
         assume(index.g_closed)
         assert crw_records(sub, index, text, n_lo, n_hi) == set_union_crw_records(
             sub, index, text, n_lo, n_hi
+        )
+
+    @given(case=closed_word_st(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_order_below_the_top(self, case, data):
+        # order n_hi - 1 has no order n + 2 to derive from, so its classes
+        # unique on both sides derive from order n_hi by Lemma 2
+        group, sub, word, n_max = case
+        n_hi = data.draw(st.integers(2, n_max))
+        index = LanguageIndex(word, n_max, group)
+        assert index.g_closed
+        assert crw_records(sub, index, word, n_hi - 1, n_hi) == set_union_crw_records(
+            sub, index, word, n_hi - 1, n_hi
         )
 
     @pytest.mark.parametrize("name", ["tm", "fib", "t33", "octa", "hexa"])

@@ -312,21 +312,22 @@ class TestCrw:
                 )
 
 
+@pytest.fixture
+def derived(monkeypatch):
+    """Per class representative: what ``_outer_entry`` returned for it."""
+    module = importlib.import_module("symrich.verify")
+    real, found = module._outer_entry, {}
+
+    def spy(group, index, levels, rep):
+        found[rep] = real(group, index, levels, rep)
+        return found[rep]
+
+    monkeypatch.setattr(module, "_outer_entry", spy)
+    return found
+
+
 class TestCrwOneSided:
     """Return words of classes special on one side only, derived from order n + 1."""
-
-    @pytest.fixture
-    def derived(self, monkeypatch):
-        """Per class representative: what ``_outer_entry`` returned for it."""
-        module = importlib.import_module("symrich.verify")
-        real, found = module._outer_entry, {}
-
-        def spy(group, index, levels, rep):
-            found[rep] = real(group, index, levels, rep)
-            return found[rep]
-
-        monkeypatch.setattr(module, "_outer_entry", spy)
-        return found
 
     def test_extension_word_with_both_shifts(self, i2_2, tm_text, derived):
         # 1001011 is right-unique (right letter 0) and 0010110 left-unique (left
@@ -362,6 +363,87 @@ class TestCrwOneSided:
         assert boundary in record.return_words
 
 
+def doubly_reached(source, n):
+    """The return words of the class C1 that ``source`` (a Lemma 2 source of a
+    class of order n) names whose consecutive occurrences q and q + 1 reach one
+    occurrence q + 1 of a member u twice: b'·u at q and u·c' at q + 1."""
+    (outer, _, _), shifts = source
+    return [v for v in outer.return_words
+            if len(v) == n + 2 and 1 in shifts[v[:n + 1]] and 0 in shifts[v[1:]]]
+
+
+class TestCrwBelowTop:
+    """Classes unique on both sides at order n_hi - 1, where Lemma 1 has no
+    order n + 2: Lemma 2 derives them from order n_hi, with e = m·c and shift
+    0, and drops the words of at most n letters."""
+
+    @pytest.mark.parametrize("text, group, rep", [
+        (fibonacci_source().prefix(200), reversal_group(BINARY), "0010100"),
+        (generalized_thue_morse(3, 3).prefix(200), dihedral_group(3), "0101212"),
+        (hexa_text(200), hexa_group(), "0312031"),
+    ], ids=["fib-reversal", "t33-dihedral3", "hexa"])
+    def test_doubly_reached_member(self, derived, text, group, rep):
+        index = LanguageIndex(text, 8, group)
+        assert index.g_closed
+        records = crw_records(group, index, text, 1, 8)
+        assert records == set_union_crw_records(group, index, text, 1, 8)
+        assert len(index.lext(rep)) == len(index.rext(rep)) == 1
+        assert derived[rep][1] is not None  # Lemma 2, from order 8
+        # C1 occurs at q and q + 1, so the strip of its return word is rep's
+        # member u, of 7 letters, which is no return word
+        assert doubly_reached(derived[rep], 7)
+        record = next(r for r in records if r.representative == rep)
+        assert min(map(len, record.return_words)) > 7
+
+    def test_hexa_every_subgroup(self, derived):
+        text = hexa_text(200)
+        index = LanguageIndex(text, 8, hexa_group())
+        reached = 0
+        for sub in hexa_group().subgroups():
+            derived.clear()
+            assert crw_records(sub, index, text, 1, 8) == set_union_crw_records(sub, index, text, 1, 8)
+            reached += any(doubly_reached(source, 7) for rep, source in derived.items()
+                           if len(rep) == 7 and source and source[1] is not None)
+        assert reached == 10  # of 15 subgroups
+
+    @pytest.mark.parametrize("text, group, index_group", [
+        (thue_morse_source().prefix(2000), binary_full_group(), None),
+        (fibonacci_source().prefix(500), reversal_group(BINARY), None),
+        (generalized_thue_morse(3, 3).prefix(500), dihedral_group(3), None),
+        (hexa_text(500), hexa_subgroup(0), hexa_group()),
+    ], ids=["tm", "fib", "t33", "hexa-psi0-psi1"])
+    def test_every_two_sided_class_gets_a_source(self, derived, text, group, index_group):
+        # Lemma 1 up to order n_hi - 2 where b·m·c is a factor, Lemma 2 at n_hi - 1
+        index = LanguageIndex(text, 20, index_group or group)
+        assert index.g_closed
+        n_hi = 16
+        crw_records(group, index, text, 1, n_hi)
+        two_sided = [rep for rep in derived if len(index.lext(rep)) == len(index.rext(rep)) == 1]
+        below = [rep for rep in two_sided if len(rep) == n_hi - 1]
+        assert below and all(derived[rep] and derived[rep][1] is not None for rep in below)
+        for rep in two_sided:
+            if len(rep) < n_hi - 1 and derived[rep]:
+                assert derived[rep][1] is None
+
+    def test_deep_index_order_59_is_not_sliced(self, derived, monkeypatch):
+        text = thue_morse_source().prefix(32000)
+        group = binary_full_group()
+        index = LanguageIndex(text, 62, group)
+        sliced = Counter()
+        real = index.occurrences
+
+        def occurrences(w):
+            sliced[len(w)] += 1
+            return real(w)
+
+        monkeypatch.setattr(index, "occurrences", occurrences)
+        crw_records(group, index, text, 1, 60)
+        assert sorted(sliced) == [24, 32, 48, 60]
+        at_59 = [rep for rep in derived if len(rep) == 59]
+        assert sum(len(index.lext(rep)) == len(index.rext(rep)) == 1 for rep in at_59) == 44
+        assert all(derived[rep] for rep in at_59)
+
+
 class TestCrwWalk:
     """Return words of the classes that neither lemma derives, by the walk of
     Lemma 3 on the index, and its two ways of falling back to slicing."""
@@ -383,10 +465,9 @@ class TestCrwWalk:
 
     def test_deep_index_classes(self, walks):
         # the benchmark's deep-index input; the bispecial classes of orders 24,
-        # 32 and 48 have return words longer than 62 letters, Lemma 1's classes
-        # at order 59 have no order 61 to derive from, and order 60 is the top;
-        # the classes of order 48 and 59 have occurrences too far apart on
-        # average for any walk to finish, so their walks are not started
+        # 32 and 48 have return words longer than 62 letters, and order 60 is
+        # the top; the class of order 48 has occurrences too far apart on
+        # average for any walk to finish, so its walk is not started
         text = thue_morse_source().prefix(32000)
         group = binary_full_group()
         index = LanguageIndex(text, 62, group)

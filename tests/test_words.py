@@ -115,6 +115,13 @@ class TestDigitSum:
             for length in (base**k - 1, base**k, base**k + 1, 1001):
                 assert source.prefix(length) == expected[:length]
 
+    @pytest.mark.parametrize("modulus", [2, 3])
+    def test_huge_base(self, modulus):
+        # below the base, s(n) = n; one block of 200 copies, with m shift tables
+        expected = brute_digit_sum_word(10**20, modulus, 200)
+        assert expected == "".join(str(n % modulus) for n in range(200))
+        assert DigitSumSource(10**20, modulus).prefix(200) == expected
+
     @pytest.mark.parametrize("base,modulus", [(2, 2), (3, 3), (2, 3), (4, 2), (5, 4)])
     def test_matches_substitution_fixed_point(self, base, modulus):
         source = DigitSumSource(base, modulus)
