@@ -1,18 +1,20 @@
 """Factor indexing of a finite prefix.
 
-The index sorts the positions 0..|text| of the text once, by their window
-``text[i:i + n_max]``.  The sort is stable, so equal windows keep position
-order.  Neighbours in that order share a common prefix (lcp), capped at
-``n_max`` and at the shorter window; each lcp is found by binary search on
-slice equality.  (Kasai's lcp skip does not apply: with windows cut at
-``n_max``, equal windows are ordered by position, not by the suffix after
-them.)  The factors of length n are then the maximal runs of neighbours with
-lcp >= n; a window shorter than n is a run of its own and is skipped.  Each
-level maps a factor to its run ``(a, b)`` in the sorted order, so it lists
-its factors in lexicographic order, and the occurrences of the factor are
-the sorted positions ``order[a:b]``.  Going from level n - 1 to level n only
-adds the run boundaries of lcp n - 1, so the levels together cost the number
-of factors, not |text| * n_max.
+The index groups the positions 0..|text| of the text by their window
+``text[i:i + n_max]`` in one pass and sorts the distinct windows: C(n_max)
+full ones and n_max shorter ones at the end.  Their ascending position
+lists, joined, are the positions sorted stably by window.  Equal neighbours
+share n_max letters; between distinct neighbour windows the common prefix
+(lcp), capped at the shorter one, is found by binary search on slice
+equality.  (Kasai's lcp skip does not apply: with windows cut at ``n_max``,
+equal windows are ordered by position, not by the suffix after them.)  The
+factors of length n are then the maximal runs of neighbours with lcp >= n; a
+window shorter than n is a run of its own and is skipped.  Each level maps a
+factor to its run ``(a, b)`` in the sorted order, so it lists its factors in
+lexicographic order, and the occurrences of the factor are the sorted
+positions ``order[a:b]``.  Going from level n - 1 to level n only adds the
+run boundaries of lcp n - 1, so the levels together cost the number of
+factors, not |text| * n_max.
 
 With a group, each level is completed under it: images of its factors that
 do not occur join it, in order, with the empty run ``(0, 0)``, so they have
@@ -90,9 +92,10 @@ and one at p < n - m lies inside the prefix of length n of u.
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import compress, count, pairwise
+from itertools import chain, compress, count, pairwise
 from operator import and_, eq, itemgetter, lt, or_
 
 from .errors import ConsistencyError, GroupError, IndexRangeError, InsufficientPrefixError
@@ -124,9 +127,9 @@ class _Singletons(dict):
 class LanguageIndex:
     """Occurrence and extension data for all factors of a text up to ``n_max``.
 
-    Built on one stable sort of the text's positions by their ``n_max``
-    windows (see the module docstring); the factors of each length are runs
-    of that order.  Extension queries need room above the factor length:
+    Built on the text's positions grouped by their ``n_max`` windows, in
+    window order (see the module docstring); the factors of each length are
+    runs of that order.  Extension queries need room above the factor length:
     Lext/Rext are available for n <= n_max - 1 and Bext/Pext for
     n <= n_max - 2.
     """
@@ -141,14 +144,16 @@ class LanguageIndex:
         self.group = group
 
         size = len(text) + 1  # position len(text) holds only the empty factor
-        windows = [text[i:i + n_max] for i in range(size)]
-        order = sorted(range(size), key=windows.__getitem__)
+        runs: defaultdict[str, list[int]] = defaultdict(list)  # window -> its positions
+        for i in range(size):
+            runs[text[i:i + n_max]].append(i)
+        windows = sorted(runs)
+        order = list(chain.from_iterable(map(runs.__getitem__, windows)))
         # cuts[h]: the k whose neighbours order[k - 1], order[k] share exactly h letters
         cuts: list[list[int]] = [[] for _ in range(n_max)]
-        for k in range(1, size):
-            u, v = windows[order[k - 1]], windows[order[k]]
-            if u == v:  # two full windows: they share n_max letters
-                continue
+        k = 0
+        for u, v in pairwise(windows):
+            k += len(runs[u])  # the first sorted index of v
             lo, hi = 0, min(len(u), len(v))
             while lo < hi:
                 mid = (lo + hi + 1) // 2
@@ -186,7 +191,7 @@ class LanguageIndex:
                 merged = dict.fromkeys(sorted([*level, *added]), (0, 0))
                 merged.update(level)
                 self._levels[n] = merged
-            if self.closure_added:
+            if self.closure_added and _log.isEnabledFor(logging.INFO):
                 _log.info("group closure added factors to the index: %s", ", ".join(
                     f"{len(added)} of length {n}" for n, added in sorted(self.closure_added.items())
                 ))

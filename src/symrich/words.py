@@ -9,6 +9,7 @@ that deterministically produces arbitrarily long prefixes.
 from __future__ import annotations
 
 import string
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -122,6 +123,8 @@ class WordSource:
     def _check_length(self, length: int) -> None:
         if length < 0:
             raise SourceError(f"prefix length must be nonnegative, got {length}")
+        if length > sys.maxsize:
+            raise SourceError(f"prefix length {length} exceeds the longest string, {sys.maxsize} letters")
         bound = self.max_prefix()
         if bound is not None and length > bound:
             raise SourceError(f"source only provides {bound} letters, {length} requested")

@@ -33,6 +33,13 @@ MUTANTS = (
     Mutant("shift 1 for the extension word m·c of Lemma 2", "verify.py",
            "e, s0 = rep + c, 0", "e, s0 = rep + c, 1",
            "tests/test_verify.py::TestCrwBelowTop::test_doubly_reached_member[t33-dihedral3]"),
+    Mutant("the distinct-window build cuts at the later window's last position", "index.py",
+           "cuts[lo].append(k)", "cuts[lo].append(k + len(runs[v]) - 1)",
+           "tests/test_properties.py::TestWindowRuns::test_pinned_cases[periodic]"),
+    Mutant("the distinct-window build lists each window's positions descending", "index.py",
+           "chain.from_iterable(map(runs.__getitem__, windows))",
+           "chain.from_iterable(runs[w][::-1] for w in windows)",
+           "tests/test_properties.py::TestWindowRuns::test_pinned_cases[one-letter]"),
     Mutant("the break of the top-down closure loop, taken after the top level", "index.py",
            "if not added:", "if not added or n < n_max:",
            "tests/test_index.py::TestBuild::test_closure_walk_stops_at_first_closed_level"),

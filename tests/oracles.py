@@ -70,6 +70,27 @@ def windows(text, n):
     return {text[i:i + n] for i in range(len(text) - n + 1)}
 
 
+def window_runs(text, n_max):
+    """The positions 0..|text| sorted stably by their window ``text[i:i + n_max]``,
+    and per length n <= n_max the (factor, (a, b)) items of that order: each
+    maximal stretch ``order[a:b]`` of positions whose windows start with one
+    factor of length n, in order.  Windows shorter than n start with none."""
+    order = sorted(range(len(text) + 1), key=lambda i: text[i:i + n_max])
+    levels = []
+    for n in range(n_max + 1):
+        items = []
+        for k, i in enumerate(order):
+            w = text[i:i + n]
+            if len(w) < n:
+                continue
+            if items and items[-1][0] == w and items[-1][1][1] == k:
+                items[-1] = (w, (items[-1][1][0], k + 1))
+            else:
+                items.append((w, (k, k + 1)))
+        levels.append(items)
+    return order, levels
+
+
 def factors(word):
     """Every factor of ``word``, the empty word included."""
     return set().union(*(windows(word, n) for n in range(len(word) + 1)))

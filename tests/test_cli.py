@@ -15,6 +15,7 @@ from symrich.presets import hexa_group
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_REFERENCE = ROOT / "bench" / "reference.json"
+HUGE = str(10 ** 20)  # a length above sys.maxsize
 
 TM_CONFIG = """\
 alphabet: "01"
@@ -179,6 +180,26 @@ class TestExitCodes:
         path.write_text(TM_CONFIG.replace("base: 2", "base: 100000000000000000000"))
         code, out, err = run(capsys, "--config", str(path), "--length", "200", "word")
         assert (code, err) == (0, "") and out == "01" * 100 + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["word"], ["group"], ["complexity"], ["defect"], ["returns", "01"],
+        ["graph", "rauzy", "--n", "3"], ["verify"],
+        ["--length", HUGE, "repro", "ex8"], ["--length", HUGE, "repro", "ex6"],
+        ["--length", HUGE, "repro", "subgroups"],
+    ], ids=" ".join)
+    def test_length_beyond_any_string(self, tmp_path, argv):
+        # no string holds more than sys.maxsize letters: the length is refused at
+        # once, where building toward it would never return
+        path = tmp_path / "huge_length.yaml"
+        path.write_text(TM_CONFIG.replace("length: 600", f"length: {HUGE}"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from symrich.cli import main; sys.exit(main(sys.argv[1:]))",
+             "--config", str(path), *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == EXIT_CONFIG and proc.stdout == ""
+        assert "exceeds the longest string" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("field, old, new", [
         ("analysis.length", "length: 600", "length: 600.5"),

@@ -28,6 +28,7 @@ from oracles import (
     set_union_crw_records,
     theta_palindromic_factors,
     theta_richness,
+    window_runs,
     windows,
 )
 from symrich import (
@@ -695,6 +696,48 @@ def orbit_column_case_st(draw):
     word = draw(word_st(group.alphabet) | closure_word_st(group))
     sub = draw(st.sampled_from(group.subgroups()))
     return word, draw(st.integers(0, len(word))), group, sub
+
+
+NON_ASCII = Alphabet(("é", "ß", "€"))
+
+#: (id, word, n_max, group): edge cases of the distinct-window build
+WINDOW_RUN_CASES = [
+    ("one-letter", "0" * 20, 5, None),  # one distinct full window
+    ("single-glyph", "0", 1, None),
+    ("n_max-0", "0110100", 0, None),  # every window is empty
+    ("n_max-length", "0110100", 7, None),  # one full window
+    ("periodic", "012" * 10, 6, None),
+    ("non-ascii", "é€ßéé€ßéß€", 4, None),
+    ("non-ascii-group", "éßéé€é", 4, reversal_group(NON_ASCII)),
+    ("closure-adds", "0010", 4, reversal_group(BINARY)),  # 100 and 0100
+]
+
+
+class TestWindowRuns:
+    """The positions and runs of LanguageIndex, built from the distinct windows,
+    against a sort of every position's window (``oracles.window_runs``)."""
+
+    @staticmethod
+    def check(word, n_max, group):
+        index = LanguageIndex(word, n_max, group)
+        order, levels = window_runs(word, n_max)
+        assert index._order == order
+        assert len(index._levels) == len(levels)
+        for n, items in enumerate(levels):
+            added = index.closure_added.get(n, frozenset())
+            assert [item for item in index._levels[n].items() if item[0] not in added] == items
+            assert {index._levels[n][w] for w in added} <= {(0, 0)}
+            assert [index.occurrence_count(w) for w, _ in items] == [b - a for _, (a, b) in items]
+
+    @pytest.mark.parametrize("word, n_max, group", [case[1:] for case in WINDOW_RUN_CASES],
+                             ids=[case[0] for case in WINDOW_RUN_CASES])
+    def test_pinned_cases(self, word, n_max, group):
+        self.check(word, n_max, group)
+
+    @given(case=indexed_word_st())
+    @settings(max_examples=200, deadline=None)
+    def test_order_and_runs_match_sorted_windows(self, case):
+        self.check(*case)
 
 
 class TestOrbitColumns:
