@@ -16,12 +16,13 @@ positions ``order[a:b]``.  Going from level n - 1 to level n only adds the
 run boundaries of lcp n - 1, so the levels together cost the number of
 factors, not |text| * n_max.
 
-With a group, each level is completed under it: images of its factors that
-do not occur join it, in order, with the empty run ``(0, 0)``, so they have
-no occurrences, and ``closure_added`` records them (nothing, on a
-sufficiently long prefix of a closed word).  When it records any, one INFO
-record on the ``symrich`` logger names how many factors of each length
-closure added.
+With a group, each level is completed under it.  The images of its factors
+that do not occur, none on a long enough prefix of a closed word, are
+recorded in ``closure_added`` and counted per length in one INFO record on
+the ``symrich`` logger.  They have no occurrences, and join their level in
+order, with the empty run ``(0, 0)``, on its first ordered read (sorted
+factors, extension tables, columns, specials, palindromes); the other
+queries read them beside the level.
 
 Lemma (top-order closure).  Let F_m be the set of length-m factors of the
 text, m <= N <= |text|, and G a group of morphisms and antimorphisms.
@@ -36,42 +37,36 @@ the same offset for a morphism, at the mirrored offset for an antimorphism.
 is a length-m factor of g(v) by the above; conversely a length-m factor of
 g(v) is g(u') for a length-m factor u' of v, and u' is in F_m.
 
-By (1), the orders whose level closure changes form an upper range, so the
-index closes level ``n_max`` first and walks down to the first level that
-closure leaves unchanged.  By (2), each completed level holds the length-n
-factors of the completed level above it.  Closure translates each level once
-per map: every factor of level n has n letters, so the image of the joined
-level cuts back into the images of the factors with no separator, in
-reverse order for an antimorphism.
+By (2) with N = n + 1, the completed level n holds the length-n factors of
+the completed level n + 1.  Those of F_(n+1) are in F_n, so closure adds at
+order n the words u[:-1] and u[1:] of the additions u at order n + 1 that
+are not in F_n.  Only level ``n_max`` is translated, once per map, and the
+walk stops at the first order that gains nothing; by (1) all below are closed.
 
 Orbit columns.  For a map g and an order n, the column of g is the tuple of
-the images g(w) of the factors w of level n, in level order, made by that
-same cut of one translate.  A column is built on its first query, after
-closure, and kept; columns are keyed by map, not by group, so every subgroup
-of the index's group reads the translates the first one made.  The class
-representatives of a group at order n are the element-wise ``min`` of its
-columns, the orbit of a factor is the set of its row across them, a factor
-is a theta-palindrome when it equals its row in the column of theta, and an
-order distinguishes the antimorphisms when their columns differ in every
-row.
+the images g(w) of the factors w of level n, in level order: the image of
+the joined level cut into pieces of n letters, reversed for an antimorphism.
+Columns are built on first query and keyed by map, so every subgroup of the
+index's group reads the translates the first one made.  The representatives
+of a group at order n are the element-wise ``min`` of its columns, the orbit
+of a factor is the set of its row across them, a factor is a theta-palindrome
+when it equals its row in the column of theta, and an order distinguishes the
+antimorphisms when their columns differ in every row.
 
 Extension sets are read off the level above.  A length-n factor w has the
 left letters a with a·w at level n + 1, the right letters b with w·b there,
 and the bilateral pairs (a, b) with a·w·b at level n + 2; Pext_theta(w) is
-the set of a with (a, theta(a)) among them.  Each table is built on the
-first query at its order, in whole-level passes, and kept.  The words u of
-the level above split into keys (u[1:], u[:-1] or u[1:-1]) and extensions
-(u[0], u[-1] or the pair of both); the table starts as level n, every
-factor with no extension, and each key gets the one-element set of its
-extension, one shared set object per extension.  By (2), every key is a
-factor of level n; a key outside it would grow the table, and that raises
-ConsistencyError.  A factor with several extensions is a key that occurs
-more than once, so it sits next to itself in the sorted keys; only those
-factors are fixed up with their whole sets, and equal sets are again one
-object.  The tables list the factors in level order, so the special and
-bispecial factors of an order are read off the set sizes of its lext and
-rext tables, once for every group.  As the extensions are defined by
-membership, the classical counting identities are exact on any finite text:
+the set of a with (a, theta(a)) among them.  Each table is built in one pass
+on the first query at its order and kept: the words u of the level above
+split into keys (u[1:], u[:-1] or u[1:-1]) and extensions (u[0], u[-1] or
+both), and each factor of level n gets the set of its keys' extensions, one
+shared object per distinct set.  By (2) every key is at level n; a key
+outside it raises ConsistencyError.  Only a key met more than once, next to
+itself in the sorted keys, needs more than a one-element set.  The tables
+list the factors in level order, so the special and bispecial factors of an
+order are read off the set sizes of its lext and rext tables, once for every
+group.  As the extensions are defined by membership, the classical counting
+identities are exact on any finite text:
 
 * sum over L_n of (#Lext - 1) = C(n+1) - C(n), likewise for Rext,
 * sum over L_n of b(w) = second difference of C,
@@ -125,13 +120,9 @@ class _Singletons(dict):
 
 
 class LanguageIndex:
-    """Occurrence and extension data for all factors of a text up to ``n_max``.
-
-    Built on the text's positions grouped by their ``n_max`` windows, in
-    window order (see the module docstring); the factors of each length are
-    runs of that order.  Extension queries need room above the factor length:
-    Lext/Rext are available for n <= n_max - 1 and Bext/Pext for
-    n <= n_max - 2.
+    """Occurrence and extension data for all factors of a text up to ``n_max``:
+    the factors of each length are runs of the positions in window order (see
+    the module docstring).  Lext/Rext need n < n_max and Bext/Pext n < n_max - 1.
     """
 
     def __init__(self, text: str, n_max: int, group: SymmetryGroup | None = None):
@@ -177,24 +168,22 @@ class LanguageIndex:
             self._levels.append(level)
 
         self.closure_added: dict[int, frozenset[str]] = {}
-        if group is not None:
+        if group is not None and n_max:
+            # the top-order closure lemma
+            n, level = n_max, self._levels[n_max]
+            joined = "".join(level)
             others = [g for g in group.elements if not g.is_identity()]
-            # top-order closure lemma: stop at the first level closure leaves unchanged
-            for n in range(n_max, 0, -1):
-                level = self._levels[n]
-                joined = "".join(level)
-                added = set(_cut([g.apply(joined) for g in others], n)).difference(level)
-                if not added:
-                    break
+            added = set(_cut([g.apply(joined) for g in others], n)).difference(level)
+            while added:
                 self.closure_added[n] = frozenset(added)
-                # merged in order; update keeps the sorted key order and restores the runs
-                merged = dict.fromkeys(sorted([*level, *added]), (0, 0))
-                merged.update(level)
-                self._levels[n] = merged
+                n -= 1
+                level = self._levels[n]
+                added = {v for u in added for v in (u[:-1], u[1:]) if v not in level}
             if self.closure_added and _log.isEnabledFor(logging.INFO):
                 _log.info("group closure added factors to the index: %s", ", ".join(
                     f"{len(added)} of length {n}" for n, added in sorted(self.closure_added.items())
                 ))
+        self._unmerged = dict(self.closure_added)  # n -> additions not yet in level n
 
         # (kind, n) -> factor of length n -> its extensions of that kind
         self._tables: dict[tuple[str, int], dict[str, frozenset]] = {}
@@ -226,17 +215,25 @@ class LanguageIndex:
                 + (f" (query needs {room} extra length level(s))" if room else "")
             )
 
+    def _level(self, n: int) -> dict[str, tuple[int, int]]:
+        """Level n in order, its closure additions merged in on the first call."""
+        if added := self._unmerged.pop(n, None):
+            level = self._levels[n]
+            merged = self._levels[n] = dict.fromkeys(sorted([*level, *added]), (0, 0))
+            merged.update(level)  # the runs, in the sorted key order
+        return self._levels[n]
+
     def factors(self, n: int) -> frozenset[str]:
         self._check_n(n)
-        return frozenset(self._levels[n])
+        return frozenset(chain(self._levels[n], self._unmerged.get(n, ())))
 
     def sorted_factors(self, n: int) -> tuple[str, ...]:
         self._check_n(n)
-        return tuple(self._levels[n])
+        return tuple(self._level(n))
 
     def is_factor(self, w: str) -> bool:
         self._check_n(len(w))
-        return w in self._levels[len(w)]
+        return w in self._levels[len(w)] or w in self._unmerged.get(len(w), ())
 
     def occurrences(self, w: str) -> tuple[int, ...]:
         """Sorted start positions of ``w`` in the text (empty for closure-added factors)."""
@@ -259,7 +256,7 @@ class LanguageIndex:
             return table
         room, key, value = _EXTENSIONS[kind]
         self._check_n(n, room=room)
-        level, above = self._levels[n], self._levels[n + room]
+        level, above = self._level(n), self._level(n + room)
         keys, values = list(map(key, above)), list(map(value, above))
         table = dict.fromkeys(level, frozenset())
         table.update(zip(keys, map(self._singletons.__getitem__, values)))
@@ -323,7 +320,7 @@ class LanguageIndex:
         found = self._specials.get(n)
         if found is None:
             # the tables list the factors in level order, so their columns align
-            level = self._levels[n]
+            level = self._level(n)
             left = list(map(_several, map(len, self._table("lext", n).values())))
             right = list(map(_several, map(len, self._table("rext", n).values())))
             special = dict(compress(zip(level, count()), map(or_, left, right)))
@@ -379,7 +376,7 @@ class LanguageIndex:
         self._check_n(n)
         column = self._columns.get((g, n))
         if column is None:
-            images = self._levels[n]  # the identity's column, and every map's at n = 0
+            images = self._level(n)  # the identity's column, and every map's at n = 0
             if n and not g.is_identity():
                 images = _cut([g.apply("".join(images))], n)
                 if g.antimorphic:
@@ -410,13 +407,13 @@ class LanguageIndex:
     # -- complexities ---------------------------------------------------------
 
     def complexities(self) -> list[int]:
-        return [len(level) for level in self._levels]
+        return [len(level) + len(self._unmerged.get(n, ())) for n, level in enumerate(self._levels)]
 
     def theta_palindromes(self, theta: SymmetryMap, n: int) -> tuple[str, ...]:
         if not theta.antimorphic:
             raise GroupError(f"{theta.name} is not an antimorphism")
         column = self.column(theta, n)  # checks n before the level is read
-        level = self._levels[n]
+        level = self._level(n)
         return tuple(compress(level, map(eq, level, column)))
 
     def palindromic_complexity(self, theta: SymmetryMap) -> list[int]:
@@ -435,10 +432,8 @@ class LanguageIndex:
 
 
 def _cut(images: list[str], n: int) -> list[str]:
-    """The ``images`` cut into pieces of n >= 1 letters, in order.  For the
-    image under a map g of a joined level of length-n factors, these are the
-    images of the factors, in level order for a morphism and in reverse for
-    an antimorphism (see the module docstring)."""
+    """The ``images`` cut into pieces of n >= 1 letters, in order: of a joined
+    level under a map, its images (see the module docstring)."""
     return [image[i:i + n] for image in images for i in range(0, len(image), n)]
 
 
@@ -473,9 +468,8 @@ def stability_check(source: WordSource, length: int, n_max: int) -> bool | None:
 
     Returns True when they agree for all n <= n_max (the indexed language is
     stable under doubling), False when they differ, and None when the source
-    cannot produce the doubled prefix (literal words).  Only the factors of
-    length n_max are compared; the module docstring shows why that suffices
-    for a prefix-consistent source.
+    cannot produce the doubled prefix (literal words).  Only length n_max is
+    compared (see the module docstring).
     """
     bound = source.max_prefix()
     if bound is not None and 2 * length > bound:
@@ -485,8 +479,8 @@ def stability_check(source: WordSource, length: int, n_max: int) -> bool | None:
 
 def _stable_under_doubling(short: str, long_: str, n: int) -> bool:
     """Whether ``long_``, which has ``short`` as a prefix, has no length-n factor
-    outside those of ``short``; by the top-order lemma of the module docstring,
-    then none of any length <= n."""
+    outside those of ``short``; by the module docstring, then none of any
+    length <= n."""
     if n > len(short):
         raise IndexRangeError(f"n_max={n} exceeds text length {len(short)}")
     start = len(short) - n + 1  # windows starting before this lie inside short

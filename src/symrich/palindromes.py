@@ -15,12 +15,10 @@ The G-lps of a prefix is the longest of the per-tree lps, and it is
 G-unioccurrent iff its node is new there and no orbit image is older, the
 group form of the rule of Droubay, Justin & Pirillo.  A whole profile thus
 takes time linear in |w| * |G|.  The image links of all nodes sit in one
-flat list, one row of |G| entries per node, and each new node pays one child
-lookup per left coset of its tree's antimorphism, not per element (the coset
-rule of :class:`~symrich.symmetry.PalindromeTables`).  What the trees need
-from the group, cosets included, is tabulated once per group object
-(:attr:`SymmetryGroup.palindrome_tables`), so a call on a short word pays
-little set-up.
+flat list, one row of |G| entries per node, and a new node pays one child
+lookup per left coset of the subgroup its tree's antimorphism generates,
+none for that subgroup itself (the coset rule of
+:class:`~symrich.symmetry.PalindromeTables`, built once per group object).
 
 One scan per index, read by every subgroup.  A scan under G serves every
 subgroup H of G as well: H's lps is the longest node over the trees of H's
@@ -99,14 +97,13 @@ def _palindrome_scan(word: str, tables: PalindromeTables) -> _Scan:
     image(X, g) along sigma(c) for a morphism g with letter map sigma, and
     along sigma(pi(c)) for an antimorphism.  By the coset rule of
     :class:`PalindromeTables` that child is looked up once per left coset of
-    <theta> and written to the row entries of all its members, and the
-    back-links to the entries of their inverses.  The rows are flat,
-    ``width`` = |G| entries per node in node order.  The trees are grown one
-    after another over the whole word, and both directions of a link are set
-    when the second of its two nodes is made.  A node is born at the prefix
-    length where its palindrome first occurs, so the G-lps of ``word[:i]`` is
-    G-unioccurrent iff its node was born at i and no orbit image was born
-    earlier.  Time and space are linear in |word| * |G|.
+    <theta> but <theta>, whose members fix P, and written to the row entries
+    of its members, the back-links to those of their inverses.  The trees are
+    grown one after another over the whole word, and both directions of a
+    link are set when the second of its two nodes is made.  A node is born
+    where its palindrome first occurs, so the G-lps of ``word[:i]`` is
+    G-unioccurrent iff its node was born at i and no orbit image earlier.
+    Time and space are linear in |word| * |G|.
     """
     n = len(word)
     trees = len(tables.closing)
@@ -123,12 +120,12 @@ def _palindrome_scan(word: str, tables: PalindromeTables) -> _Scan:
     image = list(tables.root_images)
     absent_row = [absent] * width
 
-    # padded[k + 1] is word[k], and padded[0] is no glyph, so a suffix that starts
-    # the word fails the extension test without a bounds check
+    # padded[k + 1] is word[k] and padded[0] no glyph: a suffix that starts the
+    # word fails the extension test without a bounds check
     padded = "\n" + word
     ends: list[list[int]] = []
     first: list[int] = []
-    for t, (close, cosets) in enumerate(zip(tables.closing, tables.cosets)):
+    for t, (close, own, cosets) in enumerate(zip(tables.closing, tables.own, tables.cosets)):
         root, empty = 2 * t, 2 * t + 1
         first.append(len(length))
         cur = empty
@@ -161,6 +158,8 @@ def _palindrome_scan(word: str, tables: PalindromeTables) -> _Scan:
                         edges[x][c] = child
                         row, parent_row = child * width, x * width
                         image += absent_row
+                        for j in own:
+                            image[row + j] = child
                         for r, d, members, inverses in cosets[c]:
                             z = edges[image[parent_row + r]].get(d, absent)
                             if z != absent:

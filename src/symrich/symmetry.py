@@ -308,13 +308,14 @@ class PalindromeTables:
     element g_j (the j-th of ``group.elements``), to the node of its image
     g_j(P), which is fixed by g_j theta_t g_j^-1.  P is fixed by theta_t, so
     all members g theta_t^k of a left coset g<theta_t> map P to one node, and
-    the scan looks that node up once per coset.  These tables depend only on
-    the group:
+    the scan looks that node up once per coset but <theta_t>, which maps P to
+    P.  These tables depend only on the group:
 
     * ``order`` is |G|, the width of a node's image row;
     * ``closing[t]`` is ``theta_t.closing``;
-    * ``cosets[t][c]``, for c in ``closing[t]``, lists per left coset of
-      <theta_t> the tuple (r, d, members, inverses): the position r of its
+    * ``own[t]`` lists the positions of the members of <theta_t>;
+    * ``cosets[t][c]``, for c in ``closing[t]``, lists per other left coset
+      of <theta_t> the tuple (r, d, members, inverses): the position r of its
       first member, the last letter d of g_r(u) for every theta_t-palindrome
       u ending in c (sigma(c) for a morphism g_r with letter map sigma,
       sigma(pi_t(c)) for an antimorphism; every member gives the same), the
@@ -328,6 +329,7 @@ class PalindromeTables:
 
     order: int
     closing: tuple[dict[str, str], ...]
+    own: tuple[tuple[int, ...], ...]
     cosets: tuple[dict[str, tuple[tuple, ...]], ...]
     root_images: tuple[int, ...]
 
@@ -336,14 +338,15 @@ class PalindromeTables:
         elements, antims = group.elements, group.antimorphisms
         position = {g: j for j, g in enumerate(elements)}
         tree_of = {t: k for k, t in enumerate(antims)}
-        cosets = []
+        own, cosets = [], []
         root_images: list[int] = []
         for t in antims:
             powers = [group.identity]
             while not (power := group.compose(t, powers[-1])).is_identity():
                 powers.append(power)
+            own.append(tuple(position[m] for m in powers))
             by_letter: dict[str, list] = {c: [] for c in t.closing}
-            covered: set[SymmetryMap] = set()
+            covered = set(powers)
             for g in elements:
                 if g in covered:
                     continue
@@ -360,6 +363,7 @@ class PalindromeTables:
         return cls(
             order=len(elements),
             closing=tuple(t.closing for t in antims),
+            own=tuple(own),
             cosets=tuple(cosets),
             root_images=tuple(root_images),
         )

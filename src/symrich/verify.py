@@ -663,6 +663,7 @@ def _stable_prefix(source: WordSource, length: int, n_max: int) -> tuple[str, bo
     """
     if length < n_max + 2:
         raise InsufficientPrefixError(f"length {length} cannot support n_max={n_max}")
+    source._check_length(length)  # so that a refusal names L, not 2L
     attempts = 6
     bound = source.max_prefix()
     short = None  # prefix(length) once generated: the long prefix of the step before

@@ -40,15 +40,21 @@ MUTANTS = (
            "chain.from_iterable(map(runs.__getitem__, windows))",
            "chain.from_iterable(runs[w][::-1] for w in windows)",
            "tests/test_properties.py::TestWindowRuns::test_pinned_cases[one-letter]"),
-    Mutant("the break of the top-down closure loop, taken after the top level", "index.py",
-           "if not added:", "if not added or n < n_max:",
-           "tests/test_index.py::TestBuild::test_closure_walk_stops_at_first_closed_level"),
+    Mutant("closure below the top order keeps only the prefixes of the additions above", "index.py",
+           "for v in (u[:-1], u[1:])", "for v in (u[:-1],)",
+           "tests/test_index.py::TestBuild::test_closure_fails_only_above_an_order"),
+    Mutant("factors(n) ignores the closure additions not yet merged into level n", "index.py",
+           "chain(self._levels[n], self._unmerged.get(n, ()))", "chain(self._levels[n])",
+           "tests/test_index.py::TestBuild::test_closure_fails_only_above_an_order"),
     Mutant("the per-tree lps merge of _lacuna_profile keeps the shorter suffix", "palindromes.py",
            "b if length[b] >= length[e] else e", "b if length[b] <= length[e] else e",
            "tests/test_properties.py::TestLpsDifferential::test_profile_lps_column"),
     Mutant("the coset member loop of _palindrome_scan", "palindromes.py",
            "for j in members:", "for j in members[:0]:",
            "tests/test_properties.py::TestLpsRegressions::test_non_involutive_extension_needs_both_tests"),
+    Mutant("the own-coset write of _palindrome_scan", "palindromes.py",
+           "for j in own:", "for j in own[:1]:",
+           "tests/test_properties.py::TestImageLinks::test_row_entries_are_orbit_images"),
     Mutant("the start offset of _stable_under_doubling", "index.py",
            "start = len(short) - n + 1", "start = len(short) - n + 2",
            "tests/test_properties.py::TestIndexDifferential::test_stability_outcomes_and_edges"),

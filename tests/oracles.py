@@ -70,6 +70,18 @@ def windows(text, n):
     return {text[i:i + n] for i in range(len(text) - n + 1)}
 
 
+def closure_additions(text, n_max, group):
+    """Per order n <= n_max with any: the images under ``group`` of the length-n
+    windows of ``text`` that are not windows themselves (``closure_added``)."""
+    added = {}
+    for n in range(n_max + 1):
+        base = windows(text, n)
+        images = {g.apply(w) for w in base for g in group.elements} - base
+        if images:
+            added[n] = frozenset(images)
+    return added
+
+
 def window_runs(text, n_max):
     """The positions 0..|text| sorted stably by their window ``text[i:i + n_max]``,
     and per length n <= n_max the (factor, (a, b)) items of that order: each

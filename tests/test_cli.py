@@ -201,6 +201,22 @@ class TestExitCodes:
         assert proc.returncode == EXIT_CONFIG and proc.stdout == ""
         assert "exceeds the longest string" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["verify"], ["--length", HUGE, "repro", "ex8"], ["--length", HUGE, "repro", "ex6"],
+    ], ids=" ".join)
+    def test_refused_length_is_the_configured_one(self, tmp_path, argv):
+        # the prefix is doubled only after the configured length passed the source's check
+        path = tmp_path / "huge_length.yaml"
+        path.write_text(TM_CONFIG.replace("length: 600", f"length: {HUGE}"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from symrich.cli import main; sys.exit(main(sys.argv[1:]))",
+             "--config", str(path), *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert f"prefix length {HUGE} " in proc.stderr and str(2 * int(HUGE)) not in proc.stderr
+
     @pytest.mark.parametrize("field, old, new", [
         ("analysis.length", "length: 600", "length: 600.5"),
         ("analysis.length", "length: 600", "length: .inf"),

@@ -6,6 +6,7 @@ from oracles import windows
 from symrich import ConsistencyError, GroupError, IndexRangeError, LanguageIndex, stability_check
 from symrich.presets import (
     BINARY,
+    binary_full_group,
     fibonacci_source,
     generalized_thue_morse,
     octa_group,
@@ -77,22 +78,25 @@ class TestBuild:
              "group closure added factors to the index: 1 of length 3, 1 of length 4"),
         ]
 
-    @pytest.mark.parametrize("word,n_max,closed_levels", [
-        ("0010", 4, 3),  # orders 4 and 3 fail, order 2 ends the walk
-        ("0110100110010110", 8, 1),  # closed at the top order: one level
-    ])
-    def test_closure_walk_stops_at_first_closed_level(self, monkeypatch, word, n_max, closed_levels):
-        # the top-order lemma: levels below the first closed one are never imaged
+    @pytest.mark.parametrize("word,n_max,group", [
+        ("0010", 4, reversal_group(BINARY)),  # closure adds at orders 4 and 3
+        ("0110100110010110", 8, reversal_group(BINARY)),  # closed at the top order
+        ("0001000100010001000", 6, binary_full_group()),  # three maps; closure adds down to 11
+    ], ids=["0010", "thue-morse", "three-maps"])
+    def test_closure_translates_the_top_order_only(self, monkeypatch, word, n_max, group):
+        # the top-order lemma: each non-identity map translates the joined top level
+        # once, and every order below is derived from the additions above it
         images = []
         apply = SymmetryMap.apply
 
         def spy(g, w):
-            images.append(w)
+            images.append((g, w))
             return apply(g, w)
 
         monkeypatch.setattr(SymmetryMap, "apply", spy)
-        LanguageIndex(word, n_max, reversal_group(BINARY))
-        assert len(images) == closed_levels
+        LanguageIndex(word, n_max, group)
+        top = "".join(sorted(windows(word, n_max)))
+        assert images == [(g, top) for g in group.elements if not g.is_identity()]
 
 
 class TestExtensions:

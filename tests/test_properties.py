@@ -18,6 +18,7 @@ from groups import cyclic4_antimorphism_group, cyclic4_reversal_group
 from oracles import (
     brute_lps,
     classical_palindromes,
+    closure_additions,
     closure_involutively_generated,
     closure_subgroups,
     complete_g_return_words,
@@ -725,8 +726,9 @@ class TestWindowRuns:
         assert len(index._levels) == len(levels)
         for n, items in enumerate(levels):
             added = index.closure_added.get(n, frozenset())
-            assert [item for item in index._levels[n].items() if item[0] not in added] == items
-            assert {index._levels[n][w] for w in added} <= {(0, 0)}
+            level = index._level(n)  # the additions merged in
+            assert [item for item in level.items() if item[0] not in added] == items
+            assert {level[w] for w in added} <= {(0, 0)}
             assert [index.occurrence_count(w) for w, _ in items] == [b - a for _, (a, b) in items]
 
     @pytest.mark.parametrize("word, n_max, group", [case[1:] for case in WINDOW_RUN_CASES],
@@ -738,6 +740,66 @@ class TestWindowRuns:
     @settings(max_examples=200, deadline=None)
     def test_order_and_runs_match_sorted_windows(self, case):
         self.check(*case)
+
+
+@st.composite
+def closure_case_st(draw):
+    """A random or closure word of a random group, and an order n_max <= |word|."""
+    group = draw(group_st())
+    word = draw(word_st(group.alphabet, max_size=30) | closure_word_st(group, max_size=30))
+    return word, draw(st.integers(0, len(word))), group
+
+
+class TestClosureCut:
+    """Closure below the top order, derived from the additions one order up,
+    against the images of every window (``oracles.closure_additions``); and the
+    additions, merged into their levels on the first ordered read, give the
+    same answers whichever queries come first."""
+
+    @given(case=closure_case_st())
+    @example(case=("0010", 4, reversal_group(BINARY)))  # 100 is reached only as a suffix
+    @example(case=("001011", 6, reversal_group(BINARY)))  # the additions stop at order 3
+    @example(case=("0120", 4, rotation_group()))  # antimorphisms that are not involutions
+    @example(case=("00100", 5, rotation_group()))  # the additions reach order 1
+    @example(case=("0110100110010110", 8, reversal_group(BINARY)))  # closed at the top
+    @settings(max_examples=150, deadline=None)
+    def test_additions_match_images_of_windows(self, case):
+        word, n_max, group = case
+        assert LanguageIndex(word, n_max, group).closure_added == closure_additions(word, n_max, group)
+
+    @staticmethod
+    def unordered(index, probes):
+        return ([index.factors(n) for n in range(index.n_max + 1)], index.complexities(),
+                [(index.is_factor(w), index.occurrences(w), index.occurrence_count(w)) for w in probes])
+
+    @staticmethod
+    def ordered(index, levels):
+        group, top = index.group, index.n_max
+        return (
+            [(index.special_rows(n), index.bispecials(n)) for n in range(top - 1, -1, -1)],
+            [[(index.lext(w), index.rext(w)) for w in levels[n]] for n in range(top)],
+            [[index.bext(w) for w in levels[n]] for n in range(top - 1)],
+            [index.column(g, n) for g in group.elements for n in range(top, -1, -1)],
+            [index.theta_palindromes(t, n) for t in group.antimorphisms for n in range(top + 1)],
+            [index.sorted_factors(n) for n in range(top + 1)],
+        )
+
+    @given(case=closure_case_st())
+    @example(case=("0010", 4, reversal_group(BINARY)))
+    @example(case=("00100", 5, rotation_group()))
+    @settings(max_examples=100, deadline=None)
+    def test_query_order_does_not_matter(self, case):
+        word, n_max, group = case
+        levels = [sorted(closed_windows(word, n, group)) for n in range(n_max + 1)]
+        probes = [w for level in levels for w in level]
+        probes += [a * n for a in group.alphabet.glyphs for n in range(1, n_max + 1)]
+        first, second = LanguageIndex(word, n_max, group), LanguageIndex(word, n_max, group)
+        unordered = self.unordered(first, probes)
+        ordered = self.ordered(second, levels)
+        assert self.unordered(second, probes) == unordered
+        assert self.ordered(first, levels) == ordered
+        assert tuple(ordered[-1]) == tuple(map(tuple, levels))
+        assert first.closure_added == second.closure_added == closure_additions(word, n_max, group)
 
 
 class TestOrbitColumns:
