@@ -11,6 +11,15 @@ papered over.
 Bounded semantics: "rich up to n_max" means every check passed on the
 indexed range; the properties quantify over all lengths, so a finite prefix
 can refute but never fully certify them.
+
+Each characterization lists its failing entries by order, lps by the prefix
+length of each lacuna.  Its verdict fails when an entry is at or above the
+threshold, and its witness, shown only beside a failing verdict, is the
+first such entry.  The defect fails at threshold 1 when it is not 0 and
+above it when a lacuna falls in the second half of the prefix.  The
+candidate threshold is one above the last failing entry (for complexity and
+bispecials, at distinguishing orders from the threshold up), the threshold
+itself when none fails, and None above n_max.
 """
 
 from __future__ import annotations
@@ -506,77 +515,42 @@ def verify_text(
     shared.check_head(group, profile)
     n0 = next((r.n for r in identity if r.distinguishing), None)
 
-    distinguishing_at = {r.n: r.distinguishing for r in identity}
-
-    fail_points: list[int] = []
-    witnesses: dict[str, str] = {}
-
-    tls_fails = [v for v in tls_results if not v.satisfied]
-    if tls_fails:
-        first = tls_fails[0]
-        witnesses["tls"] = f"order {first.order}: {first.witness}"
-        fail_points += [v.order for v in tls_fails]
-
-    crw_bad = [r for r in crw if r.violations]
-    if crw_bad:
-        first = crw_bad[0]
-        witnesses["return-words"] = (
-            f"class [{first.representative}] has non-palindromic return word {first.violations[0]!r}"
-        )
-        fail_points += [r.n for r in crw_bad]
-
-    if profile.lacunas:
-        witnesses["lps"] = f"first lacuna at position {profile.lacunas[0]}"
-        witnesses["defect"] = f"defect reaches {profile.final}"
-        fail_points += list(profile.lacunas)
-
-    ceq_bad = [r for r in identity if r.distinguishing and r.n >= threshold and not r.equal]
-    if ceq_bad:
-        first = ceq_bad[0]
-        witnesses["complexity"] = f"order {first.n}: {first.lhs} != {first.rhs}"
-        fail_points += [r.n for r in ceq_bad]
-
+    checked = {r.n for r in identity if r.distinguishing and r.n >= threshold}
     # The bilateral-order conditions characterize richness only together with
     # the complexity equality anchored at one distinguishing order.
-    anchor = next(
-        (r for r in identity if r.distinguishing and r.n >= threshold), None,
+    anchor = next((r for r in identity if r.n in checked), None)
+    bisp_fails = [(r.n, r) for r in bisp if r.n in checked and not r.ok]
+    if not bisp_fails and anchor is not None and not anchor.equal:
+        bisp_fails = [(anchor.n, anchor)]
+    defect_ok = profile.final == 0 if threshold == 1 else profile.stabilized
+    # One row per characterization: its failing entries as (order, or prefix
+    # length for lps, record), and the witness of one entry.
+    table = (
+        ("tls", [(v.order, v) for v in tls_results if not v.satisfied],
+         lambda v: f"order {v.order}: {v.witness}"),
+        ("return-words", [(r.n, r) for r in crw if r.violations],
+         lambda r: f"class [{r.representative}] has non-palindromic return word {r.violations[0]!r}"),
+        ("lps", [(p, p) for p in profile.lacunas], "first lacuna at position {}".format),
+        ("defect", [] if defect_ok else [(threshold, profile)], lambda p: f"defect reaches {p.final}"),
+        ("complexity", [(r.n, r) for r in identity if r.n in checked and not r.equal],
+         lambda r: f"order {r.n}: {r.lhs} != {r.rhs}"),
+        ("bispecial", bisp_fails, _bispecial_witness),
     )
-    anchor_ok = anchor.equal if anchor is not None else True
-
-    bisp_bad = [r for r in bisp if distinguishing_at.get(r.n, False)
-                and r.n >= threshold and not r.ok]
-    if bisp_bad:
-        first = bisp_bad[0]
-        witnesses["bispecial"] = (
-            f"{first.factor!r}: b={first.bilateral}, fixers={list(first.fixer_names)},"
-            f" pext sizes={list(first.pext_sizes)}"
-        )
-        fail_points += [r.n for r in bisp_bad]
-    elif not anchor_ok:
-        witnesses["bispecial"] = (
-            f"anchor equality at order {anchor.n} fails: {anchor.lhs} != {anchor.rhs}"
-        )
-        fail_points.append(anchor.n)
-
-    at = threshold
-    verdicts = {
-        "tls": all(v.satisfied for v in tls_results if v.order >= at),
-        "return-words": not any(r.violations for r in crw if r.n >= at),
-        "lps": not any(pos >= at for pos in profile.lacunas),
-        "defect": profile.final == 0 if at == 1 else profile.stabilized,
-        "complexity": not ceq_bad,
-        "bispecial": anchor_ok and not bisp_bad,
-    }
+    verdicts: dict[str, bool] = {}
+    witnesses: dict[str, str] = {}
+    fail_points: list[int] = []
+    for name, entries, witness in table:
+        shown = next((record for at, record in entries if at >= threshold), None)
+        verdicts[name] = shown is None
+        if shown is not None:
+            witnesses[name] = witness(shown)
+        if name != "defect":  # its one entry stands for its own rule; lps counts the lacunas
+            fail_points += (at for at, _ in entries)
     agreement_ok = len(set(verdicts.values())) == 1
     bound_ok = all(r.holds for r in identity if r.distinguishing)
-
-    candidate: int | None
-    if fail_points:
-        candidate = max(fail_points) + 1
-        if candidate > n_max:
-            candidate = None
-    else:
-        candidate = threshold
+    candidate: int | None = max(fail_points, default=threshold - 1) + 1
+    if candidate > n_max:
+        candidate = None
 
     contradiction = None
     all_pass = all(verdicts.values())
@@ -586,13 +560,11 @@ def verify_text(
             "antimorphisms, which richness would force"
         )
 
-    if not agreement_ok:
-        overall = INCONSISTENT
-    elif contradiction:
+    if not agreement_ok or contradiction:
         overall = INCONSISTENT
     elif all_pass:
         overall = RICH
-    elif candidate is not None and candidate <= n_max:
+    elif candidate is not None:
         overall = ALMOST
     else:
         overall = REFUTED
@@ -615,6 +587,13 @@ def verify_text(
         contradiction=contradiction,
         overall=overall,
     )
+
+
+def _bispecial_witness(record: BispecialRecord | ComplexityIdentityRecord) -> str:
+    if isinstance(record, ComplexityIdentityRecord):
+        return f"anchor equality at order {record.n} fails: {record.lhs} != {record.rhs}"
+    return (f"{record.factor!r}: b={record.bilateral}, fixers={list(record.fixer_names)},"
+            f" pext sizes={list(record.pext_sizes)}")
 
 
 def _check_inputs(group: SymmetryGroup, text: str, threshold: int, n_max: int) -> None:

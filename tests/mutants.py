@@ -65,8 +65,12 @@ MUTANTS = (
            "if path is not None:", "if path is None:",
            "tests/test_graphs.py::TestTreeCheckWitness::test_tree_check_against_oracle"),
     Mutant("the complexity verdict ignores its failures", "verify.py",
-           '"complexity": not ceq_bad,', '"complexity": True,',
+           '("complexity", [(r.n, r) for r in identity if r.n in checked and not r.equal],',
+           '("complexity", [],',
            "tests/test_verify.py::TestVerify::test_refuted_run"),
+    Mutant("the table of characterizations skips the entries at the threshold", "verify.py",
+           "if at >= threshold), None)", "if at > threshold), None)",
+           "tests/test_verify.py::TestThresholds::test_pinned_verdicts[per0011-exchange]"),
     Mutant("repro_octa wants two palindromic extensions", "repro.py",
            "r.pext_sizes == (1,)", "r.pext_sizes == (2,)",
            "tests/test_cli.py::TestRepro::test_ex8_scaled_down"),

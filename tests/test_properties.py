@@ -50,6 +50,7 @@ from symrich import (
     g_lps,
     prefix_palindrome_table,
     stability_check,
+    verify_text,
 )
 from symrich.cli import EXIT_CONFIG, main
 from symrich.palindromes import (
@@ -930,6 +931,29 @@ class TestCrwOnClosedLanguages:
             assert crw_records(sub, index, text, 1, 16) == set_union_crw_records(
                 sub, index, text, 1, 16
             )
+
+
+class TestWitnessRule:
+    """A verdict has a witness exactly when it fails, at every threshold, on
+    closed languages and on random words (whose closure additions refute)."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_witness_iff_failing(self, data):
+        if data.draw(st.booleans()):
+            group, sub, word, n_max = data.draw(closed_word_st())
+            assume(n_max >= 3)
+        else:
+            sub = group = data.draw(group_st())
+            n_max = data.draw(st.integers(3, 8))
+            word = data.draw(word_st(group.alphabet, min_size=n_max))
+        index = LanguageIndex(word, n_max, group)
+        for threshold in range(1, n_max - 1):
+            try:
+                rep = verify_text(sub, index, threshold=threshold, stability=True)
+            except InsufficientPrefixError:  # a graph walk runs off a short word
+                assume(False)
+            assert set(rep.witnesses) == {name for name, ok in rep.verdicts.items() if not ok}
 
 
 @st.composite

@@ -128,6 +128,145 @@ class TestVerify:
         assert kv["overall"] == RICH and kv["verdict.tls"] == "true"
 
 
+PIN_TEXTS = {
+    "per0011-exchange": (lambda: PeriodicSource(Alphabet.from_string("01"), "0011").prefix(300),
+                         exchange_group, 10),
+    "tm-order4": (lambda: thue_morse_source().prefix(1000), binary_full_group, 16),
+    "tm-reversal": (lambda: thue_morse_source().prefix(1000), lambda: reversal_group(BINARY), 16),
+    "fib-reversal": (lambda: fibonacci_source().prefix(1000), lambda: reversal_group(BINARY), 16),
+    "t33-dihedral3": (lambda: generalized_thue_morse(3, 3).prefix(2000), lambda: dihedral_group(3), 16),
+}
+
+#: per threshold: (threshold, the failing verdicts, overall, candidate
+#: threshold, agreement, bound), recorded before the verdicts were built from
+#: one table of characterizations
+PINNED = {
+    "per0011-exchange": (
+        (1, "tls return-words lps defect complexity bispecial", "almost-rich-candidate", 3, True, True),
+        # lps alone fails: it reads a lacuna position, a prefix length, against
+        # a threshold of factor orders
+        (2, "lps", "inconsistent", 3, False, True),
+        (3, "", "rich-up-to-nmax", 3, True, True),
+        (4, "", "rich-up-to-nmax", 3, True, True),
+        (5, "", "rich-up-to-nmax", 3, True, True),
+        (6, "", "rich-up-to-nmax", 3, True, True),
+        (7, "", "rich-up-to-nmax", 3, True, True),
+        (8, "", "rich-up-to-nmax", 3, True, True),
+        (9, "", "rich-up-to-nmax", 3, True, True),
+        (10, "", "rich-up-to-nmax", 3, True, True),
+    ),
+    "tm-order4": (
+        (1, "", "rich-up-to-nmax", 1, True, True),
+        (2, "", "rich-up-to-nmax", 2, True, True),
+        (3, "", "rich-up-to-nmax", 3, True, True),
+        (4, "", "rich-up-to-nmax", 4, True, True),
+        (5, "", "rich-up-to-nmax", 5, True, True),
+        (6, "", "rich-up-to-nmax", 6, True, True),
+        (7, "", "rich-up-to-nmax", 7, True, True),
+        (8, "", "rich-up-to-nmax", 8, True, True),
+        (9, "", "rich-up-to-nmax", 9, True, True),
+        (10, "", "rich-up-to-nmax", 10, True, True),
+        (11, "", "rich-up-to-nmax", 11, True, True),
+        (12, "", "rich-up-to-nmax", 12, True, True),
+        (13, "", "rich-up-to-nmax", 13, True, True),
+        (14, "", "rich-up-to-nmax", 14, True, True),
+        (15, "", "rich-up-to-nmax", 15, True, True),
+        (16, "", "rich-up-to-nmax", 16, True, True),
+    ),
+    "tm-reversal": (
+        (1, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (2, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (3, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (4, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (5, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (6, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (7, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (8, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (9, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (10, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (11, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (12, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (13, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (14, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (15, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+        (16, "tls return-words lps defect complexity bispecial", "refuted", None, True, True),
+    ),
+    "fib-reversal": (
+        (1, "", "rich-up-to-nmax", 1, True, True),
+        (2, "", "rich-up-to-nmax", 2, True, True),
+        (3, "", "rich-up-to-nmax", 3, True, True),
+        (4, "", "rich-up-to-nmax", 4, True, True),
+        (5, "", "rich-up-to-nmax", 5, True, True),
+        (6, "", "rich-up-to-nmax", 6, True, True),
+        (7, "", "rich-up-to-nmax", 7, True, True),
+        (8, "", "rich-up-to-nmax", 8, True, True),
+        (9, "", "rich-up-to-nmax", 9, True, True),
+        (10, "", "rich-up-to-nmax", 10, True, True),
+        (11, "", "rich-up-to-nmax", 11, True, True),
+        (12, "", "rich-up-to-nmax", 12, True, True),
+        (13, "", "rich-up-to-nmax", 13, True, True),
+        (14, "", "rich-up-to-nmax", 14, True, True),
+        (15, "", "rich-up-to-nmax", 15, True, True),
+        (16, "", "rich-up-to-nmax", 16, True, True),
+    ),
+    "t33-dihedral3": (
+        (1, "", "rich-up-to-nmax", 1, True, True),
+        (2, "", "rich-up-to-nmax", 2, True, True),
+        (3, "", "rich-up-to-nmax", 3, True, True),
+        (4, "", "rich-up-to-nmax", 4, True, True),
+        (5, "", "rich-up-to-nmax", 5, True, True),
+        (6, "", "rich-up-to-nmax", 6, True, True),
+        (7, "", "rich-up-to-nmax", 7, True, True),
+        (8, "", "rich-up-to-nmax", 8, True, True),
+        (9, "", "rich-up-to-nmax", 9, True, True),
+        (10, "", "rich-up-to-nmax", 10, True, True),
+        (11, "", "rich-up-to-nmax", 11, True, True),
+        (12, "", "rich-up-to-nmax", 12, True, True),
+        (13, "", "rich-up-to-nmax", 13, True, True),
+        (14, "", "rich-up-to-nmax", 14, True, True),
+        (15, "", "rich-up-to-nmax", 15, True, True),
+        (16, "", "rich-up-to-nmax", 16, True, True),
+    ),
+}
+
+
+class TestThresholds:
+    """Verdicts at every threshold, and the witness rule: a witness is shown
+    only beside a failing verdict, and names its first failing entry at or
+    above the threshold."""
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_pinned_verdicts(self, case):
+        text, group, n_max = PIN_TEXTS[case]
+        group = group()
+        index = LanguageIndex(text(), n_max + 2, group)
+        got = []
+        for threshold in range(1, n_max + 1):
+            rep = verify_text(group, index, threshold=threshold)
+            assert list(rep.verdicts) == ["tls", "return-words", "lps", "defect", "complexity",
+                                          "bispecial"]
+            fails = " ".join(name for name, ok in rep.verdicts.items() if not ok)
+            got.append((threshold, fails, rep.overall, rep.candidate_threshold,
+                        rep.agreement_ok, rep.bound_ok))
+        assert tuple(got) == PINNED[case]
+
+    def test_no_witness_beside_a_passing_verdict(self):
+        src = PeriodicSource(Alphabet.from_string("01"), "0011")
+        rep = verify(exchange_group(), src, 300, 10, threshold=3, word_id="per0011")
+        assert all(rep.verdicts.values()) and rep.witnesses == {}
+        assert "  tls          pass\n" in rep.to_text()
+
+    def test_witnesses_name_entries_from_the_threshold(self, id_r):
+        rep = verify(id_r, thue_morse_source(), 1000, 16, threshold=10)
+        assert rep.overall == REFUTED
+        assert rep.witnesses["tls"].startswith("order 10: ")
+        assert rep.witnesses["lps"] == "first lacuna at position 10"
+        assert rep.witnesses["complexity"] == "order 10: 6 != 4"
+        assert rep.witnesses["bispecial"] == "anchor equality at order 10 fails: 6 != 4"
+        assert rep.witnesses["defect"] == "defect reaches 212"
+        assert rep.witnesses["return-words"].startswith("class [0010110011] ")
+
+
 class CountingSource(WordSource):
     """A source that counts the prefixes generated from the one it wraps."""
 
