@@ -192,8 +192,8 @@ class LanguageIndex:
         self._columns: dict[tuple[SymmetryMap, int], tuple[str, ...]] = {}
         # n -> what _special_lists returns for n
         self._specials: dict[int, tuple[dict[str, int], tuple[str, ...]]] = {}
-        # n -> the edge labels of order n, or the error their walk raised
-        self._edges: dict[int, tuple[str, ...] | InsufficientPrefixError] = {}
+        # n -> the edge labels of order n
+        self._edges: dict[int, tuple[str, ...]] = {}
 
     @cached_property
     def _palindromes(self) -> TextPalindromes:
@@ -340,17 +340,16 @@ class LanguageIndex:
         """The edges of the graphs of symmetries of order n, for every group:
         per special factor w of length n and right letter a, in that order, the
         word from the first occurrence of w·a to the next special length-n
-        window.  The walk runs once per order; the index must have no closure
-        additions.  Raises InsufficientPrefixError when a walk runs off the text."""
+        window.  The labels of an order are walked once and kept; the index must
+        have no closure additions.  Raises InsufficientPrefixError when a walk
+        runs off the text; nothing is kept then, and the next call walks again."""
         found = self._edges.get(n)
         if found is None:
             found = self._edges[n] = self._walk_edges(n)
-        if isinstance(found, InsufficientPrefixError):
-            raise found.with_traceback(None)
         return found
 
-    def _walk_edges(self, n: int) -> tuple[str, ...] | InsufficientPrefixError:
-        """The labels :meth:`edge_labels` reads, or the error it raises."""
+    def _walk_edges(self, n: int) -> tuple[str, ...]:
+        """The labels :meth:`edge_labels` reads."""
         specials = self.special_rows(n)
         text = self.text
         last = len(text) - n  # the last start of a length-n window
@@ -362,7 +361,7 @@ class LanguageIndex:
                 while p <= last and text[p:p + n] not in specials:
                     p += 1
                 if p > last:
-                    return InsufficientPrefixError(
+                    raise InsufficientPrefixError(
                         f"edge walk from special factor {w!r} with extension {a!r} runs off "
                         "the prefix before reaching another special factor; extend the prefix"
                     )

@@ -167,10 +167,16 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     shift per word.  On the Thue-Morse word under {m:01, a:10} at order 7,
     1001011 (right letter 0) and 0010110 (left letter 1) both give 10010110.
 
-    By both lemmas a derived record's first and last occurrences follow from
-    those of the class above, so order n - 1 can chain off it.  Only the
-    words derived from a violating return word and the boundary words are
-    tested for G-palindromicity:
+    The boundary words of both lemmas are found by search.  A derived class
+    has a member with a left and a right extension, so it occurs after 0 and
+    before |text| - n.  When it holds ``text[:n]``, its return word from 0
+    is ``text[:j + n]``, j >= 1 the least occurrence of a member
+    (``text.find(m, 1)``); when it holds ``text[-n:]``, its return word to
+    the end is ``text[i:]``, i <= |text| - n - 1 the greatest
+    (``text.rfind(m, 0, |text| - 1)``).  Both are return words, so adding
+    one that (3) already gave changes nothing.  They and the words derived
+    from a violating return word are the only ones tested for
+    G-palindromicity:
 
     * theta(a·u·b) = a·u·b implies theta(u) = u, so a word stripped on both
       sides (or on neither) from a G-palindrome is one again;
@@ -212,25 +218,19 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     through its prefixes.  The walk falls back to slicing when a word of
     ``index.n_max`` letters would have to be extended, as the index knows no
     longer factors, or when it has visited more words than C has
-    occurrences, so it never costs more than the slicing it replaces.  The
-    first and last occurrences that lower orders chain off are the least
-    ``text.find`` and the greatest ``text.rfind`` over the members.  A walk
-    is not started when it cannot finish: the k occurrences of C leave k - 1
-    gaps between consecutive ones, and when last - first exceeds
-    (k - 1)(``index.n_max`` - n), one gap exceeds ``index.n_max`` - n, so
-    one return word has more than ``index.n_max`` letters.
+    occurrences, so it never costs more than the slicing it replaces.
 
     Below the top order n_hi, every class that neither Lemma 1 nor Lemma 2
     derives is walked when the index has no closure additions: bispecial
     classes, classes with no inner occurrence or with a side that has no
     extension, and every class when the language is not known to be closed
     under ``group`` (an index built without a group, or for a group not
-    containing ``group``).  The top order, the walks that fall back or are
-    not started and indexes with closure additions are sliced:
+    containing ``group``).  The top order, the walks that fall back and
+    indexes with closure additions are sliced:
     ``text[i:j + n]`` for each pair of consecutive occurrences.  ``text``
     must be ``index.text``.  Each order is grouped into classes by the
     index's representatives (:meth:`LanguageIndex.representatives`), and
-    every factor of an order points at the entry of its class, so the classes
+    every factor of an order points at the record of its class, so the classes
     of the head, the tail, Lemma 1's b·m·c and Lemma 2's e are found by the
     factor itself.
     """
@@ -240,8 +240,7 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     derive = index.g_closed and all(g in index.group for g in group.elements)
     walk = not index.closure_added
     size = len(text)
-    # per order: factor -> (record, first occurrence, last occurrence) of its class
-    levels: dict[int, dict[str, tuple[CrwRecord, int, int]]] = {}
+    levels: dict[int, dict[str, CrwRecord]] = {}  # per order: factor -> the record of its class
     records: dict[int, list[CrwRecord]] = {}
     for n in range(n_hi, n_lo - 1, -1):
         rep_of = dict(zip(index.sorted_factors(n), index.representatives(group, n)))
@@ -252,17 +251,15 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
         level = levels[n] = {}
         records[n] = []
         for rep in sorted(classes):
+            members = classes[rep]
             source = _outer_entry(group, index, levels, rep) if derive and n < n_hi else None
             if source:
-                (outer, first, last), shifts = source
+                outer, shifts = source
                 if shifts is None:  # Lemma 1
-                    first, last = first + 1, last + 1
                     returns = {v[1:-1] for v in outer.return_words}
                     suspects = {v[1:-1] for v in outer.violations}
                 else:  # Lemma 2
                     n1 = n + 1
-                    first += min(shifts[text[first:first + n1]])
-                    last += max(shifts[text[last:last + n1]])
                     returns, suspects = set(), set()
                     for v in outer.return_words:
                         u = v[max(shifts[v[:n1]]):len(v) - 1 + min(shifts[v[-n1:]])]
@@ -271,42 +268,34 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
                             if v in outer.violations:
                                 suspects.add(u)
                     returns.update(w for w, s in shifts.items() if len(s) == 2)
-                if rep == head and first:
-                    returns.add(text[:first + n])
-                    suspects.add(text[:first + n])
-                    first = 0
-                if rep == tail and last != size - n:
-                    returns.add(text[last:])
-                    suspects.add(text[last:])
-                    last = size - n
+                boundary = []
+                if rep == head:  # rep has a left extension, so the class occurs after 0
+                    boundary.append(text[:min(j for m in members if (j := text.find(m, 1)) > 0) + n])
+                if rep == tail:  # and a right one, so it occurs before size - n
+                    boundary.append(text[max(text.rfind(m, 0, size - 1) for m in members):])
+                returns.update(boundary)
+                suspects.update(boundary)
             else:
-                members = classes[rep]
-                returns = suspects = None
-                if walk and n < n_hi:  # Lemma 3
-                    first = min(text.find(m) for m in members)
-                    last = max(text.rfind(m) for m in members)
-                    gaps = sum(map(index.occurrence_count, members)) - 1
-                    if last - first <= gaps * (index.n_max - n):
-                        returns = suspects = _walk_returns(index, members)
+                returns = _walk_returns(index, members) if walk and n < n_hi else None  # Lemma 3
                 if returns is None:
                     # distinct factors of one length never share a start position
                     occ = sorted(chain.from_iterable(map(index.occurrences, members)))
-                    returns = suspects = {text[i:j + n] for i, j in zip(occ, occ[1:])}
-                    first, last = (occ[0], occ[-1]) if occ else (-1, -1)
+                    returns = {text[i:j + n] for i, j in zip(occ, occ[1:])}
+                suspects = returns
             violations = tuple(sorted(v for v in suspects if not group.is_g_palindrome(v)))
             record = CrwRecord(n, rep, tuple(sorted(returns)), violations)
             records[n].append(record)
-            level.update(dict.fromkeys(classes[rep], (record, first, last)))
+            level.update(dict.fromkeys(members, record))
     return [record for n in range(n_lo, n_hi + 1) for record in records[n]]
 
 
 def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
-                 levels: dict[int, dict[str, tuple[CrwRecord, int, int]]], rep: str):
+                 levels: dict[int, dict[str, CrwRecord]], rep: str):
     """Where :func:`crw_records` derives the class of ``rep`` (order n) from.
 
-    For rep unique on both sides, the entry of the class of b·rep·c at order
+    For rep unique on both sides, the record of the class of b·rep·c at order
     n + 2 and None (Lemma 1); for rep special on one side only, or unique on
-    both when order n + 2 is not in ``levels``, the entry of the class of its
+    both when order n + 2 is not in ``levels``, the record of the class of its
     extension word e at order n + 1 and the shift table S of that class
     (Lemma 2), read off e: g(e) takes the shift s0 of rep in e for a
     morphism g and 1 - s0 for an antimorphism.  None when rep is bispecial
@@ -316,8 +305,8 @@ def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
     left, right = index.lext(rep), index.rext(rep)
     if len(left) == 1 and len(right) == 1 and len(rep) + 2 in levels:
         (b,), (c,) = left, right
-        entry = levels[len(rep) + 2].get(b + rep + c)  # none when b·rep·c is no factor
-        return (entry, None) if entry else None
+        record = levels[len(rep) + 2].get(b + rep + c)  # none when b·rep·c is no factor
+        return (record, None) if record else None
     if left and len(right) == 1:  # special on the left only, or at n_hi - 1 unique on both sides
         (c,) = right
         e, s0 = rep + c, 0

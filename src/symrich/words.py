@@ -157,14 +157,15 @@ class FixedPointSource(WordSource):
         self._check_length(length)
         if length == 0:
             return ""
-        p = self.seed
-        while len(p) < length:
-            q = apply_morphism(self.rules, p)
-            if len(q) == len(p):
-                # only possible when every letter of p has a length-1 image
-                raise SourceError("morphism does not expand the seed prefix")
-            p = q[:length] if len(q) > length else q
-        return p
+        # the image of the seed is seed·x, so the fixed point is
+        # seed·x·phi(x)·phi^2(x)·...; each block is the image of the one before,
+        # and of it only the letters still needed, since no image is empty
+        blocks = [self.seed, self.rules[self.seed][1:]]
+        size = 1 + len(blocks[1])
+        while size < length:
+            blocks.append(apply_morphism(self.rules, blocks[-1][:length - size]))
+            size += len(blocks[-1])
+        return "".join(blocks)[:length]
 
     def __repr__(self) -> str:
         rules = ", ".join(f"{g}->{img}" for g, img in sorted(self.rules.items()))

@@ -33,6 +33,16 @@ MUTANTS = (
     Mutant("shift 1 for the extension word m·c of Lemma 2", "verify.py",
            "e, s0 = rep + c, 0", "e, s0 = rep + c, 1",
            "tests/test_verify.py::TestCrwBelowTop::test_doubly_reached_member[t33-dihedral3]"),
+    Mutant("the return word from 0 of a derived class skips an occurrence at 1", "verify.py",
+           "(j := text.find(m, 1))", "(j := text.find(m, 2))",
+           "tests/test_verify.py::TestCrwWalk::test_first_occurrence_over_all_members"),
+    Mutant("the return word to the end of a derived class starts at the last occurrence", "verify.py",
+           "text.rfind(m, 0, size - 1)", "text.rfind(m, 0, size)",
+           "tests/test_verify.py::TestCrwOneSided::test_boundary_word_of_one_sided_class"
+           "[0110100110010110100-0010110100]"),
+    Mutant("the walk of Lemma 3 without its budget", "verify.py",
+           "if budget < 0 or len(s) == index.n_max:", "if len(s) == index.n_max:",
+           "tests/test_verify.py::TestCrwWalk::test_walk_over_its_budget"),
     Mutant("the distinct-window build cuts at the later window's last position", "index.py",
            "cuts[lo].append(k)", "cuts[lo].append(k + len(runs[v]) - 1)",
            "tests/test_properties.py::TestWindowRuns::test_pinned_cases[periodic]"),

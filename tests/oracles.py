@@ -13,9 +13,19 @@ from symrich import (
     IndexRangeError,
     InsufficientPrefixError,
     SymmetryGroup,
+    apply_morphism,
 )
 from symrich.graphs import DirectedEdge
 from symrich.verify import CrwRecord
+
+
+def iterated_fixed_point(rules, seed, length):
+    """Oracle for ``FixedPointSource.prefix``: the morphism applied to the
+    whole prefix, cut to ``length`` letters, until the prefix is that long."""
+    word = seed[:length]
+    while len(word) < length:
+        word = apply_morphism(rules, word)[:length]
+    return word
 
 
 def brute_lps(antimorphisms, word):

@@ -7,6 +7,7 @@ searches adversarially over random words, maps, and small groups.
 import contextlib
 import dataclasses
 import functools
+import importlib
 import io
 import json
 
@@ -989,6 +990,38 @@ class TestCrwWalk:
         assert crw_records(group, index, word, n_lo, n_hi) == set_union_crw_records(
             group, index, word, n_lo, n_hi
         )
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_walk_within_its_budget(self, data):
+        # the budget is the walk's one guard: a walk reads the right extensions
+        # of at most one word more than its class has occurrences, so it never
+        # costs more than slicing the class
+        if data.draw(st.booleans()):
+            group, sub, word, n_max = data.draw(closed_word_st())
+            index = LanguageIndex(word, n_max, group)
+        else:
+            sub, word, _, _, n_max = data.draw(walk_case_st())
+            index = LanguageIndex(word, n_max)
+        module = importlib.import_module("symrich.verify")
+        real_walk, real_rext = module._walk_returns, index.rext
+        reads, walks = [0], []
+
+        def rext(w):
+            reads[0] += 1
+            return real_rext(w)
+
+        def walk(index, members):
+            reads[0] = 0
+            result = real_walk(index, members)
+            walks.append((reads[0], sum(map(index.occurrence_count, members))))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "_walk_returns", walk)
+            patch.setattr(index, "rext", rext)
+            crw_records(sub, index, word, 1, n_max)
+        assert all(read <= budget + 1 for read, budget in walks)
 
 
 def edges_or_error(build, group, index, n):

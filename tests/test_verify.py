@@ -506,7 +506,7 @@ def doubly_reached(source, n):
     """The return words of the class C1 that ``source`` (a Lemma 2 source of a
     class of order n) names whose consecutive occurrences q and q + 1 reach one
     occurrence q + 1 of a member u twice: b'·u at q and u·c' at q + 1."""
-    (outer, _, _), shifts = source
+    outer, shifts = source
     return [v for v in outer.return_words
             if len(v) == n + 2 and 1 in shifts[v[:n + 1]] and 0 in shifts[v[1:]]]
 
@@ -604,9 +604,9 @@ class TestCrwWalk:
 
     def test_deep_index_classes(self, walks):
         # the benchmark's deep-index input; the bispecial classes of orders 24,
-        # 32 and 48 have return words longer than 62 letters, and order 60 is
-        # the top; the class of order 48 has occurrences too far apart on
-        # average for any walk to finish, so its walk is not started
+        # 32 and 48 have return words longer than 62 letters, so their walks
+        # fall back to slicing (order 48's after 15 words, when its first path
+        # reaches 62 letters), and order 60 is the top
         text = thue_morse_source().prefix(32000)
         group = binary_full_group()
         index = LanguageIndex(text, 62, group)
@@ -615,7 +615,7 @@ class TestCrwWalk:
         assert sorted(walked) == [1, 2, 3, 4, 6, 8, 12, 16]
         assert all(index.is_bispecial(rep) for rep in walked.values())
         assert Counter(n for (n, _), ended in walks.items() if not ended) == {
-            24: 1, 32: 1,
+            24: 1, 32: 1, 48: 1,
         }
         for record in records:
             if walked.get(record.n) == record.representative:
@@ -647,7 +647,9 @@ class TestCrwWalk:
     def test_first_occurrence_over_all_members(self, walks):
         # the head 15 of the hexa text is special on the left only, so under
         # psi_2, psi_0 its class derives from the class of 150 at order 3, which
-        # walks; that class first occurs at 0 through 150, not its least member
+        # walks and occurs at 0 through 150, not through its least member 031;
+        # the head class's return word from 0 ends at the first later
+        # occurrence of any member, 41 at 3, not of its least member, 12 at 4
         text = hexa_text(50)
         sub = hexa_subgroup(2)
         index = LanguageIndex(text, 6, hexa_group())

@@ -1,5 +1,9 @@
-import pytest
+import importlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import iterated_fixed_point
 from symrich import (
     Alphabet,
     AlphabetError,
@@ -20,6 +24,17 @@ def digit_sum(n, base):
         n, r = divmod(n, base)
         total += r
     return total
+
+
+@st.composite
+def fixed_point_case_st(draw):
+    """A non-erasing morphism on 1..4 glyphs, prolongable on its seed, and a length."""
+    glyphs = "0123"[:draw(st.integers(1, 4))]
+    image = st.text(glyphs, min_size=1, max_size=4)
+    rules = {g: draw(image) for g in glyphs}
+    seed = draw(st.sampled_from(glyphs))
+    rules[seed] = seed + draw(image)
+    return Alphabet.from_string(glyphs), rules, seed, draw(st.integers(0, 400))
 
 
 def brute_digit_sum_word(base, modulus, length):
@@ -73,6 +88,29 @@ class TestFixedPoint:
         image = apply_morphism(src.rules, p)
         assert image.startswith(p) or src.prefix(len(image)).startswith(p)
         assert src.prefix(len(image)) == image
+
+    @given(case=fixed_point_case_st())
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_matches_whole_word_iteration(self, case):
+        alphabet, rules, seed, length = case
+        assert FixedPointSource(alphabet, rules, seed).prefix(length) == iterated_fixed_point(
+            rules, seed, length
+        )
+
+    def test_linear_work_on_a_slowly_growing_fixed_point(self, monkeypatch):
+        # 0 -> 01, 1 -> 1 adds one letter per application of the morphism, so
+        # applying it to the whole prefix would read about L^2 / 2 letters
+        words = importlib.import_module("symrich.words")
+        real, length, read = words.apply_morphism, 200_000, [0]
+
+        def spy(rules, word):
+            read[0] += len(word)
+            assert read[0] <= 2 * length, "more than 2L letters through apply_morphism"
+            return real(rules, word)
+
+        monkeypatch.setattr(words, "apply_morphism", spy)
+        source = FixedPointSource(Alphabet.from_string("01"), {"0": "01", "1": "1"}, "0")
+        assert source.prefix(length) == "0" + "1" * (length - 1)
 
     def test_rejects_non_prolongable_seed(self):
         a = Alphabet.from_string("01")
