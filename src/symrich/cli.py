@@ -169,7 +169,7 @@ def _parse_group(raw, alphabet: Alphabet) -> SymmetryGroup:
 
 def load_config(path: str) -> AnalysisConfig:
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # PyYAML decodes: UTF-8, or UTF-16/32 by BOM
             raw = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")

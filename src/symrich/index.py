@@ -2,19 +2,12 @@
 
 The index groups the positions 0..|text| of the text by their window
 ``text[i:i + n_max]`` in one pass and sorts the distinct windows: C(n_max)
-full ones and n_max shorter ones at the end.  Their ascending position
-lists, joined, are the positions sorted stably by window.  Equal neighbours
-share n_max letters; between distinct neighbour windows the common prefix
-(lcp), capped at the shorter one, is found by binary search on slice
-equality.  (Kasai's lcp skip does not apply: with windows cut at ``n_max``,
-equal windows are ordered by position, not by the suffix after them.)  The
-factors of length n are then the maximal runs of neighbours with lcp >= n; a
-window shorter than n is a run of its own and is skipped.  Each level maps a
-factor to its run ``(a, b)`` in the sorted order, so it lists its factors in
-lexicographic order, and the occurrences of the factor are the sorted
-positions ``order[a:b]``.  Going from level n - 1 to level n only adds the
-run boundaries of lcp n - 1, so the levels together cost the number of
-factors, not |text| * n_max.
+full ones and the n_max shorter ones, the tails of the text.  Their ascending
+position lists, joined, are the positions sorted stably by window.  Each level
+maps a factor to its run ``(a, b)`` in the sorted order, so it lists its
+factors in lexicographic order, and the occurrences of the factor are the
+sorted positions ``order[a:b]``.  Level ``n_max`` is the full windows; each
+level below is read off the one above by the prefix rule after the lemma.
 
 With a group, each level is completed under it.  The images of its factors
 that do not occur, none on a long enough prefix of a closed word, are
@@ -37,6 +30,17 @@ the same offset for a morphism, at the mirrored offset for an antimorphism.
 is a length-m factor of g(v) by the above; conversely a length-m factor of
 g(v) is g(u') for a length-m factor u' of v, and u' is in F_m.
 
+Rule (prefix).  For n < n_max, F_n is the set of the n-prefixes of F_(n+1)
+and the tail ``text[|text| - n:]``.  Proof.  A factor at p < |text| - n
+extends by ``text[p + n]``; the only other start is |text| - n.  This is (2)
+with N = n + 1 and no symmetry: a suffix u[1:] of a factor u is the prefix of
+the factor one position on, except at the tail.  In window order the words
+that start with a factor are neighbours, and the tail sorts just before the
+windows it prefixes, so the run of a factor is the join of the runs of its
+extensions, and of the tail if the factor is the tail.  Each level costs the
+factors of the level above, so the levels together cost the number of
+factors, not |text| * n_max.
+
 By (2) with N = n + 1, the completed level n holds the length-n factors of
 the completed level n + 1.  Those of F_(n+1) are in F_n, so closure adds at
 order n the words u[:-1] and u[1:] of the additions u at order n + 1 that
@@ -54,19 +58,21 @@ when it equals its row in the column of theta, and an order distinguishes the
 antimorphisms when their columns differ in every row.
 
 Extension sets are read off the level above.  A length-n factor w has the
-left letters a with a·w at level n + 1, the right letters b with w·b there,
-and the bilateral pairs (a, b) with a·w·b at level n + 2; Pext_theta(w) is
-the set of a with (a, theta(a)) among them.  Each table is built in one pass
-on the first query at its order and kept: the words u of the level above
-split into keys (u[1:], u[:-1] or u[1:-1]) and extensions (u[0], u[-1] or
-both), and each factor of level n gets the set of its keys' extensions, one
-shared object per distinct set.  By (2) every key is at level n; a key
-outside it raises ConsistencyError.  Only a key met more than once, next to
-itself in the sorted keys, needs more than a one-element set.  The tables
-list the factors in level order, so the special and bispecial factors of an
-order are read off the set sizes of its lext and rext tables, once for every
-group.  As the extensions are defined by membership, the classical counting
-identities are exact on any finite text:
+left letters a with a·w at level n + 1 and the right letters b with w·b
+there.  Each of the two tables is built in one pass on the first query at its
+order and kept: the words u of level n + 1 split into keys (u[1:] or u[:-1])
+and letters (u[0] or u[-1]), and each factor of level n gets the set of its
+keys' letters, one shared object per distinct set.  By (2) every key is at
+level n; a key outside it raises ConsistencyError.  Only a key met more than
+once, next to itself in the sorted keys, needs more than a one-element set.
+The tables list the factors in level order, so the special and bispecial
+factors of an order are read off the set sizes of its lext and rext tables,
+once for every group.  The bilateral pairs (a, b), with a·w·b at level n + 2,
+are derived on each query: a·w·b is there exactly when a is a left letter of w
+and b a right letter of a·w, by (2).  Only bispecial and theta-fixed factors
+are asked for them, so no table of them is kept.  Pext_theta(w) is the set of
+a with (a, theta(a)) among them.  As the extensions are defined by membership,
+the classical counting identities are exact on any finite text:
 
 * sum over L_n of (#Lext - 1) = C(n+1) - C(n), likewise for Rext,
 * sum over L_n of b(w) = second difference of C,
@@ -87,10 +93,11 @@ and one at p < n - m lies inside the prefix of length n of u.
 from __future__ import annotations
 
 import logging
+from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, compress, count, pairwise
+from itertools import accumulate, chain, compress, count
 from operator import and_, eq, itemgetter, lt, or_
 
 from .errors import ConsistencyError, GroupError, IndexRangeError, InsufficientPrefixError
@@ -100,19 +107,18 @@ from .words import WordSource
 
 _log = logging.getLogger("symrich")
 
-#: per extension kind: the levels above the factor it reads, and how a word
-#: of that level splits into the factor (key) and its extension (value)
+#: per extension kind: how a word of the level above splits into the factor
+#: (key) and its extension letter (value)
 _EXTENSIONS = {
-    "lext": (1, itemgetter(slice(1, None)), itemgetter(0)),
-    "rext": (1, itemgetter(slice(None, -1)), itemgetter(-1)),
-    "bext": (2, itemgetter(slice(1, -1)), itemgetter(0, -1)),
+    "lext": (itemgetter(slice(1, None)), itemgetter(0)),
+    "rext": (itemgetter(slice(None, -1)), itemgetter(-1)),
 }
 
 _several = partial(lt, 1)  # a set size of two or more: a special side
 
 
 class _Singletons(dict):
-    """x -> frozenset({x}), made on first use: one set object per extension."""
+    """x -> frozenset({x}), made on first use: one set object per letter."""
 
     def __missing__(self, x):
         self[x] = single = frozenset((x,))
@@ -139,33 +145,22 @@ class LanguageIndex:
         for i in range(size):
             runs[text[i:i + n_max]].append(i)
         windows = sorted(runs)
-        order = list(chain.from_iterable(map(runs.__getitem__, windows)))
-        # cuts[h]: the k whose neighbours order[k - 1], order[k] share exactly h letters
-        cuts: list[list[int]] = [[] for _ in range(n_max)]
-        k = 0
-        for u, v in pairwise(windows):
-            k += len(runs[u])  # the first sorted index of v
-            lo, hi = 0, min(len(u), len(v))
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if u[:mid] == v[:mid]:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            cuts[lo].append(k)
-        self._order = order
+        self._order = list(chain.from_iterable(map(runs.__getitem__, windows)))
 
-        self._levels: list[dict[str, tuple[int, int]]] = [{"": (0, size)}]
-        bounds = [0, size]
-        for n in range(1, n_max + 1):
-            bounds += cuts[n - 1]
-            bounds.sort()  # two sorted runs: a linear merge
+        ends = list(accumulate(len(runs[w]) for w in windows))
+        spans = dict(zip(windows, zip([0, *ends], ends)))  # window -> its run
+        level = {w: run for w, run in spans.items() if len(w) == n_max}
+        self._levels: list[dict[str, tuple[int, int]]] = [level]
+        for n in range(n_max - 1, -1, -1):  # the prefix rule
+            tail = text[len(text) - n:]
+            items = list(level.items())
+            insort(items, (tail, spans[tail]))
             level = {}
-            for a, b in pairwise(bounds):
-                x = order[a]
-                if x + n < size:
-                    level[text[x:x + n]] = (a, b)
+            for u, (a, b) in items:
+                w = u[:n]
+                level[w] = (level[w][0] if w in level else a, b)
             self._levels.append(level)
+        self._levels.reverse()
 
         self.closure_added: dict[int, frozenset[str]] = {}
         if group is not None and n_max:
@@ -250,19 +245,20 @@ class LanguageIndex:
     # -- extensions -----------------------------------------------------------
 
     def _table(self, kind: str, n: int) -> dict[str, frozenset]:
-        """The extensions of that kind of every factor of length n."""
+        """The extension letters of that kind of every factor of length n, read
+        off level n + 1."""
         table = self._tables.get((kind, n))
         if table is not None:
             return table
-        room, key, value = _EXTENSIONS[kind]
-        self._check_n(n, room=room)
-        level, above = self._level(n), self._level(n + room)
+        key, value = _EXTENSIONS[kind]
+        self._check_n(n, room=1)
+        level, above = self._level(n), self._level(n + 1)
         keys, values = list(map(key, above)), list(map(value, above))
         table = dict.fromkeys(level, frozenset())
         table.update(zip(keys, map(self._singletons.__getitem__, values)))
         if len(table) != len(level):
             raise ConsistencyError(
-                f"level {n + room} extends {len(table) - len(level)} word(s) of length {n} "
+                f"level {n + 1} extends {len(table) - len(level)} word(s) of length {n} "
                 f"that are not at level {n}"
             )
         # a factor with several extensions is a key that sorts next to itself
@@ -291,7 +287,9 @@ class LanguageIndex:
         return self._extensions("rext", w)
 
     def bext(self, w: str) -> frozenset[tuple[str, str]]:
-        return self._extensions("bext", w)
+        """The pairs (a, b) with a·w·b a factor: a left letter of w, b a right letter of a·w."""
+        self._check_n(len(w), room=2)
+        return frozenset((a, b) for a in self.lext(w) for b in self.rext(a + w))
 
     def bilateral_order(self, w: str) -> int:
         return len(self.bext(w)) - len(self.lext(w)) - len(self.rext(w)) + 1

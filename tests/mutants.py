@@ -43,13 +43,19 @@ MUTANTS = (
     Mutant("the walk of Lemma 3 without its budget", "verify.py",
            "if budget < 0 or len(s) == index.n_max:", "if len(s) == index.n_max:",
            "tests/test_verify.py::TestCrwWalk::test_walk_over_its_budget"),
-    Mutant("the distinct-window build cuts at the later window's last position", "index.py",
-           "cuts[lo].append(k)", "cuts[lo].append(k + len(runs[v]) - 1)",
+    Mutant("the prefix join keeps the later entry's start", "index.py",
+           "level[w] = (level[w][0] if w in level else a, b)", "level[w] = (a, b)",
            "tests/test_properties.py::TestWindowRuns::test_pinned_cases[periodic]"),
+    Mutant("the prefix rule puts the text's tail after the level above", "index.py",
+           "insort(items, (tail, spans[tail]))", "items.append((tail, spans[tail]))",
+           "tests/test_properties.py::TestWindowRuns::test_pinned_cases[n_max-length]"),
     Mutant("the distinct-window build lists each window's positions descending", "index.py",
            "chain.from_iterable(map(runs.__getitem__, windows))",
            "chain.from_iterable(runs[w][::-1] for w in windows)",
            "tests/test_properties.py::TestWindowRuns::test_pinned_cases[one-letter]"),
+    Mutant("bext reads the right letters of w, not of a·w", "index.py",
+           "self.rext(a + w)", "self.rext(w)",
+           "tests/test_index.py::TestExtensions::test_bilateral_order_fibonacci"),
     Mutant("closure below the top order keeps only the prefixes of the additions above", "index.py",
            "for v in (u[:-1], u[1:])", "for v in (u[:-1],)",
            "tests/test_index.py::TestBuild::test_closure_fails_only_above_an_order"),

@@ -144,6 +144,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "--config", str(path), "word")
         assert code == EXIT_CONFIG
 
+    def test_config_not_utf8(self, capsys, tmp_path):
+        # a byte that starts no UTF-8 sequence is a YAML reader error, not a traceback
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b'alphabet: "\x80"\n')
+        code, out, err = run(capsys, "--config", str(path), "word")
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith(f"config error: config {path} is not valid YAML")
+
+    def test_config_with_non_ascii_glyphs(self, capsys, tmp_path):
+        path = tmp_path / "glyphs.yaml"
+        path.write_text('alphabet: "éß"\nword:\n  kind: periodic\n  period: "éßß"\n'
+                        'group:\n  - kind: antimorphism\n    map: ["é -> é", "ß -> ß"]\n', encoding="utf-8")
+        code, out, _ = run(capsys, "--config", str(path), "--length", "7", "word")
+        assert code == 0 and out.strip() == "éßßéßßé"
+
     def test_format_flag_is_gone(self, capsys, tm_config):
         with pytest.raises(SystemExit) as exc:
             main(["--config", tm_config, "--format", "csv", "verify"])

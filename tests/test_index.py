@@ -128,6 +128,18 @@ class TestExtensions:
         with pytest.raises(IndexRangeError):
             tm_index.lext("000")
 
+    @pytest.mark.parametrize("query, w, room", [
+        ("lext", "001", 1), ("rext", "001", 1),
+        ("bext", "01", 2), ("bilateral_order", "01", 2),
+        # "00" is a prefix of the text: it has no left letter to extend by
+        ("bext", "00", 2), ("bilateral_order", "00", 2), ("pext", "00", 2),
+    ])
+    def test_order_without_its_levels_above(self, query, w, room):
+        index = LanguageIndex("0010", 3)
+        args = (R, w) if query == "pext" else (w,)
+        with pytest.raises(IndexRangeError, match=rf"needs {room} extra length level\(s\)"):
+            getattr(index, query)(*args)
+
     @pytest.mark.parametrize("kind", ["lext", "rext", "bext"])
     def test_level_without_a_key_is_loud(self, kind):
         # "1" is dropped from level 1, but words one and two orders up extend it
