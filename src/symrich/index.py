@@ -300,7 +300,8 @@ class LanguageIndex:
             raise GroupError(f"{theta.name} is not an antimorphism")
         if theta.apply(w) != w:
             raise GroupError(f"{w!r} is not fixed by {theta.name}; filter before querying")
-        return frozenset(a for a, b in self.bext(w) if theta.image_of(a) == b)
+        self._check_n(len(w), room=2)
+        return frozenset(a for a in self.lext(w) if theta.image_of(a) in self.rext(a + w))
 
     # -- special factors ------------------------------------------------------
 

@@ -25,6 +25,7 @@ itself when none fails, and None above n_max.
 from __future__ import annotations
 
 import logging
+from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import chain
 
@@ -63,14 +64,56 @@ def min_distinguishing(group: SymmetryGroup, index: LanguageIndex, n_max: int) -
     return None
 
 
-@dataclass(frozen=True)
 class CrwRecord:
-    """Complete return words of one orbit class of factors."""
+    """Complete return words of one orbit class of factors of length ``n``.
 
-    n: int
-    representative: str
-    return_words: tuple[str, ...]
-    violations: tuple[str, ...]
+    ``return_words`` is their sorted tuple and ``violations`` the sorted tuple
+    of those that are no G-palindromes.  A record that :func:`crw_records`
+    derives by Lemma 1 or 2 holds only its violations; it builds its return
+    words on their first read, from those of its source record, and keeps
+    them.  Equality, hash and repr are over the four values.
+    """
+
+    __slots__ = ("n", "representative", "violations", "_returns", "_source")
+
+    def __init__(self, n: int, representative: str, return_words: Collection[str],
+                 violations: tuple[str, ...]):
+        self.n, self.representative, self.violations = n, representative, violations
+        self._returns = return_words  # None until built from _source
+        self._source = None  # (outer record, Lemma 2's shifts or None, boundary words)
+
+    @property
+    def return_words(self) -> tuple[str, ...]:
+        return tuple(sorted(self._return_set()))
+
+    def _return_set(self) -> Collection[str]:
+        # down the chain of source records from the nearest one with its set
+        # built, one order at a time: a chain can outgrow the recursion limit
+        chain, record = [], self
+        while record._returns is None:
+            chain.append(record)
+            record = record._source[0]
+        for record in reversed(chain):
+            outer, shifts, boundary = record._source
+            returns = _strip(outer._returns, record.n, shifts)
+            if shifts is not None:
+                returns.update(w for w, s in shifts.items() if len(s) == 2)
+            returns.update(boundary)
+            record._returns, record._source = returns, None
+        return self._returns
+
+    def _values(self) -> tuple:
+        return self.n, self.representative, self.return_words, self.violations
+
+    def __eq__(self, other):
+        return self._values() == other._values() if isinstance(other, CrwRecord) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "CrwRecord(n={!r}, representative={!r}, return_words={!r}, violations={!r})".format(
+            *self._values())
 
 
 def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
@@ -174,9 +217,20 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     (``text.find(m, 1)``); when it holds ``text[-n:]``, its return word to
     the end is ``text[i:]``, i <= |text| - n - 1 the greatest
     (``text.rfind(m, 0, |text| - 1)``).  Both are return words, so adding
-    one that (3) already gave changes nothing.  They and the words derived
-    from a violating return word are the only ones tested for
-    G-palindromicity:
+    one that (3) already gave changes nothing.
+
+    A derived class computes at once only what its verdict reads: its
+    boundary words, the strips (:func:`_strip`) of its source's violations,
+    and which of these suspects are no G-palindromes, its violations.  Its
+    full set of return words, the strips of all of its source's return words
+    with the words of S(w) = {0, 1} and the boundary words, is built by the
+    same strip when ``return_words`` is first read, and kept.  Its source
+    may be derived in turn: the build goes down such a chain one record at a
+    time, not by recursion, from the nearest record whose set is built.  A
+    verification reads no return word, only violations.  The boundary words
+    and the strips of violations are the only words tested for
+    G-palindromicity, since every other return word of the class is a
+    G-palindrome:
 
     * theta(a·u·b) = a·u·b implies theta(u) = u, so a word stripped on both
       sides (or on neither) from a G-palindrome is one again;
@@ -227,7 +281,8 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     under ``group`` (an index built without a group, or for a group not
     containing ``group``).  The top order, the walks that fall back and
     indexes with closure additions are sliced:
-    ``text[i:j + n]`` for each pair of consecutive occurrences.  ``text``
+    ``text[i:j + n]`` for each pair of consecutive occurrences.  Walked and
+    sliced classes test every return word they find, and keep them.  ``text``
     must be ``index.text``.  Each order is grouped into classes by the
     index's representatives (:meth:`LanguageIndex.representatives`), and
     every factor of an order points at the record of its class, so the classes
@@ -255,26 +310,13 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
             source = _outer_entry(group, index, levels, rep) if derive and n < n_hi else None
             if source:
                 outer, shifts = source
-                if shifts is None:  # Lemma 1
-                    returns = {v[1:-1] for v in outer.return_words}
-                    suspects = {v[1:-1] for v in outer.violations}
-                else:  # Lemma 2
-                    n1 = n + 1
-                    returns, suspects = set(), set()
-                    for v in outer.return_words:
-                        u = v[max(shifts[v[:n1]]):len(v) - 1 + min(shifts[v[-n1:]])]
-                        if len(u) > n:
-                            returns.add(u)
-                            if v in outer.violations:
-                                suspects.add(u)
-                    returns.update(w for w, s in shifts.items() if len(s) == 2)
                 boundary = []
                 if rep == head:  # rep has a left extension, so the class occurs after 0
                     boundary.append(text[:min(j for m in members if (j := text.find(m, 1)) > 0) + n])
                 if rep == tail:  # and a right one, so it occurs before size - n
                     boundary.append(text[max(text.rfind(m, 0, size - 1) for m in members):])
-                returns.update(boundary)
-                suspects.update(boundary)
+                source = outer, shifts, tuple(boundary)  # what the return words are built from on first read
+                returns, suspects = None, _strip(outer.violations, n, shifts).union(boundary)
             else:
                 returns = _walk_returns(index, members) if walk and n < n_hi else None  # Lemma 3
                 if returns is None:
@@ -283,7 +325,8 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
                     returns = {text[i:j + n] for i, j in zip(occ, occ[1:])}
                 suspects = returns
             violations = tuple(sorted(v for v in suspects if not group.is_g_palindrome(v)))
-            record = CrwRecord(n, rep, tuple(sorted(returns)), violations)
+            record = CrwRecord(n, rep, returns, violations)
+            record._source = source
             records[n].append(record)
             level.update(dict.fromkeys(members, record))
     return [record for n in range(n_lo, n_hi + 1) for record in records[n]]
@@ -319,6 +362,21 @@ def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
     for g in group.elements:
         shifts.setdefault(g.apply(e), set()).add(1 - s0 if g.antimorphic else s0)
     return levels[len(e)][e], shifts
+
+
+def _strip(words: Collection[str], n: int, shifts: dict[str, set[int]] | None) -> set[str]:
+    """The return words of a class of order n that Lemma 1 (``shifts`` None) or
+    Lemma 2 (the shift table of :func:`_outer_entry`) derives from these
+    return words of its source class in :func:`crw_records`."""
+    if shifts is None:  # Lemma 1
+        return {v[1:-1] for v in words}
+    n1 = n + 1
+    found = set()
+    for v in words:  # Lemma 2
+        u = v[max(shifts[v[:n1]]):len(v) - 1 + min(shifts[v[-n1:]])]
+        if len(u) > n:
+            found.add(u)
+    return found
 
 
 def _walk_returns(index: LanguageIndex, members: list[str]) -> set[str] | None:

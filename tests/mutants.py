@@ -30,6 +30,13 @@ MUTANTS = (
     Mutant("Lemma 2 keeps the strips of n letters of doubly reached members", "verify.py",
            "if len(u) > n:", "if len(u) >= n:",
            "tests/test_verify.py::TestCrwBelowTop::test_doubly_reached_member[fib-reversal]"),
+    Mutant("Lemma 1's strip keeps one outer letter, in the suspects and in the deferred build",
+           "verify.py", "{v[1:-1] for v in words}", "{v[1:] for v in words}",
+           "tests/test_properties.py::TestCrwDeferredReads::test_preset_subgroups[tm]"),
+    Mutant("derived return words drop the boundary words", "verify.py",
+           "returns.update(boundary)", "returns.update(boundary[:0])",
+           "tests/test_verify.py::TestCrwOneSided::test_boundary_word_of_one_sided_class"
+           "[11011001001101-11011]"),
     Mutant("shift 1 for the extension word m·c of Lemma 2", "verify.py",
            "e, s0 = rep + c, 0", "e, s0 = rep + c, 1",
            "tests/test_verify.py::TestCrwBelowTop::test_doubly_reached_member[t33-dihedral3]"),
@@ -54,8 +61,11 @@ MUTANTS = (
            "chain.from_iterable(runs[w][::-1] for w in windows)",
            "tests/test_properties.py::TestWindowRuns::test_pinned_cases[one-letter]"),
     Mutant("bext reads the right letters of w, not of a·w", "index.py",
-           "self.rext(a + w)", "self.rext(w)",
+           "for b in self.rext(a + w)", "for b in self.rext(w)",
            "tests/test_index.py::TestExtensions::test_bilateral_order_fibonacci"),
+    Mutant("pext reads the right letters of w, not of a·w", "index.py",
+           "theta.image_of(a) in self.rext(a + w)", "theta.image_of(a) in self.rext(w)",
+           "tests/test_index.py::TestPext::test_fibonacci_pext"),
     Mutant("closure below the top order keeps only the prefixes of the additions above", "index.py",
            "for v in (u[:-1], u[1:])", "for v in (u[:-1],)",
            "tests/test_index.py::TestBuild::test_closure_fails_only_above_an_order"),

@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import importlib
 import io
+import itertools
 import json
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -932,6 +933,53 @@ class TestCrwOnClosedLanguages:
             assert crw_records(sub, index, text, 1, 16) == set_union_crw_records(
                 sub, index, text, 1, 16
             )
+
+
+def read_in_order(records, reverse, returns_first):
+    """(n, representative, return words, violations) of each record, read from
+    the last record to the first when ``reverse``, each record's return words
+    before its violations when ``returns_first`` and after them when not, and
+    its return words read twice."""
+    values = {}
+    for i in reversed(range(len(records))) if reverse else range(len(records)):
+        record = records[i]
+        if returns_first:
+            returns, violations = record.return_words, record.violations
+        else:
+            violations, returns = record.violations, record.return_words
+        assert record.return_words == returns
+        values[i] = record.n, record.representative, returns, violations
+    return [values[i] for i in range(len(records))]
+
+
+def oracle_values(group, index, text, n_lo, n_hi):
+    return [(r.n, r.representative, r.return_words, r.violations)
+            for r in set_union_crw_records(group, index, text, n_lo, n_hi)]
+
+
+class TestCrwDeferredReads:
+    """The return words of derived classes, built on first read, in every order
+    of reading: a record built before its source, after it, or from a chain."""
+
+    @given(case=closed_word_st(), reverse=st.booleans(), returns_first=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_closed_words(self, case, reverse, returns_first):
+        group, sub, word, n_max = case
+        index = LanguageIndex(word, n_max, group)
+        records = crw_records(sub, index, word, 1, n_max)
+        assert read_in_order(records, reverse, returns_first) == oracle_values(
+            sub, index, word, 1, n_max
+        )
+
+    @pytest.mark.parametrize("name", ["tm", "fib", "t33", "octa", "hexa"])
+    def test_preset_subgroups(self, name):
+        text, group, subgroups = preset_word(name)
+        index = LanguageIndex(text, 16, group)
+        for sub in subgroups:
+            expected = oracle_values(sub, index, text, 1, 16)
+            for reverse, returns_first in itertools.product([False, True], repeat=2):
+                records = crw_records(sub, index, text, 1, 16)
+                assert read_in_order(records, reverse, returns_first) == expected
 
 
 class TestWitnessRule:

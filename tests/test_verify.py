@@ -1,5 +1,6 @@
 import importlib
 import logging
+import sys
 from collections import Counter
 
 import pytest
@@ -36,7 +37,7 @@ from symrich.presets import (
 )
 from symrich.repro import repro_hexa
 from symrich.symmetry import SymmetryGroup, dihedral_group
-from symrich.verify import ALMOST, REFUTED, RICH, crw_records, min_distinguishing
+from symrich.verify import ALMOST, REFUTED, RICH, CrwRecord, crw_records, min_distinguishing
 from symrich.words import Alphabet, LiteralSource, PeriodicSource, WordSource
 
 
@@ -658,6 +659,45 @@ class TestCrwWalk:
         records = crw_records(sub, index, text, 1, 5)
         assert records == set_union_crw_records(sub, index, text, 1, 5)
         assert walks[3, "031"] is True and text.find("031") == 6
+
+
+class TestCrwDeferred:
+    """The return words of a class derived by Lemma 1 or 2 are built on their
+    first read, from those of its source record; its violations are not."""
+
+    @pytest.mark.parametrize("group, overall", [
+        (binary_full_group(), RICH), (reversal_group(BINARY), REFUTED),
+    ], ids=["tm-order4", "tm-reversal"])
+    def test_verification_builds_no_return_word(self, monkeypatch, group, overall):
+        def unread(*args):
+            raise AssertionError("a verification built return words")
+
+        monkeypatch.setattr(CrwRecord, "return_words", property(unread))
+        monkeypatch.setattr(CrwRecord, "_return_set", unread)
+        report = verify(group, thue_morse_source(), 2000, 20)
+        assert report.overall == overall and report.crw
+
+    def test_chain_longer_than_the_recursion_headroom(self, derived, id_r):
+        # every class of (0011)^k from order 4 up is unique on both sides, so
+        # order 2 derives from order 4, which derives from order 6, ... and
+        # order 298 from the top order 300
+        text = PeriodicSource(BINARY, "0011").prefix(1200)
+        index = LanguageIndex(text, 302, id_r)
+        records = crw_records(id_r, index, text, 2, 300)
+        chain, rep = 0, records[0].representative
+        while derived.get(rep):
+            chain, rep = chain + 1, derived[rep][0].representative
+        assert chain == 149
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            returns = records[0].return_words
+        finally:
+            sys.setrecursionlimit(limit)
+        assert returns == tuple(sorted(complete_g_return_words(id_r, "00", text)))
 
 
 HEXA_SUBGROUPS = [s for s in hexa_group().subgroups() if s.has_antimorphism]
