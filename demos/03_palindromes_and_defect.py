@@ -5,7 +5,7 @@ Run:  python demos/03_palindromes_and_defect.py
 
 from symrich import LanguageIndex, g_defect, g_lps, prefix_table_csv
 from symrich.presets import binary_full_group, thue_morse_source
-from symrich.verify import crw_records
+from symrich.verify import complete_return_words
 
 group = binary_full_group()
 p = "01101001100"  # an 11-letter prefix of the binary digit-sum word
@@ -20,9 +20,7 @@ orbit = group.equivalence_class("011")
 index = LanguageIndex(p, 3, group)
 print("\norbit of 011:", orbit)
 print("orbit occurrences in", p, ":", sorted(q for w in orbit for q in index.occurrences(w)))
-rep = group.class_representative("011")
-(record,) = (r for r in crw_records(group, index, p, 3, 3) if r.representative == rep)
-print("complete return words:", list(record.return_words))
+print("complete return words:", list(complete_return_words(group, p, "011")))
 print("longest palindromic suffix of", p, ":", g_lps(group, p))
 
 # the defect counts positions whose letter and longest palindromic suffix both

@@ -43,7 +43,7 @@ from .index import LanguageIndex
 from .palindromes import g_lps, prefix_table_csv
 from .symmetry import SymmetryGroup, SymmetryMap, dihedral_group
 from .repro import repro_hexa, repro_octa
-from .verify import INCONSISTENT, crw_records, min_distinguishing, subgroup_scan, verify
+from .verify import INCONSISTENT, complete_return_words, min_distinguishing, subgroup_scan, verify
 from .words import (
     Alphabet,
     DigitSumSource,
@@ -254,8 +254,7 @@ def _cmd_returns(args) -> str:
     if n > len(text):
         raise SourceError(f"factor of length {n} cannot occur in text of length {len(text)}")
     rep = cfg.group.class_representative(args.factor)
-    records = crw_records(cfg.group, LanguageIndex(text, n, cfg.group), text, n, n)
-    returns = next((r.return_words for r in records if r.representative == rep), ())
+    returns = complete_return_words(cfg.group, text, args.factor)
     return "".join([f"complete return words of class [{rep}]:\n"] + [f"  {v}\n" for v in returns])
 
 

@@ -28,6 +28,7 @@ import logging
 from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import (
     GroupError,
@@ -64,61 +65,37 @@ def min_distinguishing(group: SymmetryGroup, index: LanguageIndex, n_max: int) -
     return None
 
 
-class CrwRecord:
-    """Complete return words of one orbit class of factors of length ``n``.
+class CrwRecord(NamedTuple):
+    """The complete return words of one orbit class of factors of length ``n``
+    that are no G-palindromes, sorted: all that the return-word
+    characterization reads.  :func:`complete_return_words` gives all of a
+    class's return words."""
 
-    ``return_words`` is their sorted tuple and ``violations`` the sorted tuple
-    of those that are no G-palindromes.  A record that :func:`crw_records`
-    derives by Lemma 1 or 2 holds only its violations; it builds its return
-    words on their first read, from those of its source record, and keeps
-    them.  Equality, hash and repr are over the four values.
-    """
+    n: int
+    representative: str
+    violations: tuple[str, ...]
 
-    __slots__ = ("n", "representative", "violations", "_returns", "_source")
 
-    def __init__(self, n: int, representative: str, return_words: Collection[str],
-                 violations: tuple[str, ...]):
-        self.n, self.representative, self.violations = n, representative, violations
-        self._returns = return_words  # None until built from _source
-        self._source = None  # (outer record, Lemma 2's shifts or None, boundary words)
-
-    @property
-    def return_words(self) -> tuple[str, ...]:
-        return tuple(sorted(self._return_set()))
-
-    def _return_set(self) -> Collection[str]:
-        # down the chain of source records from the nearest one with its set
-        # built, one order at a time: a chain can outgrow the recursion limit
-        chain, record = [], self
-        while record._returns is None:
-            chain.append(record)
-            record = record._source[0]
-        for record in reversed(chain):
-            outer, shifts, boundary = record._source
-            returns = _strip(outer._returns, record.n, shifts)
-            if shifts is not None:
-                returns.update(w for w, s in shifts.items() if len(s) == 2)
-            returns.update(boundary)
-            record._returns, record._source = returns, None
-        return self._returns
-
-    def _values(self) -> tuple:
-        return self.n, self.representative, self.return_words, self.violations
-
-    def __eq__(self, other):
-        return self._values() == other._values() if isinstance(other, CrwRecord) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return "CrwRecord(n={!r}, representative={!r}, return_words={!r}, violations={!r})".format(
-            *self._values())
+def complete_return_words(group: SymmetryGroup, text: str, word: str) -> tuple[str, ...]:
+    """The sorted complete return words of the orbit class of ``word``
+    (nonempty) in ``text``: ``text[i:j + n]``, n = |word|, for consecutive
+    occurrences i < j of members of the class, each member found by
+    ``str.find``.  No index is built."""
+    n = len(word)
+    occ = []
+    for m in group.equivalence_class(word):
+        i = text.find(m)
+        while i >= 0:
+            occ.append(i)
+            i = text.find(m, i + 1)
+    occ.sort()  # distinct factors of one length never share a start position
+    return tuple(sorted({text[i:j + n] for i, j in zip(occ, occ[1:])}))
 
 
 def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
                 n_lo: int, n_hi: int) -> list[CrwRecord]:
-    """Complete return words of every orbit class of factors of length n_lo..n_hi.
+    """The record of every orbit class of factors of length n_lo..n_hi: its
+    complete return words that are no G-palindromes.
 
     The complete return words of a class C are the factors ``text[i:j + n]``
     for consecutive occurrences i < j of members of C.  Slicing them costs
@@ -219,18 +196,10 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     (``text.rfind(m, 0, |text| - 1)``).  Both are return words, so adding
     one that (3) already gave changes nothing.
 
-    A derived class computes at once only what its verdict reads: its
-    boundary words, the strips (:func:`_strip`) of its source's violations,
-    and which of these suspects are no G-palindromes, its violations.  Its
-    full set of return words, the strips of all of its source's return words
-    with the words of S(w) = {0, 1} and the boundary words, is built by the
-    same strip when ``return_words`` is first read, and kept.  Its source
-    may be derived in turn: the build goes down such a chain one record at a
-    time, not by recursion, from the nearest record whose set is built.  A
-    verification reads no return word, only violations.  The boundary words
-    and the strips of violations are the only words tested for
-    G-palindromicity, since every other return word of the class is a
-    G-palindrome:
+    A derived class tests only its boundary words and the strips
+    (:func:`_strip`) of its source's violations, its suspects, and keeps
+    those that are no G-palindromes as its violations, since every other
+    return word of the class is a G-palindrome:
 
     * theta(a·u·b) = a·u·b implies theta(u) = u, so a word stripped on both
       sides (or on neither) from a G-palindrome is one again;
@@ -242,15 +211,19 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
       for a morphism g and an antimorphism h, and h·g^-1 fixes it.
 
     Lemma 2 also holds for a class unique on both sides, with e = m·c and
-    shift 0, once the words of at most n letters are dropped from crw(C);
-    it serves order n_hi - 1, where Lemma 1 has no order n + 2.  g(e) is
+    shift 0, but for strips of n letters, which are no return words; it
+    serves order n_hi - 1, where Lemma 1 has no order n + 2.  g(e) is
     g(m)·s(c) with shift 0 for a morphism g and s(c)·g(m) with shift 1 for
     an antimorphism, and (2)-(4) carry over but for one step: a member
     u = g(m) = g'(m), g a morphism and g' an antimorphism, has both
     extension words, so an inner occurrence p of u is reached twice, as
     (p, 0) and as (p - 1, 1).  So q + 1 = q' + 0 in (4) happens, for
     q' = q + 1, and the return word b'·u·c' of that pair strips to u, of
-    n letters, while a complete return word has at least n + 1.
+    n letters, while a complete return word has at least n + 1.  No strip
+    is shorter than n letters, and one has exactly n only when |v| = n + 2,
+    max S(v[:n+1]) = 1 and min S(v[-n-1:]) = 0, that is, for such a u.
+    Then g'·g^-1 fixes u, so u is a G-palindrome, never a violation, and
+    the strips need no filter.
 
     Lemma 3 (a walk on the index).  Let the index have no closure additions,
     so that its level m is the set of length-m factors of the text for every
@@ -282,7 +255,7 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     containing ``group``).  The top order, the walks that fall back and
     indexes with closure additions are sliced:
     ``text[i:j + n]`` for each pair of consecutive occurrences.  Walked and
-    sliced classes test every return word they find, and keep them.  ``text``
+    sliced classes test every return word they find and keep none of them.  ``text``
     must be ``index.text``.  Each order is grouped into classes by the
     index's representatives (:meth:`LanguageIndex.representatives`), and
     every factor of an order points at the record of its class, so the classes
@@ -310,23 +283,18 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
             source = _outer_entry(group, index, levels, rep) if derive and n < n_hi else None
             if source:
                 outer, shifts = source
-                boundary = []
+                suspects = _strip(outer.violations, n, shifts)
                 if rep == head:  # rep has a left extension, so the class occurs after 0
-                    boundary.append(text[:min(j for m in members if (j := text.find(m, 1)) > 0) + n])
+                    suspects.add(text[:min(j for m in members if (j := text.find(m, 1)) > 0) + n])
                 if rep == tail:  # and a right one, so it occurs before size - n
-                    boundary.append(text[max(text.rfind(m, 0, size - 1) for m in members):])
-                source = outer, shifts, tuple(boundary)  # what the return words are built from on first read
-                returns, suspects = None, _strip(outer.violations, n, shifts).union(boundary)
+                    suspects.add(text[max(text.rfind(m, 0, size - 1) for m in members):])
             else:
-                returns = _walk_returns(index, members) if walk and n < n_hi else None  # Lemma 3
-                if returns is None:
+                suspects = _walk_returns(index, members) if walk and n < n_hi else None  # Lemma 3
+                if suspects is None:
                     # distinct factors of one length never share a start position
                     occ = sorted(chain.from_iterable(map(index.occurrences, members)))
-                    returns = {text[i:j + n] for i, j in zip(occ, occ[1:])}
-                suspects = returns
-            violations = tuple(sorted(v for v in suspects if not group.is_g_palindrome(v)))
-            record = CrwRecord(n, rep, returns, violations)
-            record._source = source
+                    suspects = {text[i:j + n] for i, j in zip(occ, occ[1:])}
+            record = CrwRecord(n, rep, tuple(sorted(v for v in suspects if not group.is_g_palindrome(v))))
             records[n].append(record)
             level.update(dict.fromkeys(members, record))
     return [record for n in range(n_lo, n_hi + 1) for record in records[n]]
@@ -365,18 +333,13 @@ def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
 
 
 def _strip(words: Collection[str], n: int, shifts: dict[str, set[int]] | None) -> set[str]:
-    """The return words of a class of order n that Lemma 1 (``shifts`` None) or
+    """The words of a class of order n that Lemma 1 (``shifts`` None) or
     Lemma 2 (the shift table of :func:`_outer_entry`) derives from these
     return words of its source class in :func:`crw_records`."""
     if shifts is None:  # Lemma 1
         return {v[1:-1] for v in words}
     n1 = n + 1
-    found = set()
-    for v in words:  # Lemma 2
-        u = v[max(shifts[v[:n1]]):len(v) - 1 + min(shifts[v[-n1:]])]
-        if len(u) > n:
-            found.add(u)
-    return found
+    return {v[max(shifts[v[:n1]]):len(v) - 1 + min(shifts[v[-n1:]])] for v in words}  # Lemma 2
 
 
 def _walk_returns(index: LanguageIndex, members: list[str]) -> set[str] | None:

@@ -166,8 +166,8 @@ def set_union_crw_records(group, index, text, n_lo, n_hi):
     records = []
     for n in range(n_lo, n_hi + 1):
         for rep in sorted({group.class_representative(w) for w in index.factors(n)}):
-            words = tuple(sorted(complete_g_return_words(group, rep, text)))
-            records.append(CrwRecord(n, rep, words, tuple(v for v in words if not group.is_g_palindrome(v))))
+            words = sorted(complete_g_return_words(group, rep, text))
+            records.append(CrwRecord(n, rep, tuple(v for v in words if not group.is_g_palindrome(v))))
     return records
 
 

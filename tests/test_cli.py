@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from oracles import complete_g_return_words
 from symrich import LanguageIndex, SymmetryGroup
 from symrich.cli import EXIT_CONFIG, EXIT_INSUFFICIENT_PREFIX, EXIT_REFUTED_INVARIANT, main
-from symrich.presets import hexa_group
+from symrich.presets import binary_full_group, hexa_group, thue_morse_source
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_REFERENCE = ROOT / "bench" / "reference.json"
@@ -98,6 +99,26 @@ class TestCommands:
         assert "[001]" in out
         listed = {line.strip() for line in out.strip().split("\n")[1:]}
         assert {"0110", "1001", "0011", "1100"} <= listed
+
+    def test_returns_builds_no_index(self, capsys, tm_config, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("returns built a factor index")
+
+        monkeypatch.setattr(LanguageIndex, "__init__", refuse)
+        code, out, _ = run(capsys, "--config", tm_config, "returns", "011")
+        assert code == 0 and out.startswith("complete return words of class [001]:\n")
+
+    def test_returns_of_a_long_factor(self, capsys, tm_config):
+        # a 3000-letter factor of a 20000-letter prefix; an index up to its
+        # length would hold every factor of 1..3000 letters
+        text = thue_morse_source().prefix(20000)
+        factor = text[5000:8000]
+        code, out, _ = run(capsys, "--config", tm_config, "--length", "20000", "returns", factor)
+        group = binary_full_group()
+        returns = sorted(complete_g_return_words(group, factor, text))
+        assert code == 0 and len(returns) == 6
+        assert out == "".join([f"complete return words of class [{group.class_representative(factor)}]:\n"]
+                              + [f"  {v}\n" for v in returns])
 
     def test_lps(self, capsys, tm_config):
         code, out, _ = run(capsys, "--config", tm_config, "lps", "11")

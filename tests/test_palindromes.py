@@ -11,7 +11,6 @@ from symrich import (
     AlphabetError,
     ConsistencyError,
     GroupError,
-    LanguageIndex,
     defect_profile,
     g_defect,
     g_lps,
@@ -20,7 +19,7 @@ from symrich import (
 from symrich.palindromes import _lacuna_profile, _linked_scan
 from symrich.presets import BINARY, exchange_group
 from symrich.symmetry import SymmetryGroup, SymmetryMap
-from symrich.verify import crw_records
+from symrich.verify import complete_return_words
 
 E = SymmetryMap(BINARY, ("1", "0"), antimorphic=True)
 
@@ -30,14 +29,6 @@ P11 = "01101001100"  # length-11 prefix of the binary digit-sum word
 def brute_pal_class_count(group, word):
     """Oracle: enumerate every factor, collect palindromic orbit classes."""
     return len({group.class_representative(s) for s in factors(word) if group.is_g_palindrome(s)})
-
-
-def class_return_words(group, word, text):
-    """The return words of the class of ``word``, read as CLI ``returns`` reads them."""
-    n = len(word)
-    rep = group.class_representative(word)
-    records = crw_records(group, LanguageIndex(text, n, group), text, n, n)
-    return next((set(r.return_words) for r in records if r.representative == rep), set())
 
 
 def brute_gamma(group, word):
@@ -83,15 +74,15 @@ class TestOccurrences:
         assert len(g_occurrences(i2_2, "", "011")) != 1  # so ε is not unioccurrent there
 
     def test_return_words(self, i2_2):
-        returns = class_return_words(i2_2, "011", P11)
+        returns = set(complete_return_words(i2_2, P11, "011"))
         assert returns == {"0110", "110100", "1001", "0011", "1100"}
 
     def test_fibonacci_return_words_of_010(self, fib_text, id_r):
-        returns = class_return_words(id_r, "010", fib_text)
+        returns = set(complete_return_words(id_r, fib_text, "010"))
         assert returns == {"010010", "01010"}
 
     def test_return_words_of_letter_class_all_palindromic(self, i2_2, tm_text):
-        returns = class_return_words(i2_2, "0", tm_text[:200])
+        returns = complete_return_words(i2_2, tm_text[:200], "0")
         assert returns and all(i2_2.is_g_palindrome(v) for v in returns)
 
 

@@ -9,7 +9,6 @@ import dataclasses
 import functools
 import importlib
 import io
-import itertools
 import json
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -75,7 +74,7 @@ from symrich.presets import (
     thue_morse_source,
 )
 from symrich.symmetry import dihedral_group
-from symrich.verify import crw_records
+from symrich.verify import complete_return_words, crw_records
 from symrich.words import DigitSumSource
 
 
@@ -924,6 +923,32 @@ class TestCrwOnClosedLanguages:
             sub, index, word, n_hi - 1, n_hi
         )
 
+    @given(case=closed_word_st())
+    @settings(max_examples=100, deadline=None)
+    def test_closed_words_every_order(self, case):
+        group, sub, word, n_max = case
+        index = LanguageIndex(word, n_max, group)
+        assert crw_records(sub, index, word, 1, n_max) == set_union_crw_records(
+            sub, index, word, 1, n_max
+        )
+
+    @given(half=word_st(BINARY, max_size=9), middle=st.sampled_from(["", "0", "1"]),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_palindromes_under_reversal(self, half, middle, data):
+        # the factors of a palindrome are closed under reversal at every order,
+        # and its return words from 0 and to the end are often no palindromes
+        word = half + middle + half[::-1]
+        assume(word)
+        group = reversal_group(BINARY)
+        n_max = data.draw(st.integers(1, len(word)))
+        n_hi = data.draw(st.integers(1, n_max))
+        index = LanguageIndex(word, n_max, group)
+        assert index.g_closed
+        assert crw_records(group, index, word, 1, n_hi) == set_union_crw_records(
+            group, index, word, 1, n_hi
+        )
+
     @pytest.mark.parametrize("name", ["tm", "fib", "t33", "octa", "hexa"])
     def test_closed_index_every_subgroup(self, name):
         text, group, subgroups = preset_word(name)
@@ -933,53 +958,6 @@ class TestCrwOnClosedLanguages:
             assert crw_records(sub, index, text, 1, 16) == set_union_crw_records(
                 sub, index, text, 1, 16
             )
-
-
-def read_in_order(records, reverse, returns_first):
-    """(n, representative, return words, violations) of each record, read from
-    the last record to the first when ``reverse``, each record's return words
-    before its violations when ``returns_first`` and after them when not, and
-    its return words read twice."""
-    values = {}
-    for i in reversed(range(len(records))) if reverse else range(len(records)):
-        record = records[i]
-        if returns_first:
-            returns, violations = record.return_words, record.violations
-        else:
-            violations, returns = record.violations, record.return_words
-        assert record.return_words == returns
-        values[i] = record.n, record.representative, returns, violations
-    return [values[i] for i in range(len(records))]
-
-
-def oracle_values(group, index, text, n_lo, n_hi):
-    return [(r.n, r.representative, r.return_words, r.violations)
-            for r in set_union_crw_records(group, index, text, n_lo, n_hi)]
-
-
-class TestCrwDeferredReads:
-    """The return words of derived classes, built on first read, in every order
-    of reading: a record built before its source, after it, or from a chain."""
-
-    @given(case=closed_word_st(), reverse=st.booleans(), returns_first=st.booleans())
-    @settings(max_examples=100, deadline=None)
-    def test_closed_words(self, case, reverse, returns_first):
-        group, sub, word, n_max = case
-        index = LanguageIndex(word, n_max, group)
-        records = crw_records(sub, index, word, 1, n_max)
-        assert read_in_order(records, reverse, returns_first) == oracle_values(
-            sub, index, word, 1, n_max
-        )
-
-    @pytest.mark.parametrize("name", ["tm", "fib", "t33", "octa", "hexa"])
-    def test_preset_subgroups(self, name):
-        text, group, subgroups = preset_word(name)
-        index = LanguageIndex(text, 16, group)
-        for sub in subgroups:
-            expected = oracle_values(sub, index, text, 1, 16)
-            for reverse, returns_first in itertools.product([False, True], repeat=2):
-                records = crw_records(sub, index, text, 1, 16)
-                assert read_in_order(records, reverse, returns_first) == expected
 
 
 class TestWitnessRule:
@@ -1115,10 +1093,11 @@ class TestEdgeWalkDifferential:
 
 
 @st.composite
-def returns_case_st(draw):
-    """A group, a text, and a factor that occurs, an orbit image of one that
-    occurs, any word up to two letters longer than the text, or the text."""
-    group = draw(group_st())
+def returns_case_st(draw, groups=group_st()):
+    """A group of ``groups``, a text, and a factor that occurs, an orbit image
+    of one that occurs, any word up to two letters longer than the text, or
+    the text."""
+    group = draw(groups)
     text = draw(word_st(group.alphabet, min_size=1))
     i = draw(st.integers(0, len(text) - 1))
     occurring = text[i:draw(st.integers(i + 1, len(text)))]
@@ -1126,6 +1105,20 @@ def returns_case_st(draw):
         occurring, draw(st.sampled_from(group.elements)).apply(occurring),
         draw(word_st(group.alphabet, min_size=1, max_size=len(text) + 2)), text,
     ]))
+
+
+class TestCompleteReturnWords:
+    @given(case=returns_case_st(group_st() | alphabet_st().flatmap(antimorphism_st).map(
+        lambda t: SymmetryGroup.close([t]))))
+    @example(case=(binary_full_group(), "0110", "01"))  # 01 at 0, its image 10 at 2
+    @settings(max_examples=200, deadline=None)
+    def test_matches_find_oracle(self, case):
+        # the groups include those generated by one antimorphism that need not
+        # be an involution
+        group, text, word = case
+        assert complete_return_words(group, text, word) == tuple(
+            sorted(complete_g_return_words(group, word, text))
+        )
 
 
 class TestReturnsDifferential:

@@ -5,15 +5,23 @@ and the verdict of :func:`symrich.verify` must be the one the theorem
 forces.  A rich word is ``rich-up-to-nmax`` on every prefix and order; a word
 with a factor that breaks richness is ``refuted`` once the prefix and the
 order hold that factor.  A case that disagrees with its theorem is a defect
-of the program, never of the table.
+of the program, never of the table.  One case, the Rote word under the
+order-4 group, cites no theorem: it pins an observed verdict as a regression.
 """
 
 from itertools import accumulate, product
 
 import pytest
 
-from symrich import LiteralSource, dihedral_group, verify
-from symrich.presets import BINARY, fibonacci_source, generalized_thue_morse, reversal_group, thue_morse_source
+from symrich import Alphabet, FixedPointSource, LiteralSource, dihedral_group, verify
+from symrich.presets import (
+    BINARY,
+    binary_full_group,
+    fibonacci_source,
+    generalized_thue_morse,
+    reversal_group,
+    thue_morse_source,
+)
 from symrich.verify import REFUTED, RICH
 
 
@@ -50,3 +58,21 @@ def test_generalized_thue_morse_is_dihedral_rich(b, m):
 def test_binary_words_under_reversal(source, overall):
     report = verify(reversal_group(BINARY), source, 4000, 20)
     assert report.overall == overall, report.to_text()
+
+
+def test_tribonacci_is_rich_under_reversal():
+    # Droubay, Justin & Pirillo, TCS 255 (2001): the tribonacci word, the
+    # fixed point of 0 -> 01, 1 -> 02, 2 -> 0, is an Arnoux-Rauzy word, so
+    # episturmian, so rich under reversal
+    ternary = Alphabet.from_string("012")
+    source = FixedPointSource(ternary, {"0": "01", "1": "02", "2": "0"}, "0")
+    report = verify(reversal_group(ternary), source, 4000, 20)
+    assert report.overall == RICH, report.to_text()
+
+
+def test_rote_word_under_the_order_4_group():
+    # observed, not a theorem: the complement-symmetric Rote word, rich under
+    # reversal, is on this prefix also rich under the order-4 group that adds
+    # the exchange antimorphism 0 <-> 1; pinned as a regression
+    report = verify(binary_full_group(), rote_source(8000), 4000, 20)
+    assert report.overall == RICH, report.to_text()

@@ -1,6 +1,5 @@
 import importlib
 import logging
-import sys
 from collections import Counter
 
 import pytest
@@ -37,7 +36,15 @@ from symrich.presets import (
 )
 from symrich.repro import repro_hexa
 from symrich.symmetry import SymmetryGroup, dihedral_group
-from symrich.verify import ALMOST, REFUTED, RICH, CrwRecord, crw_records, min_distinguishing
+from symrich.verify import (
+    ALMOST,
+    REFUTED,
+    RICH,
+    CrwRecord,
+    complete_return_words,
+    crw_records,
+    min_distinguishing,
+)
 from symrich.words import Alphabet, LiteralSource, PeriodicSource, WordSource
 
 
@@ -422,10 +429,14 @@ class TestInputChecks:
 
 class TestCrw:
     def test_shape_of_return_words_on_rich_run(self, tm_rich_report):
+        # a rich run keeps no violation, and every return word of its classes
+        # ends with an antimorphic image of its first n + 1 letters
+        text = thue_morse_source().prefix(tm_rich_report.length)
+        assert tm_rich_report.crw
         for record in tm_rich_report.crw:
-            if record.return_words:
-                assert all(return_word_shape_ok(binary_full_group(), v, record.n)
-                           for v in record.return_words)
+            assert record.violations == ()
+            assert all(return_word_shape_ok(binary_full_group(), v, record.n)
+                       for v in complete_return_words(binary_full_group(), text, record.representative))
 
     def test_text_other_than_the_indexed_one(self, i2_2):
         text = thue_morse_source().prefix(200)
@@ -451,6 +462,33 @@ class TestCrw:
                     sub, index, text, 1, n_max
                 )
 
+    def test_boundary_words_of_a_palindrome(self, derived, id_r):
+        # 00 occurs at 0, 6 and 12 and is unique on both sides, so Lemma 1
+        # derives its class from order 4; its two return words, neither a
+        # palindrome, are the return word from 0 and the one to the end
+        text = "00101100110100"
+        assert text == text[::-1]
+        index = LanguageIndex(text, 14, id_r)
+        assert index.g_closed
+        records = crw_records(id_r, index, text, 1, 12)
+        assert records == set_union_crw_records(id_r, index, text, 1, 12)
+        assert derived["00"] and derived["00"][1] is None
+        assert CrwRecord(2, "00", ("00101100", "00110100")) in records
+        assert text.startswith("00101100") and text.endswith("00110100")
+
+    def test_chain_of_lemma_1_sources(self, derived, id_r):
+        # every class of (0011)^k from order 4 up is unique on both sides, so
+        # order 2 derives from order 4, which derives from order 6, ... and
+        # order 298 from the top order 300
+        text = PeriodicSource(BINARY, "0011").prefix(1200)
+        index = LanguageIndex(text, 302, id_r)
+        records = crw_records(id_r, index, text, 2, 300)
+        assert records == set_union_crw_records(id_r, index, text, 2, 300)
+        chain, rep = 0, records[0].representative
+        while derived.get(rep):
+            chain, rep = chain + 1, derived[rep][0].representative
+        assert chain == 149
+
 
 @pytest.fixture
 def derived(monkeypatch):
@@ -464,6 +502,20 @@ def derived(monkeypatch):
 
     monkeypatch.setattr(module, "_outer_entry", spy)
     return found
+
+
+@pytest.fixture
+def tested(monkeypatch):
+    """The words whose G-palindromicity is tested, in order; in ``crw_records``,
+    the suspects of every class."""
+    real, words = SymmetryGroup.is_g_palindrome, []
+
+    def spy(self, word):
+        words.append(word)
+        return real(self, word)
+
+    monkeypatch.setattr(SymmetryGroup, "is_g_palindrome", spy)
+    return words
 
 
 class TestCrwOneSided:
@@ -481,34 +533,38 @@ class TestCrwOneSided:
         assert index.lext("0010110") == {"1"} and len(index.rext("0010110")) == 2
         _, shifts = derived["0010110"]
         assert shifts["10010110"] == {0, 1}
-        # the class occurs at q and q + 1 for each occurrence q of 10010110
-        record = next(r for r in records if r.representative == "0010110")
-        assert "10010110" in record.return_words
+        # the class occurs at q and q + 1 for each occurrence q of 10010110, so
+        # that is a return word, and a G-palindrome, which no strip needs to give
+        assert "10010110" in complete_g_return_words(group, "0010110", tm_text)
+        assert group.is_g_palindrome("10010110")
 
     @pytest.mark.parametrize("text, boundary", [
         ("11011001001101", "11011"),  # 110 at 0 is left-unique: no extension word covers it
         (thue_morse_source().prefix(19), "0010110100"),  # 100 at the end is right-unique
     ])
-    def test_boundary_word_of_one_sided_class(self, i2_2, id_r, derived, text, boundary):
+    def test_boundary_word_of_one_sided_class(self, i2_2, id_r, derived, tested, text, boundary):
         # order 3 chains off order 4, the top; the boundary word is a return
-        # word of the class nowhere but at the boundary
+        # word of the class nowhere but at the boundary, and a palindrome, so
+        # only the suspects show that it is tested
         index = LanguageIndex(text, 4, i2_2)
         assert index.g_closed
         records = crw_records(id_r, index, text, 1, 4)
+        suspects = set(tested)
         assert records == set_union_crw_records(id_r, index, text, 1, 4)
         rep = id_r.class_representative(boundary[:3])
         _, shifts = derived[rep]
         assert shifts is not None  # derived from order 4
-        record = next(r for r in records if r.n == 3 and r.representative == rep)
-        assert boundary in record.return_words
+        assert boundary in suspects and id_r.is_g_palindrome(boundary)
+        assert boundary in complete_g_return_words(id_r, rep, text)
 
 
-def doubly_reached(source, n):
-    """The return words of the class C1 that ``source`` (a Lemma 2 source of a
-    class of order n) names whose consecutive occurrences q and q + 1 reach one
-    occurrence q + 1 of a member u twice: b'·u at q and u·c' at q + 1."""
+def doubly_reached(group, text, source, n):
+    """The return words (by the oracle) of the class C1 that ``source`` (a
+    Lemma 2 source of a class of order n under ``group``) names whose
+    consecutive occurrences q and q + 1 reach one occurrence q + 1 of a member
+    u twice: b'·u at q and u·c' at q + 1."""
     outer, shifts = source
-    return [v for v in outer.return_words
+    return [v for v in complete_g_return_words(group, outer.representative, text)
             if len(v) == n + 2 and 1 in shifts[v[:n + 1]] and 0 in shifts[v[1:]]]
 
 
@@ -530,10 +586,12 @@ class TestCrwBelowTop:
         assert len(index.lext(rep)) == len(index.rext(rep)) == 1
         assert derived[rep][1] is not None  # Lemma 2, from order 8
         # C1 occurs at q and q + 1, so the strip of its return word is rep's
-        # member u, of 7 letters, which is no return word
-        assert doubly_reached(derived[rep], 7)
+        # member u, of 7 letters, which is no return word but a G-palindrome,
+        # so never a violation
+        reached = doubly_reached(group, text, derived[rep], 7)
+        assert reached and all(group.is_g_palindrome(v[1:-1]) for v in reached)
         record = next(r for r in records if r.representative == rep)
-        assert min(map(len, record.return_words)) > 7
+        assert min(map(len, record.violations), default=8) > 7
 
     def test_hexa_every_subgroup(self, derived):
         text = hexa_text(200)
@@ -542,7 +600,7 @@ class TestCrwBelowTop:
         for sub in hexa_group().subgroups():
             derived.clear()
             assert crw_records(sub, index, text, 1, 8) == set_union_crw_records(sub, index, text, 1, 8)
-            reached += any(doubly_reached(source, 7) for rep, source in derived.items()
+            reached += any(doubly_reached(sub, text, source, 7) for rep, source in derived.items()
                            if len(rep) == 7 and source and source[1] is not None)
         assert reached == 10  # of 15 subgroups
 
@@ -590,14 +648,13 @@ class TestCrwWalk:
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """Per (order, least member) of each class that tried the walk: whether
-        the walk ended (True) or fell back to slicing (False)."""
+        """Per (order, least member) of each class that tried the walk: the
+        return words it found, or None when it fell back to slicing."""
         module = importlib.import_module("symrich.verify")
         real, found = module._walk_returns, {}
 
         def spy(index, members):
-            result = real(index, members)
-            found[len(members[0]), min(members)] = result is not None
+            found[len(members[0]), min(members)] = result = real(index, members)
             return result
 
         monkeypatch.setattr(module, "_walk_returns", spy)
@@ -611,18 +668,15 @@ class TestCrwWalk:
         text = thue_morse_source().prefix(32000)
         group = binary_full_group()
         index = LanguageIndex(text, 62, group)
-        records = crw_records(group, index, text, 1, 60)
-        walked = {n: rep for (n, rep), ended in walks.items() if ended}
+        crw_records(group, index, text, 1, 60)
+        walked = {n: rep for (n, rep), found in walks.items() if found is not None}
         assert sorted(walked) == [1, 2, 3, 4, 6, 8, 12, 16]
         assert all(index.is_bispecial(rep) for rep in walked.values())
-        assert Counter(n for (n, _), ended in walks.items() if not ended) == {
+        assert Counter(n for (n, _), found in walks.items() if found is None) == {
             24: 1, 32: 1, 48: 1,
         }
-        for record in records:
-            if walked.get(record.n) == record.representative:
-                assert record.return_words == tuple(sorted(
-                    complete_g_return_words(group, record.representative, text)
-                ))
+        for n, rep in walked.items():
+            assert walks[n, rep] == complete_g_return_words(group, rep, text)
 
     def test_walk_that_outgrows_the_index(self, walks):
         # the order-24 bispecial class of Thue-Morse has return words of 32, 48
@@ -634,7 +688,7 @@ class TestCrwWalk:
             assert crw_records(group, index, text, 24, 25) == set_union_crw_records(
                 group, index, text, 24, 25
             )
-            assert walks[24, "011010011001011001101001"] is ended
+            assert (walks[24, "011010011001011001101001"] is not None) is ended
 
     def test_walk_over_its_budget(self, walks, id_r):
         # 0 occurs 3 times, and its return words of 12 letters need 12 visits
@@ -642,8 +696,9 @@ class TestCrwWalk:
         index = LanguageIndex(text, len(text))
         records = crw_records(id_r, index, text, 1, 2)
         assert records == set_union_crw_records(id_r, index, text, 1, 2)
-        assert walks[1, "0"] is False
-        assert records[0].return_words == ("011111111110",)
+        assert walks[1, "0"] is None
+        assert records[0] == CrwRecord(1, "0", ())
+        assert complete_g_return_words(id_r, "0", text) == {"011111111110"}
 
     def test_first_occurrence_over_all_members(self, walks):
         # the head 15 of the hexa text is special on the left only, so under
@@ -658,46 +713,7 @@ class TestCrwWalk:
         assert walks == {} and sub.class_representative("150") == "031"
         records = crw_records(sub, index, text, 1, 5)
         assert records == set_union_crw_records(sub, index, text, 1, 5)
-        assert walks[3, "031"] is True and text.find("031") == 6
-
-
-class TestCrwDeferred:
-    """The return words of a class derived by Lemma 1 or 2 are built on their
-    first read, from those of its source record; its violations are not."""
-
-    @pytest.mark.parametrize("group, overall", [
-        (binary_full_group(), RICH), (reversal_group(BINARY), REFUTED),
-    ], ids=["tm-order4", "tm-reversal"])
-    def test_verification_builds_no_return_word(self, monkeypatch, group, overall):
-        def unread(*args):
-            raise AssertionError("a verification built return words")
-
-        monkeypatch.setattr(CrwRecord, "return_words", property(unread))
-        monkeypatch.setattr(CrwRecord, "_return_set", unread)
-        report = verify(group, thue_morse_source(), 2000, 20)
-        assert report.overall == overall and report.crw
-
-    def test_chain_longer_than_the_recursion_headroom(self, derived, id_r):
-        # every class of (0011)^k from order 4 up is unique on both sides, so
-        # order 2 derives from order 4, which derives from order 6, ... and
-        # order 298 from the top order 300
-        text = PeriodicSource(BINARY, "0011").prefix(1200)
-        index = LanguageIndex(text, 302, id_r)
-        records = crw_records(id_r, index, text, 2, 300)
-        chain, rep = 0, records[0].representative
-        while derived.get(rep):
-            chain, rep = chain + 1, derived[rep][0].representative
-        assert chain == 149
-        depth, frame = 0, sys._getframe()
-        while frame:
-            depth, frame = depth + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 40)
-        try:
-            returns = records[0].return_words
-        finally:
-            sys.setrecursionlimit(limit)
-        assert returns == tuple(sorted(complete_g_return_words(id_r, "00", text)))
+        assert walks[3, "031"] is not None and text.find("031") == 6
 
 
 HEXA_SUBGROUPS = [s for s in hexa_group().subgroups() if s.has_antimorphism]
