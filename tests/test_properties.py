@@ -960,6 +960,26 @@ class TestCrwOnClosedLanguages:
             )
 
 
+class TestCrwDeferredReads:
+    """The tables of a ``LanguageIndex`` are built on first read, so the
+    records must not depend on the order in which the subgroups read one shared
+    index, nor on whether the orders are read as one range or one by one."""
+
+    @pytest.mark.parametrize("name", ["tm", "fib", "t33", "octa", "hexa"])
+    def test_preset_subgroups(self, name):
+        text, group, subgroups = preset_word(name)
+        fresh = LanguageIndex(text, 16, group)
+        expected = {sub: set_union_crw_records(sub, fresh, text, 1, 16) for sub in subgroups}
+        for order in (subgroups, subgroups[::-1]):
+            index = LanguageIndex(text, 16, group)
+            for sub in order:
+                assert crw_records(sub, index, text, 1, 16) == expected[sub]
+        index = LanguageIndex(text, 16, group)
+        for sub in subgroups[::-1]:
+            by_order = [r for n in range(16, 0, -1) for r in crw_records(sub, index, text, n, n)]
+            assert sorted(by_order) == sorted(expected[sub])
+
+
 class TestWitnessRule:
     """A verdict has a witness exactly when it fails, at every threshold, on
     closed languages and on random words (whose closure additions refute)."""
