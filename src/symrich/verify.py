@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Collection
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import NamedTuple
 
 from .errors import (
@@ -66,10 +66,10 @@ def min_distinguishing(group: SymmetryGroup, index: LanguageIndex, n_max: int) -
 
 
 class CrwRecord(NamedTuple):
-    """The complete return words of one orbit class of factors of length ``n``
-    that are no G-palindromes, sorted: all that the return-word
-    characterization reads.  :func:`complete_return_words` gives all of a
-    class's return words."""
+    """One orbit class of factors of length ``n`` that has violations: its
+    complete return words that are no G-palindromes, sorted, all that the
+    return-word characterization reads.  Classes with violations only;
+    :func:`complete_return_words` gives all of a class's return words."""
 
     n: int
     representative: str
@@ -94,15 +94,16 @@ def complete_return_words(group: SymmetryGroup, text: str, word: str) -> tuple[s
 
 def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
                 n_lo: int, n_hi: int) -> list[CrwRecord]:
-    """The record of every orbit class of factors of length n_lo..n_hi: its
-    complete return words that are no G-palindromes.
+    """The records of the orbit classes of factors of length n_lo..n_hi that
+    have violations, complete return words that are no G-palindromes.
 
     The complete return words of a class C are the factors ``text[i:j + n]``
     for consecutive occurrences i < j of members of C.  Slicing them costs
-    about |text| slices per order, so the orders are walked top-down and a
-    class that is not bispecial is derived from the order above: from order
-    n + 2 when its representative is unique on both sides, from order n + 1
-    when it is unique on one side only or, at order n_hi - 1, on both.
+    about |text| slices per order, so the orders are walked top-down, only
+    the classes that can have violations are visited (Candidates, below),
+    and one that is not bispecial is derived from the order above: from
+    order n + 2 when its representative is unique on both sides, from order
+    n + 1 when it is unique on one side only or, at order n_hi - 1, on both.
     Return words change only at bispecial factors (Balkova, Pelantova and
     Steiner, Monatsh. Math. 2008; Glen, Justin, Widmer and Zamboni, Eur. J.
     Combin. 2009).
@@ -183,23 +184,17 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     ``text[q:q' + n + 1]``, from q + max S(v[:n+1]) to q' + min S(v[-n-1:])
     + n, or touch an exception.
 
-    Pitfall: one word can be both u·c and b·u', so S(w) is a set, not one
-    shift per word.  On the Thue-Morse word under {m:01, a:10} at order 7,
-    1001011 (right letter 0) and 0010110 (left letter 1) both give 10010110.
-
     The boundary words of both lemmas are found by search.  A derived class
-    has a member with a left and a right extension, so it occurs after 0 and
-    before |text| - n.  When it holds ``text[:n]``, its return word from 0
-    is ``text[:j + n]``, j >= 1 the least occurrence of a member
-    (``text.find(m, 1)``); when it holds ``text[-n:]``, its return word to
-    the end is ``text[i:]``, i <= |text| - n - 1 the greatest
-    (``text.rfind(m, 0, |text| - 1)``).  Both are return words, so adding
-    one that (3) already gave changes nothing.
+    has a member with both extensions, so it occurs after 0 and before
+    |text| - n.  Holding ``text[:n]``, its return word from 0 is
+    ``text[:j + n]``, j >= 1 the least occurrence of a member
+    (``text.find(m, 1)``); holding ``text[-n:]``, its return word to the end
+    is ``text[i:]``, i <= |text| - n - 1 the greatest
+    (``text.rfind(m, 0, |text| - 1)``).  Adding one that (3) gave is harmless.
 
-    A derived class tests only its boundary words and the strips
-    (:func:`_strip`) of its source's violations, its suspects, and keeps
-    those that are no G-palindromes as its violations, since every other
-    return word of the class is a G-palindrome:
+    A derived class tests only its suspects, its boundary words and the
+    strips (:func:`_strip`) of its source's violations, as its other return
+    words are G-palindromes:
 
     * theta(a·u·b) = a·u·b implies theta(u) = u, so a word stripped on both
       sides (or on neither) from a G-palindrome is one again;
@@ -210,20 +205,17 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     * a w with S(w) = {0, 1} is a G-palindrome: by (2) it is g(e) = h(e)
       for a morphism g and an antimorphism h, and h·g^-1 fixes it.
 
-    Lemma 2 also holds for a class unique on both sides, with e = m·c and
-    shift 0, but for strips of n letters, which are no return words; it
-    serves order n_hi - 1, where Lemma 1 has no order n + 2.  g(e) is
-    g(m)·s(c) with shift 0 for a morphism g and s(c)·g(m) with shift 1 for
-    an antimorphism, and (2)-(4) carry over but for one step: a member
-    u = g(m) = g'(m), g a morphism and g' an antimorphism, has both
-    extension words, so an inner occurrence p of u is reached twice, as
-    (p, 0) and as (p - 1, 1).  So q + 1 = q' + 0 in (4) happens, for
-    q' = q + 1, and the return word b'·u·c' of that pair strips to u, of
-    n letters, while a complete return word has at least n + 1.  No strip
-    is shorter than n letters, and one has exactly n only when |v| = n + 2,
-    max S(v[:n+1]) = 1 and min S(v[-n-1:]) = 0, that is, for such a u.
-    Then g'·g^-1 fixes u, so u is a G-palindrome, never a violation, and
-    the strips need no filter.
+    Lemma 2 also holds for a class unique on both sides, with e = m·c, but
+    for strips of n letters, which are no return words; it serves order
+    n_hi - 1, where Lemma 1 has no order n + 2.  g(e) is g(m)·s(c), shift 0,
+    for a morphism g and s(c)·g(m), shift 1, for an antimorphism, and (2)-(4)
+    carry over but for one step: a member u = g(m) = g'(m), g a morphism and
+    g' an antimorphism, has both extension words, so an inner occurrence p
+    of u is reached as (p, 0) and as (p - 1, 1), q + 1 = q' + 0 happens in
+    (4) for q' = q + 1, and the return word b'·u·c' of that pair strips to u,
+    of n letters.  A strip has n letters only then (|v| = n + 2,
+    max S(v[:n+1]) = 1 and min S(v[-n-1:]) = 0), and g'·g^-1 fixes u, so u
+    is a G-palindrome, never a violation, and the strips need no filter.
 
     Lemma 3 (a walk on the index).  Let the index have no closure additions,
     so that its level m is the set of length-m factors of the text for every
@@ -238,86 +230,94 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     occurrences of C, and no window of f between them is a member, so they
     are consecutive and f is their return word.
 
-    So crw(C) is found by a depth-first walk from every member: a word s,
-    whose only member window is its first, is extended by each letter a of
-    ``index.rext(s)``; t = s·a is a factor, and it is recorded when t[-n:] is
-    a member and extended further when not.  Every return word is reached
-    through its prefixes.  The walk falls back to slicing when a word of
-    ``index.n_max`` letters would have to be extended, as the index knows no
-    longer factors, or when it has visited more words than C has
-    occurrences, so it never costs more than the slicing it replaces.
+    So crw(C) is found by a depth-first walk from every member: a word s
+    whose only member window is its first is extended by each letter a of
+    ``index.rext(s)``, and s·a is recorded when its last n letters are a
+    member and extended when not.  The walk falls back to slicing when it
+    would extend a word of ``index.n_max`` letters, beyond the index, or has
+    visited more words than C has occurrences, so it never costs more than
+    slicing.
 
-    Below the top order n_hi, every class that neither Lemma 1 nor Lemma 2
-    derives is walked when the index has no closure additions: bispecial
-    classes, classes with no inner occurrence or with a side that has no
-    extension, and every class when the language is not known to be closed
-    under ``group`` (an index built without a group, or for a group not
-    containing ``group``).  The top order, the walks that fall back and
-    indexes with closure additions are sliced:
-    ``text[i:j + n]`` for each pair of consecutive occurrences.  Walked and
-    sliced classes test every return word they find and keep none of them.  ``text``
-    must be ``index.text``.  Each order is grouped into classes by the
-    index's representatives (:meth:`LanguageIndex.representatives`), and
-    every factor of an order points at the record of its class, so the classes
-    of the head, the tail, Lemma 1's b·m·c and Lemma 2's e are found by the
-    factor itself.
+    Candidates.  Below the top order, on an index whose language is known to
+    be closed under ``group``, only these classes of order n are visited:
+    those of the head ``text[:n]``, of the tail ``text[-n:]`` and of the
+    bispecial factors, and those of r[:n] and r[1:] for each representative
+    r of a class of order n + 1 with violations.  Every other class C has
+    none.  Proof.  Its representative m has a left extension, else it occurs
+    only at 0 and is the head, and a right one, else it is the tail, and is
+    not bispecial.  So Lemma 2 applies to C (unique on both sides, with
+    e = m·c): as C holds neither the head nor the tail, its return words are
+    G-palindromes w with S(w) = {0, 1} and strips of the return words of the
+    class C1 of e, and a strip of a G-palindrome is one.  So a violation of
+    C strips one of C1, whose representative is an extension word u·c or b·u
+    of a member u of C, and C is a candidate.  This covers the classes that
+    Lemma 1 derives from a class with violations.
+
+    The candidates that neither lemma derives (bispecial classes, classes
+    with no inner occurrence or a side with no extension, and all classes
+    when the language is not known to be closed under ``group``: an index
+    without a group, or for a group not containing ``group``) are walked
+    when the index has no closure additions; the top order, the walks that
+    fall back and indexes with closure additions are sliced.  ``text`` must
+    be ``index.text``.  Each order keeps the violations of its classes that
+    have any, and the two orders above map each factor to its class's
+    representative (:meth:`LanguageIndex.representatives`), so the head,
+    the tail, b·m·c and e find their classes by the factor itself.
     """
     if text != index.text:  # O(1) when both are one object
         raise SymrichError(f"text of length {len(text)} is not the indexed text "
                            f"(length {len(index.text)})")
     derive = index.g_closed and all(g in index.group for g in group.elements)
     walk = not index.closure_added
-    size = len(text)
-    levels: dict[int, dict[str, CrwRecord]] = {}  # per order: factor -> the record of its class
-    records: dict[int, list[CrwRecord]] = {}
+    reps: dict[int, dict[str, str]] = {}  # orders n..n + 2: factor -> its class's representative
+    found: dict[int, dict[str, tuple[str, ...]]] = {}  # per order: representative -> violations
     for n in range(n_hi, n_lo - 1, -1):
-        rep_of = dict(zip(index.sorted_factors(n), index.representatives(group, n)))
-        classes: dict[str, list[str]] = {}
-        for w, rep in rep_of.items():
+        rep_of = reps[n] = dict(zip(index.sorted_factors(n), index.representatives(group, n)))
+        reps.pop(n + 3, None)
+        head, tail = rep_of[text[:n]], rep_of[text[len(text) - n:]]
+        below = derive and n < n_hi
+        candidates = {head, tail, *map(rep_of.get, index.bispecials(n)), *(  # the candidate rule
+            rep_of[w] for r in found[n + 1] for w in (r[:n], r[1:]))} if below else set(rep_of.values())
+        classes: dict[str, list[str]] = {}  # the candidates' members
+        for w, rep in compress(rep_of.items(), map(candidates.__contains__, rep_of.values())):
             classes.setdefault(rep, []).append(w)
-        head, tail = rep_of[text[:n]], rep_of[text[size - n:]]
-        level = levels[n] = {}
-        records[n] = []
+        found[n] = {}
         for rep in sorted(classes):
             members = classes[rep]
-            source = _outer_entry(group, index, levels, rep) if derive and n < n_hi else None
-            if source:
+            if below and (source := _outer_entry(group, index, reps, found, rep)):
                 outer, shifts = source
-                suspects = _strip(outer.violations, n, shifts)
+                suspects = _strip(found[len(outer)].get(outer, ()), n, shifts)
                 if rep == head:  # rep has a left extension, so the class occurs after 0
                     suspects.add(text[:min(j for m in members if (j := text.find(m, 1)) > 0) + n])
-                if rep == tail:  # and a right one, so it occurs before size - n
-                    suspects.add(text[max(text.rfind(m, 0, size - 1) for m in members):])
+                if rep == tail:  # and a right one, so it occurs before |text| - n
+                    suspects.add(text[max(text.rfind(m, 0, len(text) - 1) for m in members):])
             else:
                 suspects = _walk_returns(index, members) if walk and n < n_hi else None  # Lemma 3
                 if suspects is None:
                     # distinct factors of one length never share a start position
                     occ = sorted(chain.from_iterable(map(index.occurrences, members)))
                     suspects = {text[i:j + n] for i, j in zip(occ, occ[1:])}
-            record = CrwRecord(n, rep, tuple(sorted(v for v in suspects if not group.is_g_palindrome(v))))
-            records[n].append(record)
-            level.update(dict.fromkeys(members, record))
-    return [record for n in range(n_lo, n_hi + 1) for record in records[n]]
+            if violations := tuple(sorted(v for v in suspects if not group.is_g_palindrome(v))):
+                found[n][rep] = violations
+    return [CrwRecord(n, *item) for n in range(n_lo, n_hi + 1) for item in found[n].items()]
 
 
-def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
-                 levels: dict[int, dict[str, CrwRecord]], rep: str):
-    """Where :func:`crw_records` derives the class of ``rep`` (order n) from.
-
-    For rep unique on both sides, the record of the class of b·rep·c at order
-    n + 2 and None (Lemma 1); for rep special on one side only, or unique on
-    both when order n + 2 is not in ``levels``, the record of the class of its
-    extension word e at order n + 1 and the shift table S of that class
-    (Lemma 2), read off e: g(e) takes the shift s0 of rep in e for a
-    morphism g and 1 - s0 for an antimorphism.  None when rep is bispecial
-    or has no extension on a side, or for Lemma 1 when b·rep·c is no factor;
-    ``levels`` must hold order n + 1.
-    """
+def _outer_entry(group: SymmetryGroup, index: LanguageIndex, reps: dict[int, dict[str, str]],
+                 found: dict[int, dict[str, tuple[str, ...]]], rep: str):
+    """Where :func:`crw_records` derives the class of ``rep`` (order n) from:
+    for rep unique on both sides, the representative of the class of b·rep·c
+    at order n + 2 and None (Lemma 1); for rep special on one side only, or
+    unique on both when order n + 2 is not in ``reps``, the representative of
+    the class of its extension word e at order n + 1 and the shift table S of
+    that class (Lemma 2), read off e: g(e) takes the shift s0 of rep in e for
+    a morphism g and 1 - s0 for an antimorphism; empty when ``found`` gives
+    that class no violations.  None when rep is bispecial or has no extension
+    on a side, or for Lemma 1 when b·rep·c is no factor."""
     left, right = index.lext(rep), index.rext(rep)
-    if len(left) == 1 and len(right) == 1 and len(rep) + 2 in levels:
+    if len(left) == 1 and len(right) == 1 and len(rep) + 2 in reps:
         (b,), (c,) = left, right
-        record = levels[len(rep) + 2].get(b + rep + c)  # none when b·rep·c is no factor
-        return (record, None) if record else None
+        outer = reps[len(rep) + 2].get(b + rep + c)  # none when b·rep·c is no factor
+        return (outer, None) if outer else None
     if left and len(right) == 1:  # special on the left only, or at n_hi - 1 unique on both sides
         (c,) = right
         e, s0 = rep + c, 0
@@ -326,10 +326,11 @@ def _outer_entry(group: SymmetryGroup, index: LanguageIndex,
         e, s0 = b + rep, 1
     else:
         return None
+    outer = reps[len(e)][e]
     shifts: dict[str, set[int]] = {}
-    for g in group.elements:
+    for g in group.elements if outer in found[len(e)] else ():  # a clean class strips nothing
         shifts.setdefault(g.apply(e), set()).add(1 - s0 if g.antimorphic else s0)
-    return levels[len(e)][e], shifts
+    return outer, shifts
 
 
 def _strip(words: Collection[str], n: int, shifts: dict[str, set[int]] | None) -> set[str]:
@@ -338,8 +339,7 @@ def _strip(words: Collection[str], n: int, shifts: dict[str, set[int]] | None) -
     return words of its source class in :func:`crw_records`."""
     if shifts is None:  # Lemma 1
         return {v[1:-1] for v in words}
-    n1 = n + 1
-    return {v[max(shifts[v[:n1]]):len(v) - 1 + min(shifts[v[-n1:]])] for v in words}  # Lemma 2
+    return {v[max(shifts[v[:n + 1]]):len(v) - 1 + min(shifts[v[-n - 1:]])] for v in words}  # Lemma 2
 
 
 def _walk_returns(index: LanguageIndex, members: list[str]) -> set[str] | None:
@@ -379,7 +379,7 @@ class RichnessReport:
     min_distinguishing_n: int | None
     involutively_generated: bool
     tls: tuple[TlsVerdict, ...]
-    crw: tuple[CrwRecord, ...]
+    crw: tuple[CrwRecord, ...]  # classes with violations only
     identity: tuple[ComplexityIdentityRecord, ...]
     bispecials: tuple[BispecialRecord, ...]
     profile: DefectProfile | None

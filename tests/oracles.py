@@ -171,6 +171,12 @@ def set_union_crw_records(group, index, text, n_lo, n_hi):
     return records
 
 
+def violating_crw_records(group, index, text, n_lo, n_hi):
+    """Oracle for ``crw_records``, which records only the classes with
+    violations: the records of :func:`set_union_crw_records` that have any."""
+    return [r for r in set_union_crw_records(group, index, text, n_lo, n_hi) if r.violations]
+
+
 def distinguishing(group, factors):
     """Oracle for ``LanguageIndex.is_distinguishing``: whether distinct
     antimorphisms of ``group`` act distinctly on every given factor, by

@@ -27,9 +27,9 @@ from oracles import (
     per_factor_orbit_data,
     per_group_dual_defect,
     position_walk_edges,
-    set_union_crw_records,
     theta_palindromic_factors,
     theta_richness,
+    violating_crw_records,
     window_runs,
     windows,
 )
@@ -682,7 +682,7 @@ class TestIndexDifferential:
         word = data.draw(word_st(group.alphabet, min_size=1) | closure_word_st(group))
         n_max = data.draw(st.integers(1, len(word)))
         index = LanguageIndex(word, n_max, group)
-        assert crw_records(group, index, word, 1, n_max) == set_union_crw_records(
+        assert crw_records(group, index, word, 1, n_max) == violating_crw_records(
             group, index, word, 1, n_max
         )
 
@@ -906,7 +906,7 @@ class TestCrwOnClosedLanguages:
         n_lo = data.draw(st.integers(1, n_hi))
         index = LanguageIndex(text, n_max, group)  # the full group, as subgroup_scan indexes
         assume(index.g_closed)
-        assert crw_records(sub, index, text, n_lo, n_hi) == set_union_crw_records(
+        assert crw_records(sub, index, text, n_lo, n_hi) == violating_crw_records(
             sub, index, text, n_lo, n_hi
         )
 
@@ -919,7 +919,7 @@ class TestCrwOnClosedLanguages:
         n_hi = data.draw(st.integers(2, n_max))
         index = LanguageIndex(word, n_max, group)
         assert index.g_closed
-        assert crw_records(sub, index, word, n_hi - 1, n_hi) == set_union_crw_records(
+        assert crw_records(sub, index, word, n_hi - 1, n_hi) == violating_crw_records(
             sub, index, word, n_hi - 1, n_hi
         )
 
@@ -928,7 +928,7 @@ class TestCrwOnClosedLanguages:
     def test_closed_words_every_order(self, case):
         group, sub, word, n_max = case
         index = LanguageIndex(word, n_max, group)
-        assert crw_records(sub, index, word, 1, n_max) == set_union_crw_records(
+        assert crw_records(sub, index, word, 1, n_max) == violating_crw_records(
             sub, index, word, 1, n_max
         )
 
@@ -945,7 +945,7 @@ class TestCrwOnClosedLanguages:
         n_hi = data.draw(st.integers(1, n_max))
         index = LanguageIndex(word, n_max, group)
         assert index.g_closed
-        assert crw_records(group, index, word, 1, n_hi) == set_union_crw_records(
+        assert crw_records(group, index, word, 1, n_hi) == violating_crw_records(
             group, index, word, 1, n_hi
         )
 
@@ -955,7 +955,7 @@ class TestCrwOnClosedLanguages:
         index = LanguageIndex(text, 16, group)
         assert index.g_closed
         for sub in subgroups:
-            assert crw_records(sub, index, text, 1, 16) == set_union_crw_records(
+            assert crw_records(sub, index, text, 1, 16) == violating_crw_records(
                 sub, index, text, 1, 16
             )
 
@@ -969,7 +969,7 @@ class TestCrwDeferredReads:
     def test_preset_subgroups(self, name):
         text, group, subgroups = preset_word(name)
         fresh = LanguageIndex(text, 16, group)
-        expected = {sub: set_union_crw_records(sub, fresh, text, 1, 16) for sub in subgroups}
+        expected = {sub: violating_crw_records(sub, fresh, text, 1, 16) for sub in subgroups}
         for order in (subgroups, subgroups[::-1]):
             index = LanguageIndex(text, 16, group)
             for sub in order:
@@ -1033,7 +1033,7 @@ class TestCrwWalk:
         group, word, n_lo, n_hi, n_max = case
         index = LanguageIndex(word, n_max)
         assert not index.closure_added
-        assert crw_records(group, index, word, n_lo, n_hi) == set_union_crw_records(
+        assert crw_records(group, index, word, n_lo, n_hi) == violating_crw_records(
             group, index, word, n_lo, n_hi
         )
 

@@ -7,13 +7,24 @@ with a factor that breaks richness is ``refuted`` once the prefix and the
 order hold that factor.  A case that disagrees with its theorem is a defect
 of the program, never of the table.  One case, the Rote word under the
 order-4 group, cites no theorem: it pins an observed verdict as a regression.
+The defect-sum identity is checked on random periodic words.
 """
 
 from itertools import accumulate, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from symrich import Alphabet, FixedPointSource, LiteralSource, dihedral_group, verify
+from symrich import (
+    Alphabet,
+    FixedPointSource,
+    LiteralSource,
+    PeriodicSource,
+    defect_sum_check,
+    dihedral_group,
+    verify,
+)
 from symrich.presets import (
     BINARY,
     binary_full_group,
@@ -76,3 +87,22 @@ def test_rote_word_under_the_order_4_group():
     # the exchange antimorphism 0 <-> 1; pinned as a regression
     report = verify(binary_full_group(), rote_source(8000), 4000, 20)
     assert report.overall == RICH, report.to_text()
+
+
+binary_palindromes = st.builds(lambda half, middle: half + middle + half[::-1],
+                               st.text("01", max_size=6), st.sampled_from(["", "0", "1"]))
+
+
+#: Brlek & Reutenauer, TCS 412 (2011): a periodic word whose language is
+#: closed under reversal has 2 D = sum of T(n) = dC(n) + 2 - P(n) - P(n + 1)
+#: over n >= 0.  Its period is a product of two palindromes (a word and its
+#: reversal are conjugate); at n_max = 3p + 3 the defect of a prefix of
+#: 40p + 40 letters has stabilized and T has vanished.
+@given(binary_palindromes, binary_palindromes)
+@settings(max_examples=200, deadline=None)
+def test_defect_sum_on_periodic_words_closed_under_reversal(first, second):
+    period = first + second
+    assume(period)
+    p = len(period)
+    check = defect_sum_check(PeriodicSource(BINARY, period), 40 * p + 40, 3 * p + 3)
+    assert check.matching is True, (period, check)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from groups import cyclic4_antimorphism_group
-from oracles import complete_g_return_words, g_occurrences, set_union_crw_records
+from oracles import complete_g_return_words, g_occurrences, violating_crw_records
 from symrich import (
     AlphabetError,
     ConsistencyError,
@@ -41,6 +41,7 @@ from symrich.verify import (
     REFUTED,
     RICH,
     CrwRecord,
+    _outer_entry,
     complete_return_words,
     crw_records,
     min_distinguishing,
@@ -429,14 +430,22 @@ class TestInputChecks:
 
 class TestCrw:
     def test_shape_of_return_words_on_rich_run(self, tm_rich_report):
-        # a rich run keeps no violation, and every return word of its classes
+        # a rich run keeps no record, and every return word of its classes
         # ends with an antimorphic image of its first n + 1 letters
+        group = binary_full_group()
         text = thue_morse_source().prefix(tm_rich_report.length)
-        assert tm_rich_report.crw
-        for record in tm_rich_report.crw:
-            assert record.violations == ()
-            assert all(return_word_shape_ok(binary_full_group(), v, record.n)
-                       for v in complete_return_words(binary_full_group(), text, record.representative))
+        index = LanguageIndex(text, tm_rich_report.n_max + 2, group)
+        assert tm_rich_report.crw == ()
+        for n in range(1, tm_rich_report.n_max + 1):
+            for rep in set(index.representatives(group, n)):
+                assert all(return_word_shape_ok(group, v, n)
+                           for v in complete_return_words(group, text, rep))
+
+    def test_refuted_run_against_the_oracle(self, tm_refuted_report, id_r):
+        text = thue_morse_source().prefix(tm_refuted_report.length)
+        index = LanguageIndex(text, tm_refuted_report.n_max + 2, id_r)
+        expected = violating_crw_records(id_r, index, text, 1, tm_refuted_report.n_max)
+        assert expected and list(tm_refuted_report.crw) == expected
 
     def test_text_other_than_the_indexed_one(self, i2_2):
         text = thue_morse_source().prefix(200)
@@ -458,7 +467,7 @@ class TestCrw:
         assert index.g_closed
         for sub in group.subgroups():
             if sub.has_antimorphism:
-                assert crw_records(sub, index, text, 1, n_max) == set_union_crw_records(
+                assert crw_records(sub, index, text, 1, n_max) == violating_crw_records(
                     sub, index, text, 1, n_max
                 )
 
@@ -471,37 +480,75 @@ class TestCrw:
         index = LanguageIndex(text, 14, id_r)
         assert index.g_closed
         records = crw_records(id_r, index, text, 1, 12)
-        assert records == set_union_crw_records(id_r, index, text, 1, 12)
+        assert records == violating_crw_records(id_r, index, text, 1, 12)
         assert derived["00"] and derived["00"][1] is None
         assert CrwRecord(2, "00", ("00101100", "00110100")) in records
         assert text.startswith("00101100") and text.endswith("00110100")
 
+    @pytest.mark.parametrize("text, n_max, record, source", [
+        # 010 is bispecial, and order 4 has no violation
+        ("10101100100110101", 4, CrwRecord(3, "010", ("010011010", "010110010")), None),
+        # 001 is unique on the left only, so Lemma 2 derives it from the class
+        # of its extension word 0001, whose representative holds it as r[1:]
+        ("00011010001011000", 4, CrwRecord(3, "001", ("00101100", "00110100")), "0001"),
+        # 000 is unique on both sides, so Lemma 1 derives it from the class of
+        # 10001, but it is a candidate through order 4: the class of its
+        # extension word 0001 has violations and holds it as r[:3]
+        ("1000110100010110001", 5, CrwRecord(3, "000", ("0001011000", "0001101000")), "10001"),
+    ], ids=["bispecial", "lemma-2-shift-1", "lemma-1-through-order-4"])
+    def test_candidate_rule(self, derived, id_r, text, n_max, record, source):
+        # each class is a candidate by one clause of the rule only: it holds
+        # neither the head nor the tail of the palindrome
+        index = LanguageIndex(text, n_max, id_r)
+        assert index.g_closed and text == text[::-1]
+        records = crw_records(id_r, index, text, 1, n_max)
+        assert records == violating_crw_records(id_r, index, text, 1, n_max)
+        assert record in records and record.representative not in (text[:3], text[-3:])
+        assert (derived[record.representative] or (None,))[0] == source
+
     def test_chain_of_lemma_1_sources(self, derived, id_r):
         # every class of (0011)^k from order 4 up is unique on both sides, so
         # order 2 derives from order 4, which derives from order 6, ... and
-        # order 298 from the top order 300
+        # order 298 from the top order 300; every source is clean, so no
+        # class below the top but the head's and the tail's is visited
         text = PeriodicSource(BINARY, "0011").prefix(1200)
         index = LanguageIndex(text, 302, id_r)
         records = crw_records(id_r, index, text, 2, 300)
-        assert records == set_union_crw_records(id_r, index, text, 2, 300)
-        chain, rep = 0, records[0].representative
-        while derived.get(rep):
-            chain, rep = chain + 1, derived[rep][0].representative
-        assert chain == 149
+        assert records == violating_crw_records(id_r, index, text, 2, 300) == []
+        assert set(derived) == {id_r.class_representative(text[:n]) for n in range(2, 300)} | {
+            id_r.class_representative(text[-n:]) for n in range(2, 300)}
+        chain, rep = 0, "00"
+        while len(rep) < 300 and (source := outer_entries(id_r, index, len(rep), 300)[rep]):
+            chain, rep = chain + 1, source[0]
+        assert chain == 149 and len(rep) == 300
 
 
 @pytest.fixture
 def derived(monkeypatch):
-    """Per class representative: what ``_outer_entry`` returned for it."""
+    """Per class representative that ``crw_records`` visits below its top
+    order: what ``_outer_entry`` returned for it."""
     module = importlib.import_module("symrich.verify")
     real, found = module._outer_entry, {}
 
-    def spy(group, index, levels, rep):
-        found[rep] = real(group, index, levels, rep)
-        return found[rep]
+    def spy(group, index, reps, violations, rep):
+        found[rep] = result = real(group, index, reps, violations, rep)
+        return result
 
     monkeypatch.setattr(module, "_outer_entry", spy)
     return found
+
+
+def outer_entries(group, index, n, n_hi, violating=False):
+    """Per class representative of order n < n_hi: what ``_outer_entry``
+    gives it, called on every class with the maps of orders n + 1 and n + 2
+    (up to n_hi) read off the index.  With ``violating`` every class of order
+    n + 1 counts as one with violations, so that every Lemma 2 source comes
+    with its shift table."""
+    reps = {m: dict(zip(index.sorted_factors(m), index.representatives(group, m)))
+            for m in range(n + 1, min(n + 2, n_hi) + 1)}
+    found = {n + 1: dict.fromkeys(reps[n + 1].values(), ("",)) if violating else {}}
+    return {rep: _outer_entry(group, index, reps, found, rep)
+            for rep in set(index.representatives(group, n))}
 
 
 @pytest.fixture
@@ -527,7 +574,7 @@ class TestCrwOneSided:
         group = exchange_group()
         index = LanguageIndex(tm_text, 10, i2_2)
         records = crw_records(group, index, tm_text, 1, 10)
-        assert records == set_union_crw_records(group, index, tm_text, 1, 10)
+        assert records == violating_crw_records(group, index, tm_text, 1, 10)
         assert group.equivalence_class("1001011") == ("0010110", "1001011")
         assert index.rext("1001011") == {"0"} and len(index.lext("1001011")) == 2
         assert index.lext("0010110") == {"1"} and len(index.rext("0010110")) == 2
@@ -550,7 +597,7 @@ class TestCrwOneSided:
         assert index.g_closed
         records = crw_records(id_r, index, text, 1, 4)
         suspects = set(tested)
-        assert records == set_union_crw_records(id_r, index, text, 1, 4)
+        assert records == violating_crw_records(id_r, index, text, 1, 4)
         rep = id_r.class_representative(boundary[:3])
         _, shifts = derived[rep]
         assert shifts is not None  # derived from order 4
@@ -564,7 +611,7 @@ def doubly_reached(group, text, source, n):
     consecutive occurrences q and q + 1 reach one occurrence q + 1 of a member
     u twice: b'·u at q and u·c' at q + 1."""
     outer, shifts = source
-    return [v for v in complete_g_return_words(group, outer.representative, text)
+    return [v for v in complete_g_return_words(group, outer, text)
             if len(v) == n + 2 and 1 in shifts[v[:n + 1]] and 0 in shifts[v[1:]]]
 
 
@@ -578,30 +625,30 @@ class TestCrwBelowTop:
         (generalized_thue_morse(3, 3).prefix(200), dihedral_group(3), "0101212"),
         (hexa_text(200), hexa_group(), "0312031"),
     ], ids=["fib-reversal", "t33-dihedral3", "hexa"])
-    def test_doubly_reached_member(self, derived, text, group, rep):
+    def test_doubly_reached_member(self, text, group, rep):
         index = LanguageIndex(text, 8, group)
         assert index.g_closed
         records = crw_records(group, index, text, 1, 8)
-        assert records == set_union_crw_records(group, index, text, 1, 8)
+        assert records == violating_crw_records(group, index, text, 1, 8)
         assert len(index.lext(rep)) == len(index.rext(rep)) == 1
-        assert derived[rep][1] is not None  # Lemma 2, from order 8
+        source = outer_entries(group, index, 7, 8, violating=True)[rep]
+        assert source[1]  # Lemma 2, from order 8
         # C1 occurs at q and q + 1, so the strip of its return word is rep's
         # member u, of 7 letters, which is no return word but a G-palindrome,
         # so never a violation
-        reached = doubly_reached(group, text, derived[rep], 7)
+        reached = doubly_reached(group, text, source, 7)
         assert reached and all(group.is_g_palindrome(v[1:-1]) for v in reached)
-        record = next(r for r in records if r.representative == rep)
-        assert min(map(len, record.violations), default=8) > 7
+        assert all(len(v) > 7 for r in records if r.representative == rep for v in r.violations)
 
-    def test_hexa_every_subgroup(self, derived):
+    def test_hexa_every_subgroup(self):
         text = hexa_text(200)
         index = LanguageIndex(text, 8, hexa_group())
         reached = 0
         for sub in hexa_group().subgroups():
-            derived.clear()
-            assert crw_records(sub, index, text, 1, 8) == set_union_crw_records(sub, index, text, 1, 8)
-            reached += any(doubly_reached(sub, text, source, 7) for rep, source in derived.items()
-                           if len(rep) == 7 and source and source[1] is not None)
+            assert crw_records(sub, index, text, 1, 8) == violating_crw_records(sub, index, text, 1, 8)
+            reached += any(doubly_reached(sub, text, source, 7)
+                           for source in outer_entries(sub, index, 7, 8, violating=True).values()
+                           if source and source[1] is not None)
         assert reached == 10  # of 15 subgroups
 
     @pytest.mark.parametrize("text, group, index_group", [
@@ -610,20 +657,23 @@ class TestCrwBelowTop:
         (generalized_thue_morse(3, 3).prefix(500), dihedral_group(3), None),
         (hexa_text(500), hexa_subgroup(0), hexa_group()),
     ], ids=["tm", "fib", "t33", "hexa-psi0-psi1"])
-    def test_every_two_sided_class_gets_a_source(self, derived, text, group, index_group):
+    def test_every_two_sided_class_gets_a_source(self, text, group, index_group):
         # Lemma 1 up to order n_hi - 2 where b·m·c is a factor, Lemma 2 at n_hi - 1
         index = LanguageIndex(text, 20, index_group or group)
         assert index.g_closed
         n_hi = 16
-        crw_records(group, index, text, 1, n_hi)
-        two_sided = [rep for rep in derived if len(index.lext(rep)) == len(index.rext(rep)) == 1]
+        sources = {}
+        for n in range(1, n_hi):
+            sources.update(outer_entries(group, index, n, n_hi))
+        two_sided = [rep for rep in sources if len(index.lext(rep)) == len(index.rext(rep)) == 1]
         below = [rep for rep in two_sided if len(rep) == n_hi - 1]
-        assert below and all(derived[rep] and derived[rep][1] is not None for rep in below)
+        assert below and all(sources[rep] and sources[rep][1] is not None for rep in below)
+        assert any(sources[rep] for rep in two_sided if len(rep) < n_hi - 1)
         for rep in two_sided:
-            if len(rep) < n_hi - 1 and derived[rep]:
-                assert derived[rep][1] is None
+            if len(rep) < n_hi - 1 and sources[rep]:
+                assert sources[rep][1] is None
 
-    def test_deep_index_order_59_is_not_sliced(self, derived, monkeypatch):
+    def test_deep_index_order_59_is_not_sliced(self, monkeypatch):
         text = thue_morse_source().prefix(32000)
         group = binary_full_group()
         index = LanguageIndex(text, 62, group)
@@ -637,9 +687,23 @@ class TestCrwBelowTop:
         monkeypatch.setattr(index, "occurrences", occurrences)
         crw_records(group, index, text, 1, 60)
         assert sorted(sliced) == [24, 32, 48, 60]
-        at_59 = [rep for rep in derived if len(rep) == 59]
+        at_59 = outer_entries(group, index, 59, 60)
         assert sum(len(index.lext(rep)) == len(index.rext(rep)) == 1 for rep in at_59) == 44
-        assert all(derived[rep] for rep in at_59)
+        assert all(at_59.values())
+
+    def test_deep_index_visits_only_candidates(self, derived):
+        # the benchmark's deep-index input is rich, so below the top order only
+        # the classes of the head, the tail and the bispecial factors are visited
+        text = thue_morse_source().prefix(32000)
+        group = binary_full_group()
+        index = LanguageIndex(text, 62, group)
+        assert crw_records(group, index, text, 1, 60) == []
+        candidates = set()
+        for n in range(1, 60):
+            rep_of = dict(zip(index.sorted_factors(n), index.representatives(group, n)))
+            candidates |= {rep_of[text[:n]], rep_of[text[-n:]], *map(rep_of.get, index.bispecials(n))}
+        assert set(derived) == candidates and len(derived) == 64
+        assert sum(len(set(index.representatives(group, n))) for n in range(1, 60)) == 1417
 
 
 class TestCrwWalk:
@@ -685,7 +749,7 @@ class TestCrwWalk:
         group = binary_full_group()
         for n_max, ended in [(62, False), (100, True)]:
             index = LanguageIndex(text, n_max, group)
-            assert crw_records(group, index, text, 24, 25) == set_union_crw_records(
+            assert crw_records(group, index, text, 24, 25) == violating_crw_records(
                 group, index, text, 24, 25
             )
             assert (walks[24, "011010011001011001101001"] is not None) is ended
@@ -695,9 +759,9 @@ class TestCrwWalk:
         text = "0" + "1" * 10 + "0" + "1" * 10 + "0"
         index = LanguageIndex(text, len(text))
         records = crw_records(id_r, index, text, 1, 2)
-        assert records == set_union_crw_records(id_r, index, text, 1, 2)
+        assert records == violating_crw_records(id_r, index, text, 1, 2)
         assert walks[1, "0"] is None
-        assert records[0] == CrwRecord(1, "0", ())
+        assert (1, "0") not in {(r.n, r.representative) for r in records}
         assert complete_g_return_words(id_r, "0", text) == {"011111111110"}
 
     def test_first_occurrence_over_all_members(self, walks):
@@ -712,7 +776,7 @@ class TestCrwWalk:
         assert index.g_closed and text.startswith("150")
         assert walks == {} and sub.class_representative("150") == "031"
         records = crw_records(sub, index, text, 1, 5)
-        assert records == set_union_crw_records(sub, index, text, 1, 5)
+        assert records == violating_crw_records(sub, index, text, 1, 5)
         assert walks[3, "031"] is not None and text.find("031") == 6
 
 
