@@ -6,6 +6,13 @@ windows are its prefix and suffix.  The undirected variant collapses edges
 into orbit classes.  A word has the tree-like structure at order n when all
 loops of the undirected graph are G-palindromes and removing them leaves a
 tree.
+
+One private core, :func:`_edges`, builds both graphs as sorted plain tuples:
+the vertex classes, the directed edges (source, target, label) and the edge
+classes (endpoints, representative, members).  The two builders,
+:func:`directed_symmetry_graph` and :func:`undirected_symmetry_graph`, wrap
+the tuples in the dataclasses below; :func:`tls_verdict`, called once per
+order and group, reads them directly and builds no graph object.
 """
 
 from __future__ import annotations
@@ -131,12 +138,12 @@ def _vertex_classes(
         if w in rep_of:
             continue
         for m in members:
-            if not index.is_factor(m):
-                raise ClosureError(
-                    f"orbit member {m!r} of special factor {w!r} is not an indexed factor; "
-                    f"the language is not closed under the group at length {n}"
-                )
-            if m not in specials:
+            if m not in specials:  # every special factor is a factor
+                if not index.is_factor(m):
+                    raise ClosureError(
+                        f"orbit member {m!r} of special factor {w!r} is not an indexed factor; "
+                        f"the language is not closed under the group at length {n}"
+                    )
                 raise ConsistencyError(
                     f"orbit member {m!r} of special factor {w!r} is not special; "
                     "closure or extension data is inconsistent"
@@ -146,12 +153,15 @@ def _vertex_classes(
     return tuple(sorted(classes)), rep_of
 
 
-def directed_symmetry_graph(group: SymmetryGroup, index: LanguageIndex, n: int) -> SymmetryGraph:
-    """Edges are the index's walks from the first occurrence of each special
-    factor w followed by each of its right extensions a to the next occurrence
-    of any special factor (:meth:`LanguageIndex.edge_labels`), so every edge
-    label is a genuine factor of the analyzed prefix.  The walks do not depend
-    on the group; only their endpoints are labelled by its classes."""
+def _edges(group: SymmetryGroup, index: LanguageIndex, n: int, undirected: bool):
+    """The tuples of the graphs of symmetries of order n (module docstring),
+    the edge classes only when ``undirected`` (else ()).  Edges are the
+    index's walks from the first occurrence of each special factor w followed
+    by each of its right extensions a to the next occurrence of any special
+    factor (:meth:`LanguageIndex.edge_labels`), so every edge label is a
+    genuine factor of the analyzed prefix.  The walks do not depend on the
+    group; only their endpoints are labelled by its classes, and the sorted
+    pair of them is invariant on an edge class."""
     if n < 1:
         raise IndexRangeError("symmetry graphs are built for orders n >= 1")
     if n + 1 > index.n_max:
@@ -162,36 +172,44 @@ def directed_symmetry_graph(group: SymmetryGroup, index: LanguageIndex, n: int) 
             f"(lengths {sorted(index.closure_added)}); the prefix is too short for graph analysis"
         )
     vertex_classes, rep_of = _vertex_classes(group, index, n)
-    edges = sorted((DirectedEdge(label, rep_of[label[:n]], rep_of[label[-n:]])
-                    for label in index.edge_labels(n)),
-                   key=lambda e: (e.source, e.target, e.label))
-    return SymmetryGraph(n, True, vertex_classes, tuple(edges), ())
+    labels = index.edge_labels(n)
+    directed = sorted([(rep_of[label[:n]], rep_of[label[-n:]], label) for label in labels])
+    if not undirected:
+        return vertex_classes, directed, ()
+    label_set, built = set(labels), set()  # built: the members of the classes found
+    classes = []
+    for source, target, label in directed:
+        if label in built:
+            continue
+        members = group.equivalence_class(label)
+        built.update(members)
+        for m in members:
+            if m not in label_set:
+                raise ClosureError(
+                    f"orbit member {m!r} of edge {label!r} is not itself an edge; "
+                    f"the language is not closed under the group around length {len(label)}"
+                )
+        endpoints = (source, target) if source <= target else (target, source)
+        classes.append((endpoints, members[0], members))
+    classes.sort()  # by endpoints, then representative
+    return vertex_classes, directed, classes
+
+
+def directed_symmetry_graph(group: SymmetryGroup, index: LanguageIndex, n: int) -> SymmetryGraph:
+    """The directed graph of symmetries of order n (see :func:`_edges`)."""
+    vertex_classes, directed, _ = _edges(group, index, n, False)
+    return SymmetryGraph(n, True, vertex_classes, _directed_edges(directed), ())
 
 
 def undirected_symmetry_graph(group: SymmetryGroup, index: LanguageIndex, n: int) -> SymmetryGraph:
-    """Collapse the directed edges into orbit classes; endpoints are class-invariant."""
-    directed = directed_symmetry_graph(group, index, n)
-    by_label = {e.label: e for e in directed.directed_edges}
+    """The directed edges collapsed into orbit classes (see :func:`_edges`)."""
+    vertex_classes, directed, classes = _edges(group, index, n, True)
+    return SymmetryGraph(n, False, vertex_classes, _directed_edges(directed),
+                         tuple(UndirectedEdge(rep, members, ends) for ends, rep, members in classes))
 
-    undirected: dict[str, UndirectedEdge] = {}
-    built: set[str] = set()  # the members of the classes in ``undirected``
-    for e in directed.directed_edges:
-        if e.label in built:
-            continue
-        members = group.equivalence_class(e.label)
-        rep = members[0]
-        built.update(members)
-        for m in members:
-            if m not in by_label:
-                raise ClosureError(
-                    f"orbit member {m!r} of edge {e.label!r} is not itself an edge; "
-                    f"the language is not closed under the group around length {len(e.label)}"
-                )
-        endpoints = (e.source, e.target) if e.source <= e.target else (e.target, e.source)
-        undirected[rep] = UndirectedEdge(rep, members, endpoints)
 
-    edges = tuple(sorted(undirected.values(), key=lambda e: (e.endpoints, e.representative)))
-    return SymmetryGraph(n, False, directed.vertex_classes, directed.directed_edges, edges)
+def _directed_edges(directed) -> tuple[DirectedEdge, ...]:
+    return tuple(DirectedEdge(label, source, target) for source, target, label in directed)
 
 
 # -- tree-like structure -------------------------------------------------------------
@@ -253,23 +271,23 @@ def _forest_path(forest: dict[str, set[str]], a: str, b: str) -> list[str] | Non
     return None
 
 
-def _tree_check(graph: SymmetryGraph) -> tuple[bool, str | None]:
-    vertices = graph.vertex_representatives
-    edges = graph.non_loop_edges()
+def _tree(vertices, edges) -> tuple[bool, str | None]:
+    """Whether the loop-free graph on the vertex representatives with these
+    sorted non-loop edge classes (endpoints, representative) is a tree, and
+    the witness of its first failure."""
     pair_seen: dict[tuple[str, str], str] = {}
-    for e in edges:
-        if e.endpoints in pair_seen:
+    for endpoints, rep in edges:
+        if endpoints in pair_seen:
             return False, (
-                f"parallel edge classes [{pair_seen[e.endpoints]}] and [{e.representative}] "
-                f"between [{e.endpoints[0]}] and [{e.endpoints[1]}]"
+                f"parallel edge classes [{pair_seen[endpoints]}] and [{rep}] "
+                f"between [{endpoints[0]}] and [{endpoints[1]}]"
             )
-        pair_seen[e.endpoints] = e.representative
+        pair_seen[endpoints] = rep
 
     forest: dict[str, set[str]] = {v: set() for v in vertices}
     components = len(vertices)
     cycle = None
-    for e in edges:
-        a, b = e.endpoints
+    for (a, b), _ in edges:
         path = _forest_path(forest, a, b)
         if path is not None:
             # the forest built so far already joins a and b: this edge closes a cycle
@@ -286,13 +304,22 @@ def _tree_check(graph: SymmetryGraph) -> tuple[bool, str | None]:
     return True, None
 
 
+def _tree_check(graph: SymmetryGraph) -> tuple[bool, str | None]:
+    """:func:`_tree` on the objects of an undirected graph of symmetries."""
+    edges = [(e.endpoints, e.representative) for e in graph.non_loop_edges()]
+    return _tree(graph.vertex_representatives, edges)
+
+
 def tls_verdict(group: SymmetryGroup, index: LanguageIndex, n: int) -> TlsVerdict:
-    graph = undirected_symmetry_graph(group, index, n)
-    loop_checks = []
-    for loop in graph.loops():
-        fixers = group.antimorphic_fixers(loop.representative)
-        loop_checks.append(LoopCheck(loop.representative, tuple(t.name for t in fixers)))
-    tree_ok, tree_witness = _tree_check(graph)
+    """The verdict at order n, read off the tuples of :func:`_edges`."""
+    vertex_classes, _, classes = _edges(group, index, n, True)
+    loop_checks, links = [], []
+    for endpoints, rep, _ in classes:
+        if endpoints[0] == endpoints[1]:
+            loop_checks.append(LoopCheck(rep, tuple(t.name for t in group.antimorphic_fixers(rep))))
+        else:
+            links.append((endpoints, rep))
+    tree_ok, tree_witness = _tree([members[0] for members in vertex_classes], links)
     loops_ok = all(c.ok for c in loop_checks)
     return TlsVerdict(n, tuple(loop_checks), tree_ok, tree_witness, loops_ok and tree_ok)
 

@@ -54,8 +54,9 @@ Columns are built on first query and keyed by map, so every subgroup of the
 index's group reads the translates the first one made.  The representatives
 of a group at order n are the element-wise ``min`` of its columns, the orbit
 of a factor is the set of its row across them, a factor is a theta-palindrome
-when it equals its row in the column of theta, and an order distinguishes the
-antimorphisms when their columns differ in every row.
+when it equals its row in the column of theta (kept per theta and n), and an
+order distinguishes the antimorphisms when every two of their columns differ
+in every row.
 
 Extension sets are read off the level above.  A length-n factor w has the
 left letters a with a·w at level n + 1 and the right letters b with w·b
@@ -97,7 +98,7 @@ from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, chain, combinations, compress, count
 from operator import and_, eq, itemgetter, lt, or_
 
 from .errors import ConsistencyError, GroupError, IndexRangeError, InsufficientPrefixError
@@ -185,6 +186,8 @@ class LanguageIndex:
         self._singletons = _Singletons()  # shared by the tables of every kind and order
         # (map, n) -> the images of the factors of length n, in level order
         self._columns: dict[tuple[SymmetryMap, int], tuple[str, ...]] = {}
+        # (theta, n) -> the theta-palindromes of length n, in level order
+        self._fixed: dict[tuple[SymmetryMap, int], tuple[str, ...]] = {}
         # n -> what _special_lists returns for n
         self._specials: dict[int, tuple[dict[str, int], tuple[str, ...]]] = {}
         # n -> the edge labels of order n
@@ -396,11 +399,8 @@ class LanguageIndex:
     def is_distinguishing(self, group: SymmetryGroup, n: int) -> bool:
         """Whether distinct antimorphisms of ``group`` act distinctly on every
         factor of length n."""
-        antims = group.antimorphisms
-        if len(antims) <= 1:
-            return True
-        rows = zip(*(self.column(t, n) for t in antims))
-        return min(map(len, map(set, rows)), default=len(antims)) == len(antims)
+        columns = [self.column(t, n) for t in group.antimorphisms]
+        return not any(any(map(eq, a, b)) for a, b in combinations(columns, 2))
 
     # -- complexities ---------------------------------------------------------
 
@@ -408,11 +408,17 @@ class LanguageIndex:
         return [len(level) + len(self._unmerged.get(n, ())) for n, level in enumerate(self._levels)]
 
     def theta_palindromes(self, theta: SymmetryMap, n: int) -> tuple[str, ...]:
+        """The factors of length n fixed by ``theta``, in level order; kept per
+        (theta, n) like the columns, for every subgroup to read."""
         if not theta.antimorphic:
             raise GroupError(f"{theta.name} is not an antimorphism")
-        column = self.column(theta, n)  # checks n before the level is read
-        level = self._level(n)
-        return tuple(compress(level, map(eq, level, column)))
+        key = theta, n
+        found = self._fixed.get(key)
+        if found is None:
+            column = self.column(theta, n)  # checks n before the level is read
+            level = self._level(n)
+            found = self._fixed[key] = tuple(compress(level, map(eq, level, column)))
+        return found
 
     def palindromic_complexity(self, theta: SymmetryMap) -> list[int]:
         """P(n) for n = 0..n_max: count of theta-fixed indexed factors."""

@@ -11,9 +11,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter, ne
 
 from .errors import GroupError
 from .words import Alphabet
+
+_reversed = itemgetter(slice(None, None, -1))  # word -> word[::-1]
 
 
 @dataclass(frozen=True)
@@ -250,6 +253,16 @@ class SymmetryGroup:
         """Whether some antimorphism of the group fixes the word (ε always qualifies
         when an antimorphism exists)."""
         return any(t.apply(word) == word for t in self.antimorphisms)
+
+    def non_g_palindromes(self, words) -> list[str]:
+        """The ``words`` that are no G-palindromes, in order: the words
+        :meth:`is_g_palindrome` rejects, filtered by one pass of C-level maps
+        (translate, reverse, compare, compress) per antimorphism."""
+        words = list(words)
+        for t in self.antimorphisms:
+            images = map(_reversed, map(str.translate, words, itertools.repeat(t._table)))
+            words = list(itertools.compress(words, map(ne, words, images)))
+        return words
 
     # the group is immutable, so both letter maps are computed once
     @functools.cached_property

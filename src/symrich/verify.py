@@ -297,7 +297,7 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
                     # distinct factors of one length never share a start position
                     occ = sorted(chain.from_iterable(map(index.occurrences, members)))
                     suspects = {text[i:j + n] for i, j in zip(occ, occ[1:])}
-            if violations := tuple(sorted(v for v in suspects if not group.is_g_palindrome(v))):
+            if violations := tuple(sorted(group.non_g_palindromes(suspects))):
                 found[n][rep] = violations
     return [CrwRecord(n, *item) for n in range(n_lo, n_hi + 1) for item in found[n].items()]
 

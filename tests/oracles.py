@@ -15,7 +15,7 @@ from symrich import (
     SymmetryGroup,
     apply_morphism,
 )
-from symrich.graphs import DirectedEdge
+from symrich.graphs import DirectedEdge, LoopCheck, TlsVerdict, _tree_check, undirected_symmetry_graph
 from symrich.verify import CrwRecord
 
 
@@ -175,6 +175,25 @@ def violating_crw_records(group, index, text, n_lo, n_hi):
     """Oracle for ``crw_records``, which records only the classes with
     violations: the records of :func:`set_union_crw_records` that have any."""
     return [r for r in set_union_crw_records(group, index, text, n_lo, n_hi) if r.violations]
+
+
+def non_g_palindromes(group, words):
+    """Oracle for ``SymmetryGroup.non_g_palindromes``: the words, in order,
+    that ``is_g_palindrome`` rejects one at a time."""
+    return [w for w in words if not group.is_g_palindrome(w)]
+
+
+def graph_tls_verdict(group, index, n):
+    """Oracle for ``tls_verdict``: the verdict recomputed from the graph
+    objects of ``undirected_symmetry_graph``, its loops by ``graph.loops()``,
+    their fixers by applying every antimorphism, and the tree check by
+    ``_tree_check(graph)``."""
+    graph = undirected_symmetry_graph(group, index, n)
+    checks = tuple(LoopCheck(e.representative, tuple(
+        t.name for t in group.antimorphisms if t.apply(e.representative) == e.representative
+    )) for e in graph.loops())
+    tree_ok, tree_witness = _tree_check(graph)
+    return TlsVerdict(n, checks, tree_ok, tree_witness, all(c.ok for c in checks) and tree_ok)
 
 
 def distinguishing(group, factors):

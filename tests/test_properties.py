@@ -10,12 +10,14 @@ import functools
 import importlib
 import io
 import json
+from itertools import compress
+from operator import eq
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 import pytest
 
-from groups import cyclic4_antimorphism_group, cyclic4_reversal_group
+from groups import cyclic4_antimorphism_group, cyclic4_reversal_group, two_swaps_reversal_group
 from oracles import (
     brute_lps,
     classical_palindromes,
@@ -23,7 +25,10 @@ from oracles import (
     closure_involutively_generated,
     closure_subgroups,
     complete_g_return_words,
+    distinguishing,
     every_fixed_suffix,
+    graph_tls_verdict,
+    non_g_palindromes,
     per_factor_orbit_data,
     per_group_dual_defect,
     position_walk_edges,
@@ -51,6 +56,7 @@ from symrich import (
     g_lps,
     prefix_palindrome_table,
     stability_check,
+    tls_verdict,
     verify_text,
 )
 from symrich.cli import EXIT_CONFIG, main
@@ -170,6 +176,20 @@ class TestMapAlgebra:
         assert all(len(v) == len(word) for v in orbit)
         for v in orbit:
             assert group.equivalence_class(v) == orbit
+
+    @given(data=st.data())
+    @example(data=None)
+    @settings(max_examples=60, deadline=None)
+    def test_batched_filter_matches_per_word_test(self, data):
+        # the groups include those generated by one antimorphism that need not
+        # be an involution; the words include the empty one
+        if data is None:
+            group, words = reversal_group(BINARY), ["", "0", "01", "010", "0110", "011"]
+        else:
+            group = data.draw(group_st() | alphabet_st().flatmap(antimorphism_st).map(
+                lambda t: SymmetryGroup.close([t])))
+            words = data.draw(st.lists(word_st(group.alphabet, max_size=8), max_size=12))
+        assert group.non_g_palindromes(iter(words)) == non_g_palindromes(group, words)
 
 
 class TestDefectProperties:
@@ -804,6 +824,15 @@ class TestClosureCut:
         assert first.closure_added == second.closure_added == closure_additions(word, n_max, group)
 
 
+#: per name: a group, and its subgroups (itself included) with three or more
+#: antimorphisms
+MANY_ANTIMORPHISMS = {name: (group, [s for s in group.subgroups() if len(s.antimorphisms) >= 3])
+                      for name, group in (("two-swaps", two_swaps_reversal_group()),
+                                          ("dihedral3", dihedral_group(3)),
+                                          ("dihedral4", dihedral_group(4)),
+                                          ("octa", octa_group()), ("hexa", hexa_group()))}
+
+
 class TestOrbitColumns:
     """The orbit columns of the index and the representatives, orbits,
     palindromes, distinguishing flags and special lists read off them, against
@@ -837,6 +866,46 @@ class TestOrbitColumns:
                 assert tuple(index.special_rows(n)) == expected.specials
                 assert index.bispecials(n) == expected.bispecials
                 assert index.special_rows(n) == {w: level.index(w) for w in expected.specials}
+
+    @given(data=st.data())
+    @example(data=None)
+    @settings(max_examples=100, deadline=None)
+    def test_distinguishing_with_three_or_more_antimorphisms(self, data):
+        # every pair of antimorphisms is compared, not only neighbours in the
+        # group's order: on words over 2 and 3 the first and the third of the
+        # two-swaps group agree while every two neighbours differ
+        if data is None:
+            name, word, n_max = "two-swaps", "2332322323", 4
+        else:
+            name = data.draw(st.sampled_from(sorted(MANY_ANTIMORPHISMS)))
+            word = data.draw(word_st(MANY_ANTIMORPHISMS[name][0].alphabet, min_size=1, max_size=30))
+            n_max = data.draw(st.integers(1, min(len(word), 6)))
+        group, subgroups = MANY_ANTIMORPHISMS[name]
+        index = LanguageIndex(word, n_max, group)
+        for sub in subgroups:
+            for n in range(1, n_max + 1):
+                assert index.is_distinguishing(sub, n) == distinguishing(sub, index.factors(n))
+        if data is None:
+            assert not index.is_distinguishing(group, 2)
+            a, b, c = group.antimorphisms[:3]
+            assert a.apply("23") == c.apply("23") != b.apply("23")
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_theta_palindromes_in_any_query_order(self, data):
+        # the two antimorphisms' palindromes of one order differ, so a cache
+        # that mixed them up would show in some query order
+        group = binary_full_group()
+        word = data.draw(st.sampled_from([thue_morse_source().prefix(80), "0110" * 10 + "0101",
+                                          "00110110010011"]))
+        n_max = data.draw(st.integers(2, 8))
+        index = LanguageIndex(word, n_max, group)
+        queries = data.draw(st.permutations([(t, n) for t in group.antimorphisms
+                                             for n in range(n_max + 1)]))
+        for theta, n in queries + queries[::-1]:
+            level = index.sorted_factors(n)
+            assert index.theta_palindromes(theta, n) == tuple(compress(
+                level, map(eq, level, index.column(theta, n))))
 
 
 def saturate(text, group, n, pick):
@@ -958,6 +1027,29 @@ class TestCrwOnClosedLanguages:
             assert crw_records(sub, index, text, 1, 16) == violating_crw_records(
                 sub, index, text, 1, 16
             )
+
+
+class TestTlsCore:
+    """``tls_verdict`` reads the tuples of the graph core; the graph objects
+    of ``undirected_symmetry_graph`` give the same verdict."""
+
+    @given(case=closed_word_st())
+    @example(case=(binary_full_group(), reversal_group(BINARY), thue_morse_source().prefix(200), 6))
+    @settings(max_examples=100, deadline=None)
+    def test_verdict_from_the_graph_objects(self, case):
+        group, sub, word, n_max = case
+        index = LanguageIndex(word, n_max, group)
+        for h in (group, sub):
+            for n in range(1, n_max):
+                assert outcome(tls_verdict, h, index, n) == outcome(graph_tls_verdict, h, index, n)
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except SymrichError as error:
+        return type(error), str(error)
 
 
 class TestCrwDeferredReads:

@@ -554,15 +554,16 @@ def outer_entries(group, index, n, n_hi, violating=False):
 @pytest.fixture
 def tested(monkeypatch):
     """The words whose G-palindromicity is tested, in order; in ``crw_records``,
-    the suspects of every class."""
-    real, words = SymmetryGroup.is_g_palindrome, []
+    the suspects of every class, filtered by ``non_g_palindromes``."""
+    real, found = SymmetryGroup.non_g_palindromes, []
 
-    def spy(self, word):
-        words.append(word)
-        return real(self, word)
+    def spy(self, words):
+        words = list(words)
+        found.extend(words)
+        return real(self, words)
 
-    monkeypatch.setattr(SymmetryGroup, "is_g_palindrome", spy)
-    return words
+    monkeypatch.setattr(SymmetryGroup, "non_g_palindromes", spy)
+    return found
 
 
 class TestCrwOneSided:
