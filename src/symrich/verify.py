@@ -264,6 +264,17 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     representative (:meth:`LanguageIndex.representatives`), so the head,
     the tail, b·m·c and e find their classes by the factor itself.
     """
+    found = dict(_crw_orders(group, index, text, n_lo, n_hi))
+    return [CrwRecord(n, *item) for n in range(n_lo, n_hi + 1) for item in found[n].items()]
+
+
+def _crw_orders(group: SymmetryGroup, index: LanguageIndex, text: str, n_lo: int, n_hi: int):
+    """The orders of :func:`crw_records` from n_hi down to n_lo, each as
+    (n, its classes with violations: representative -> violations, sorted by
+    representative), made when asked for, so that a reader can stop at the
+    first order with a violation, the highest.  The suspects of one order are
+    filtered in one call; each violation v starts with a member of its class,
+    so ``v[:n]`` names that class."""
     if text != index.text:  # O(1) when both are one object
         raise SymrichError(f"text of length {len(text)} is not the indexed text "
                            f"(length {len(index.text)})")
@@ -281,25 +292,27 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
         classes: dict[str, list[str]] = {}  # the candidates' members
         for w, rep in compress(rep_of.items(), map(candidates.__contains__, rep_of.values())):
             classes.setdefault(rep, []).append(w)
-        found[n] = {}
-        for rep in sorted(classes):
-            members = classes[rep]
+        suspects = []  # a set per class, each word starting with a member: none repeats
+        for rep, members in classes.items():
             if below and (source := _outer_entry(group, index, reps, found, rep)):
                 outer, shifts = source
-                suspects = _strip(found[len(outer)].get(outer, ()), n, shifts)
+                words = _strip(found[len(outer)].get(outer, ()), n, shifts)
                 if rep == head:  # rep has a left extension, so the class occurs after 0
-                    suspects.add(text[:min(j for m in members if (j := text.find(m, 1)) > 0) + n])
+                    words.add(text[:min(j for m in members if (j := text.find(m, 1)) > 0) + n])
                 if rep == tail:  # and a right one, so it occurs before |text| - n
-                    suspects.add(text[max(text.rfind(m, 0, len(text) - 1) for m in members):])
+                    words.add(text[max(text.rfind(m, 0, len(text) - 1) for m in members):])
             else:
-                suspects = _walk_returns(index, members) if walk and n < n_hi else None  # Lemma 3
-                if suspects is None:
+                words = _walk_returns(index, members) if walk and n < n_hi else None  # Lemma 3
+                if words is None:
                     # distinct factors of one length never share a start position
                     occ = sorted(chain.from_iterable(map(index.occurrences, members)))
-                    suspects = {text[i:j + n] for i, j in zip(occ, occ[1:])}
-            if violations := tuple(sorted(group.non_g_palindromes(suspects))):
-                found[n][rep] = violations
-    return [CrwRecord(n, *item) for n in range(n_lo, n_hi + 1) for item in found[n].items()]
+                    words = {text[i:j + n] for i, j in zip(occ, occ[1:])}
+            suspects += words
+        violations: dict[str, list[str]] = {}
+        for v in group.non_g_palindromes(suspects):
+            violations.setdefault(rep_of[v[:n]], []).append(v)
+        found[n] = {rep: tuple(sorted(violations[rep])) for rep in sorted(violations)}
+        yield n, found[n]
 
 
 def _outer_entry(group: SymmetryGroup, index: LanguageIndex, reps: dict[int, dict[str, str]],
@@ -518,13 +531,51 @@ def verify_text(
 
     tls_results = tuple(tls_verdict(group, index, n) for n in range(1, n_max + 1))
     crw = tuple(crw_records(group, index, text, 1, n_max))
+    identity, bisp, profile, rows = _other_checks(group, index, threshold, n_max)
+    # One row per characterization: its failing entries as (order, or prefix
+    # length for lps, record), and the witness of one entry.
+    table = (
+        ("tls", [(v.order, v) for v in tls_results if not v.satisfied],
+         lambda v: f"order {v.order}: {v.witness}"),
+        ("return-words", [(r.n, r) for r in crw if r.violations],
+         lambda r: f"class [{r.representative}] has non-palindromic return word {r.violations[0]!r}"),
+        *rows,
+    )
+    verdicts, agreement_ok, candidate, contradiction, overall = _decide(
+        {name: _highest(entries) for name, entries, _ in table},
+        threshold, n_max, base["involutively_generated"])
+    witnesses = {name: witness(next(record for at, record in entries if at >= threshold))
+                 for name, entries, witness in table if not verdicts[name]}
+    return RichnessReport(
+        **base,
+        closed=True,
+        missing_closure_witness=None,
+        min_distinguishing_n=next((r.n for r in identity if r.distinguishing), None),
+        tls=tls_results,
+        crw=crw,
+        identity=identity,
+        bispecials=bisp,
+        profile=profile,
+        verdicts=verdicts,
+        witnesses=witnesses,
+        agreement_ok=agreement_ok,
+        bound_ok=all(r.holds for r in identity if r.distinguishing),
+        candidate_threshold=candidate,
+        contradiction=contradiction,
+        overall=overall,
+    )
+
+
+def _other_checks(group: SymmetryGroup, index: LanguageIndex, threshold: int, n_max: int):
+    """The complexity identity, the bispecial records and the defect profile
+    (checked against the dual head) of ``group`` on ``index`` at orders up to
+    n_max, and the rows of :func:`verify_text`'s table for lps, defect,
+    complexity and bispecials."""
     identity = tuple(complexity_identity(group, index, range(0, n_max + 1)))
     bisp = tuple(bispecial_check(group, index, range(1, n_max + 1)))
     shared = index._palindromes
     profile = shared.profile(group)
     shared.check_head(group, profile)
-    n0 = next((r.n for r in identity if r.distinguishing), None)
-
     checked = {r.n for r in identity if r.distinguishing and r.n >= threshold}
     # The bilateral-order conditions characterize richness only together with
     # the complexity equality anchored at one distinguishing order.
@@ -533,38 +584,38 @@ def verify_text(
     if not bisp_fails and anchor is not None and not anchor.equal:
         bisp_fails = [(anchor.n, anchor)]
     defect_ok = profile.final == 0 if threshold == 1 else profile.stabilized
-    # One row per characterization: its failing entries as (order, or prefix
-    # length for lps, record), and the witness of one entry.
-    table = (
-        ("tls", [(v.order, v) for v in tls_results if not v.satisfied],
-         lambda v: f"order {v.order}: {v.witness}"),
-        ("return-words", [(r.n, r) for r in crw if r.violations],
-         lambda r: f"class [{r.representative}] has non-palindromic return word {r.violations[0]!r}"),
+    return identity, bisp, profile, (
         ("lps", [(p, p) for p in profile.lacunas], "first lacuna at position {}".format),
         ("defect", [] if defect_ok else [(threshold, profile)], lambda p: f"defect reaches {p.final}"),
         ("complexity", [(r.n, r) for r in identity if r.n in checked and not r.equal],
          lambda r: f"order {r.n}: {r.lhs} != {r.rhs}"),
         ("bispecial", bisp_fails, _bispecial_witness),
     )
-    verdicts: dict[str, bool] = {}
-    witnesses: dict[str, str] = {}
-    fail_points: list[int] = []
-    for name, entries, witness in table:
-        shown = next((record for at, record in entries if at >= threshold), None)
-        verdicts[name] = shown is None
-        if shown is not None:
-            witnesses[name] = witness(shown)
-        if name != "defect":  # its one entry stands for its own rule; lps counts the lacunas
-            fail_points += (at for at, _ in entries)
+
+
+def _highest(entries) -> int | None:
+    """The highest order, or prefix length, of a row's failing entries."""
+    return max((at for at, _ in entries), default=None)
+
+
+def _decide(highest: dict[str, int | None], threshold: int, n_max: int,
+            involutively_generated: bool) -> tuple[dict[str, bool], bool, int | None, str | None, str]:
+    """The verdicts, agreement, candidate threshold, contradiction and overall
+    decision of a report from the highest failing entry of each
+    characterization (None when it has none; the defect's one entry is the
+    threshold): a verdict fails when that entry is at or above the
+    threshold, and the candidate threshold is one above the highest entry of
+    all but the defect, whose entry stands for its own rule."""
+    verdicts = {name: at is None or at < threshold for name, at in highest.items()}
     agreement_ok = len(set(verdicts.values())) == 1
-    bound_ok = all(r.holds for r in identity if r.distinguishing)
-    candidate: int | None = max(fail_points, default=threshold - 1) + 1
+    fails = [at for name, at in highest.items() if name != "defect" and at is not None]
+    candidate: int | None = max(fails, default=threshold - 1) + 1
     if candidate > n_max:
         candidate = None
 
     contradiction = None
     all_pass = all(verdicts.values())
-    if all_pass and not base["involutively_generated"]:
+    if all_pass and not involutively_generated:
         contradiction = (
             "all characterizations pass but the group is not generated by its involutive "
             "antimorphisms, which richness would force"
@@ -578,25 +629,7 @@ def verify_text(
         overall = ALMOST
     else:
         overall = REFUTED
-
-    return RichnessReport(
-        **base,
-        closed=True,
-        missing_closure_witness=None,
-        min_distinguishing_n=n0,
-        tls=tls_results,
-        crw=crw,
-        identity=identity,
-        bispecials=bisp,
-        profile=profile,
-        verdicts=verdicts,
-        witnesses=witnesses,
-        agreement_ok=agreement_ok,
-        bound_ok=bound_ok,
-        candidate_threshold=candidate,
-        contradiction=contradiction,
-        overall=overall,
-    )
+    return verdicts, agreement_ok, candidate, contradiction, overall
 
 
 def _bispecial_witness(record: BispecialRecord | ComplexityIdentityRecord) -> str:
@@ -702,6 +735,15 @@ def subgroup_scan(index: LanguageIndex) -> list[SubgroupResult]:
     orders 1..n_max, as for :func:`verify_text`.  An index to which closure
     added factors raises, so no subgroup's report depends on the stability of
     the text under doubling.
+
+    A result keeps only the overall verdict.  The index group G gets its
+    full :func:`verify_text` report, first, so every check runs at every
+    order once: closure, the edge walks, the dual head, the identity chain.
+    A proper subgroup H gets only its decision: the tree-like structure and
+    the return words are read from order n_max down to their highest
+    failing order (:func:`_highest_failures`), the other characterizations
+    in full.  A check skipped for H is implied by the one run for G, as an
+    H-orbit is a subset of a G-orbit and the edge walks ignore the group.
     """
     group, n_max = index.group, index.n_max - 2
     if group is None:
@@ -714,15 +756,22 @@ def subgroup_scan(index: LanguageIndex) -> list[SubgroupResult]:
     n0 = min_distinguishing(group, index, n_max)
     p = {t: index.palindromic_complexity(t) for t in group.involutive_antimorphisms}
 
+    subs = [(sub, "{" + ",".join(e.name for e in sub.elements) + "}")
+            for sub in group.subgroups() if sub.has_antimorphism]
+    full = None  # the index group's verdict: last in the list, of the largest order, made first
+    if subs:
+        full = verify_text(subs[-1][0], index, word_id="scan", group_id=subs[-1][1]).overall
     results = []
-    for sub in group.subgroups():
-        if not sub.has_antimorphism:
-            continue
-        sub_id = "{" + ",".join(e.name for e in sub.elements) + "}"
-        report = verify_text(sub, index, word_id="scan", group_id=sub_id)
+    for sub, sub_id in subs:
+        proper = len(sub) < group.order
+        if proper:
+            *_, overall = _decide(_highest_failures(sub, index), 1, n_max,
+                                  sub.is_involutively_generated())
+        else:
+            overall = full
         identity_ok: bool | None = None
         values: tuple[tuple[int, int], ...] = ()
-        if len(sub) < group.order and report.overall == RICH and n0 is not None:
+        if proper and overall == RICH and n0 is not None:
             complement = [t for t in group.involutive_antimorphisms
                           if t not in sub.involutive_antimorphisms]
             vals = []
@@ -734,9 +783,26 @@ def subgroup_scan(index: LanguageIndex) -> list[SubgroupResult]:
                     ok = False
             identity_ok = ok
             values = tuple(vals)
-        results.append(SubgroupResult(sub_id, sub.order, len(sub) < group.order,
-                                      report.overall, identity_ok, values))
+        results.append(SubgroupResult(sub_id, sub.order, proper, overall, identity_ok, values))
     return results
+
+
+def _highest_failures(group: SymmetryGroup, index: LanguageIndex) -> dict[str, int | None]:
+    """What :func:`_decide` reads of ``verify_text(group, index)`` at
+    threshold 1, with no report: the highest failing entry of each
+    characterization.  The tree-like structure and the return words
+    (:func:`_crw_orders`) are read from order n_max down to their first
+    failing order, the highest; the other characterizations run in full."""
+    n_max = index.n_max - 2
+    highest = {
+        "tls": next((n for n in range(n_max, 0, -1) if not tls_verdict(group, index, n).satisfied),
+                    None),
+        "return-words": next((n for n, found in _crw_orders(group, index, index.text, 1, n_max)
+                              if found), None),
+    }
+    *_, rows = _other_checks(group, index, 1, n_max)
+    highest.update((name, _highest(entries)) for name, entries, _ in rows)
+    return highest
 
 
 # -- classical defect vs complexity sum ----------------------------------------------

@@ -1,7 +1,8 @@
 """Oracles for the tests.  The brute-force ones enumerate every factor, suffix
 or occurrence (found by ``str.find``) and share no logic with symrich's
 eertrees or factor index; :func:`position_walk_edges` is an earlier edge
-search of the graphs of symmetries, kept for differential tests."""
+search of the graphs of symmetries, and :func:`subgroup_scan_reference` an
+earlier ``subgroup_scan``, are kept for differential tests."""
 
 import bisect
 from collections import namedtuple
@@ -16,7 +17,7 @@ from symrich import (
     apply_morphism,
 )
 from symrich.graphs import DirectedEdge, LoopCheck, TlsVerdict, _tree_check, undirected_symmetry_graph
-from symrich.verify import CrwRecord
+from symrich.verify import RICH, CrwRecord, SubgroupResult, min_distinguishing, verify_text
 
 
 def iterated_fixed_point(rules, seed, length):
@@ -333,3 +334,41 @@ def closure_involutively_generated(group):
     ``SymmetryGroup.close``."""
     involutions = group.involutive_antimorphisms
     return bool(involutions) and SymmetryGroup.close(involutions).elements == group.elements
+
+
+def subgroup_scan_reference(index, reports=None):
+    """Oracle for ``subgroup_scan``: a full ``verify_text`` report per
+    subgroup with an antimorphism, in the order of ``subgroups()``, of which
+    only the overall verdict is kept, and the half-order identity of each
+    proper rich subgroup from the index's palindromic complexities.  Each
+    report is also put in ``reports``, a dict keyed by subgroup, when given."""
+    group, n_max = index.group, index.n_max - 2
+    if group is None:
+        raise GroupError("subgroup scan needs an index built with a group")
+    group.alphabet.check_word(index.text)
+    if index.closure_added:
+        raise InsufficientPrefixError(
+            f"prefix does not close under the full group at lengths {sorted(index.closure_added)}"
+        )
+    n0 = min_distinguishing(group, index, n_max)
+    p = {t: index.palindromic_complexity(t) for t in group.involutive_antimorphisms}
+    results = []
+    for sub in group.subgroups():
+        if not sub.has_antimorphism:
+            continue
+        sub_id = "{" + ",".join(e.name for e in sub.elements) + "}"
+        report = verify_text(sub, index, word_id="scan", group_id=sub_id)
+        if reports is not None:
+            reports[sub] = report
+        overall = report.overall
+        proper = len(sub) < group.order
+        identity_ok, values = None, ()
+        if proper and overall == RICH and n0 is not None:
+            complement = [t for t in group.involutive_antimorphisms
+                          if t not in sub.involutive_antimorphisms]
+            values = tuple((n, sum(p[t][n] + p[t][n + 1] for t in complement))
+                           for n in range(n0, n_max))
+            identity_ok = 2 * sub.order == group.order and all(
+                s == group.order // 2 for _, s in values)
+        results.append(SubgroupResult(sub_id, sub.order, proper, overall, identity_ok, values))
+    return results

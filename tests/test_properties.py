@@ -32,6 +32,7 @@ from oracles import (
     per_factor_orbit_data,
     per_group_dual_defect,
     position_walk_edges,
+    subgroup_scan_reference,
     theta_palindromic_factors,
     theta_richness,
     violating_crw_records,
@@ -56,6 +57,7 @@ from symrich import (
     g_lps,
     prefix_palindrome_table,
     stability_check,
+    subgroup_scan,
     tls_verdict,
     verify_text,
 )
@@ -80,7 +82,15 @@ from symrich.presets import (
     thue_morse_source,
 )
 from symrich.symmetry import dihedral_group
-from symrich.verify import complete_return_words, crw_records
+from symrich.verify import (
+    ALMOST,
+    INCONSISTENT,
+    RICH,
+    _decide,
+    _highest_failures,
+    complete_return_words,
+    crw_records,
+)
 from symrich.words import DigitSumSource
 
 
@@ -1050,6 +1060,59 @@ def outcome(f, *args):
         return f(*args)
     except SymrichError as error:
         return type(error), str(error)
+
+
+class TestScanDecisions:
+    """``subgroup_scan`` decides each proper subgroup from the highest failing
+    entry of each characterization, reading the tree-like structure and the
+    return words top-down to their first failing order; its results equal
+    those of a full ``verify_text`` report per subgroup, and the highest
+    failing orders and the decision of each proper subgroup equal its
+    report's."""
+
+    @staticmethod
+    def check(index):
+        reports = {}
+        expected = outcome(subgroup_scan_reference, index, reports)
+        assert outcome(subgroup_scan, index) == expected
+        for sub, report in reports.items():
+            if len(sub) < index.group.order:
+                highest = _highest_failures(sub, index)
+                assert highest["tls"] == max((v.order for v in report.tls if not v.satisfied),
+                                             default=None)
+                assert highest["return-words"] == max((r.n for r in report.crw), default=None)
+                assert _decide(highest, 1, report.n_max, sub.is_involutively_generated()) == (
+                    report.verdicts, report.agreement_ok, report.candidate_threshold,
+                    report.contradiction, report.overall)
+
+    @given(case=closed_word_st())
+    @example(case=(binary_full_group(), None, "00110011", 5))  # almost rich under the exchange
+    @example(case=(two_swaps_reversal_group(), None, "011001", 3))  # inconsistent
+    @settings(max_examples=100, deadline=None)
+    def test_closed_words(self, case):
+        group, _, word, n_max = case
+        assume(n_max >= 3)
+        self.check(LanguageIndex(word, n_max, group))
+
+    def test_pinned_outcomes(self):
+        # the examples pinned above: a proper subgroup that is almost rich, and
+        # one that is inconsistent, as its complexity and bispecial verdicts
+        # pass while the other four fail
+        almost = subgroup_scan(LanguageIndex("00110011", 5, binary_full_group()))
+        assert [(r.group_id, r.overall) for r in almost if r.overall != RICH] == [
+            ("{m:01,a:10}", ALMOST)]
+        inconsistent = subgroup_scan(LanguageIndex("011001", 3, two_swaps_reversal_group()))
+        assert [(r.group_id, r.overall) for r in inconsistent if r.overall == INCONSISTENT] == [
+            ("{m:0123,m:0132,a:1023,a:1032}", INCONSISTENT)]
+
+    @given(name=st.sampled_from(["tm", "fib", "t33", "octa", "hexa"]), length=st.integers(60, 600),
+           n_max=st.integers(3, 14))
+    @example(name="tm", length=60, n_max=4)
+    @example(name="hexa", length=60, n_max=6)
+    @settings(max_examples=40, deadline=None)
+    def test_preset_words(self, name, length, n_max):
+        text, group, _ = preset_word(name)
+        self.check(LanguageIndex(text[:length], n_max, group))
 
 
 class TestCrwDeferredReads:

@@ -889,6 +889,40 @@ class TestSubgroupScan:
             subgroup_scan(index)
 
 
+class TestScanWork:
+    """On the benchmark's input, ``repro subgroups`` at length 1000, what
+    ``subgroup_scan`` still runs: the index group's report at every order,
+    first, and the dual head of every subgroup, while a proper subgroup reads
+    the tree-like structure only down to its highest failing order."""
+
+    def test_tls_orders_and_dual_heads(self, monkeypatch):
+        module = importlib.import_module("symrich.verify")
+        real_tls, real_head = module.tls_verdict, palindromes.TextPalindromes.check_head
+        tls, heads = [], []
+
+        def counted_tls(group, index, n):
+            tls.append((group, n))
+            return real_tls(group, index, n)
+
+        def counted_head(self, group, profile):
+            heads.append(group)
+            return real_head(self, group, profile)
+
+        monkeypatch.setattr(module, "tls_verdict", counted_tls)
+        monkeypatch.setattr(palindromes.TextPalindromes, "check_head", counted_head)
+        results = subgroup_scan(LanguageIndex(hexa_text(1000), 22, hexa_group()))
+        full, proper = HEXA_SUBGROUPS[-1], HEXA_SUBGROUPS[:-1]
+        assert full == hexa_group() and [r.proper for r in results] == [True] * 10 + [False]
+        assert Counter(r.overall for r in results) == {REFUTED: 7, RICH: 4}
+        assert len(tls) == 87  # 11 subgroups at 20 orders each took 220
+        assert tls[:20] == [(full, n) for n in range(1, 21)]
+        for sub, result in zip(proper, results):
+            # a refuted subgroup fails at the top order already
+            expected = range(20, 0, -1) if result.overall == RICH else [20]
+            assert [n for g, n in tls[20:] if g == sub] == list(expected)
+        assert heads == [full, *proper]
+
+
 def test_repro_hexa_builds_one_index_per_text_and_order(monkeypatch):
     """The hexa text is indexed for its report and for the capped subgroup
     scan; the octa text once, for transport and bispecial correspondence."""
