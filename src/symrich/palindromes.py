@@ -222,7 +222,7 @@ def defect_profile(group: SymmetryGroup, word: str) -> DefectProfile:
     analysis and tied to the defect by the identity
     D(i) = i + 1 - #pal_classes(i) - gamma(i), asserted at every step.
     """
-    return _lacuna_profile(group, word, _linked_scan(group, word))
+    return _lacuna_profile(group, word, _linked_scan(group, word), group)
 
 
 def _linked_scan(group: SymmetryGroup, word: str) -> _Scan:
@@ -234,9 +234,9 @@ def _linked_scan(group: SymmetryGroup, word: str) -> _Scan:
 
 
 def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan,
-                    within: SymmetryGroup | None = None) -> DefectProfile:
+                    within: SymmetryGroup) -> DefectProfile:
     """The :func:`defect_profile` of ``word`` under ``group`` from a linked scan of it
-    under ``within``, a group containing ``group`` (``group`` itself by default).
+    under ``within``, a group containing ``group`` (or ``group`` itself).
 
     A subgroup reads the trees of its own antimorphisms and the image columns
     of its elements' positions in ``within`` (see the module docstring); when
@@ -244,7 +244,7 @@ def _lacuna_profile(group: SymmetryGroup, word: str, scan: _Scan,
     """
     length, born, image, width = scan.length, scan.born, scan.image, scan.width
     ends, pick = scan.ends, None
-    if within is not None and within != group:
+    if within != group:
         ends = [ends[within.antimorphisms.index(t)] for t in group.antimorphisms]
         pick = itemgetter(*(within.elements.index(g) for g in group.elements))
     # per prefix length, the node of the longest G-palindromic suffix; on equal
@@ -326,18 +326,17 @@ def _fixed_suffixes(group: SymmetryGroup, word: str) -> list[tuple[tuple[str, in
 
 
 def _check_dual(group: SymmetryGroup, word: str, table: list[tuple[tuple[str, int], ...]],
-                profile: DefectProfile, within: SymmetryGroup | None = None) -> None:
+                profile: DefectProfile, within: SymmetryGroup) -> None:
     """Count the palindromic classes, gamma and the defect of every prefix of
     ``word`` under ``group`` by formula, and check ``profile`` against them.
 
     ``table`` is the :func:`_fixed_suffixes` of ``word`` under ``within``, a
-    group containing ``group`` (``group`` itself by default).  Only the bits of
+    group containing ``group`` (or ``group`` itself).  Only the bits of
     ``group``'s antimorphisms are read, and each fixed string costs one class
     representative.  ``profile`` may cover a longer word of which ``word`` is
     a prefix.
     """
-    antimorphisms = (group if within is None else within).antimorphisms
-    bits = sum(1 << t for t, theta in enumerate(antimorphisms) if theta in group)
+    bits = sum(1 << t for t, theta in enumerate(within.antimorphisms) if theta in group)
     letter_class = group.letter_classes
     letter_fixed = group.letter_fixed
     pal_reps: set[str] = set()
@@ -373,7 +372,7 @@ def g_defect(group: SymmetryGroup, word: str) -> DefectProfile:
     Use :func:`defect_profile` alone for long texts.
     """
     profile = defect_profile(group, word)
-    _check_dual(group, word, _fixed_suffixes(group, word), profile)
+    _check_dual(group, word, _fixed_suffixes(group, word), profile, group)
     return profile
 
 
@@ -426,7 +425,7 @@ def prefix_palindrome_table(group: SymmetryGroup, text: str) -> list[PrefixRow]:
     born exactly where its theta-palindrome first occurs.
     """
     scan = _linked_scan(group, text)
-    profile = _lacuna_profile(group, text, scan)
+    profile = _lacuna_profile(group, text, scan, group)
     counts = []
     for theta in group.involutive_antimorphisms:
         t = group.antimorphisms.index(theta)

@@ -25,7 +25,6 @@ itself when none fails, and None above n_max.
 from __future__ import annotations
 
 import logging
-from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import chain, compress
 from typing import NamedTuple
@@ -101,123 +100,88 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     for consecutive occurrences i < j of members of C.  Slicing them costs
     about |text| slices per order, so the orders are walked top-down, only
     the classes that can have violations are visited (Candidates, below),
-    and one that is not bispecial is derived from the order above: from
-    order n + 2 when its representative is unique on both sides, from order
-    n + 1 when it is unique on one side only or, at order n_hi - 1, on both.
+    and one that is not bispecial is derived from order n + 1 (Lemma 1).
     Return words change only at bispecial factors (Balkova, Pelantova and
     Steiner, Monatsh. Math. 2008; Glen, Justin, Widmer and Zamboni, Eur. J.
     Combin. 2009).
 
-    Lemma 1 (order n + 2).  Let the factor sets of orders n + 1 and n + 2 be
+    Lemma 1 (order n + 1).  Let the factor sets of orders n and n + 1 be
     closed under ``group``, and let C be a class of order n whose
-    representative m has exactly one left extension b and one right
-    extension c, with b·m·c a factor.  (When b·m·c is no factor, C occurs
-    only at 0 and |text| - n.)  Then:
+    representative m is not bispecial and has an extension on each side:
+    #Lext(m) >= 1 and #Rext(m) = 1, or #Lext(m) = 1 and #Rext(m) >= 2.
+    Call a member u right-unique when Rext(u) = {c} and left-unique when
+    Lext(u) = {b}; its extension words are u·c with shift 0 and b·u with
+    shift 1 (the position of u in it).  The extension word e of m is m·c
+    when m is right-unique, else b·m.  Then:
 
-    1. Every member g(m) has exactly one left extension and one right
-       extension, and the words b'·m'·c' (m' in C, b' and c' its extensions)
-       form one class C2 of order n + 2, the class of b·m·c.
-    2. The occurrences p of C with 1 <= p <= |text| - n - 1 are the
-       occurrences of C2 shifted by one.
-    3. crw(C) is {v[1:-1] : v in crw(C2)}, plus the return word that starts
-       at position 0 when C occurs there, plus the one that ends the text
-       when C occurs at |text| - n.
-
-    Proof.  (1) The middle n letters of g(x·m·y) are g(m), and g(x·m·y) is
-    a factor whenever x·m·y is, by closure; for a morphism g with letter map
-    s it is s(x)·g(m)·s(y), for an antimorphism with letter map s it is
-    s(y)·g(m)·s(x).  So g maps the two-sided extensions of m one-to-one onto
-    those of g(m), and g^-1 maps them back: g(m) has exactly one of each, and
-    g(b·m·c) is b'·g(m)·c'.  The orbit of b·m·c is therefore the set of the
-    words b'·m'·c'.  (2) An occurrence p of a member m' with 1 <= p <=
-    |text| - n - 1 has a letter on each side, and these must be the unique
-    extensions of m', so b'·m'·c' occurs at p - 1; conversely every
-    occurrence q of b'·m'·c' puts m' at q + 1 inside that range.  (3) The
-    occurrences of C are those of (2) plus possibly 0 and |text| - n.
-    Consecutive inner occurrences i < j are consecutive occurrences i - 1,
-    j - 1 of C2, whose return word ``text[i - 1:j + n + 1]`` is the one of C
-    with one letter added on each side.  The remaining consecutive pairs
-    touch position 0 or |text| - n.
-
-    Lemma 2 (order n + 1).  Let the factor sets of orders n and n + 1 be
-    closed under ``group``, and let C be a class of order n whose
-    representative m is special on one side only: #Lext(m) >= 2 and
-    #Rext(m) = 1, or #Lext(m) = 1 and #Rext(m) >= 2.  Call a member u
-    right-unique when Rext(u) = {c} and left-unique when Lext(u) = {b}; its
-    extension word is u·c with shift 0, or b·u with shift 1 (the position of
-    u in it).  Then:
-
-    1. No member is bispecial, and each member is unique on exactly one
-       side: a morphism keeps the two sides of a member, an antimorphism
-       swaps them.
-    2. The extension words form one class C1 of order n + 1, the class of
-       the extension word e of m.  Let S(w) be the set of shifts of the
-       members whose extension word is w; S(w) is {0}, {1} or {0, 1}.
-    3. Every occurrence of C is q + s for exactly one occurrence q of an
-       extension word w and one s in S(w), except for a left-unique member
-       at 0 and a right-unique member at |text| - n.
+    1. No member is bispecial, and a morphism keeps the two sides of a
+       member, an antimorphism swaps them.
+    2. g(e) is an extension word of g(m), with the shift s0 of m in e for a
+       morphism g and 1 - s0 for an antimorphism.  The words g(e) form one
+       class C1 of order n + 1, the class of e; let S(w) be the set of the
+       shifts that the maps g with g(e) = w give.  S(w) is {0}, {1} or
+       {0, 1}.
+    3. Every occurrence p of C with 0 < p < |text| - n is q + s for an
+       occurrence q of a w in C1 and an s in S(w), and every such q + s is
+       an occurrence of C.  The pair (q, s) is unique, but when m is unique
+       on both sides: then e = m·c, and a member u = g(m) = g'(m), g a
+       morphism and g' an antimorphism, is reached at p as (p, 0) and as
+       (p - 1, 1).
     4. crw(C) is {v[max S(v[:n+1]) : |v| - 1 + min S(v[-n-1:])] : v in
-       crw(C1)}, plus every w with S(w) = {0, 1} (C occurs at q and q + 1
-       for each occurrence q of w), plus the return word from 0 and the one
-       to the end of the text when the exceptions of (3) occur.
+       crw(C1)} but for its words of n letters, plus every w with
+       S(w) = {0, 1} (C occurs at q and q + 1 for each occurrence q of w),
+       plus the return word from 0 and the one to the end of the text when
+       C occurs there.
 
-    Proof.  (1) As in Lemma 1, g maps the one-letter extensions of m
-    one-to-one onto those of g(m), on the same side for a morphism and on
-    the other side for an antimorphism, since the factor set of order
-    n + 1 is closed.  So #Lext and #Rext of g(m) are those of m, swapped
-    for an antimorphism.  (2) For a morphism g with letter map s, g(m·c)
-    is g(m)·s(c) and g(b·m) is s(b)·g(m), the extension word of g(m) with
-    the same shift; for an antimorphism g(m·c) is s(c)·g(m) and g(b·m) is
-    g(m)·s(b), the extension word of g(m) with the other shift.  So the
-    extension words are the orbit of e, and g(m) has shift s0 in g(e) for a
-    morphism and 1 - s0 for an antimorphism, s0 being the shift of m in e.
-    (3) A right-unique member at p < |text| - n is followed by its letter c,
-    so its extension word occurs at p; a left-unique member at p > 0 is
-    preceded by b, so its extension word occurs at p - 1.  Conversely an
-    occurrence q of w puts the member of shift s at q + s for each s in
-    S(w).  The pair (q, s) is unique, since the member at p is unique and
-    has one shift.  (4) The occurrence q + s grows with q, and within one q
-    with s, since q + 1 = q' + 0 for occurrences q < q' would put a member
-    at q + 1 unique on both sides.  So consecutive occurrences of C come
-    from one occurrence q of a w with S(w) = {0, 1}, with return word w, or
-    from consecutive occurrences q < q' of C1, with return word v =
+    Proof.  (1) For a morphism g with letter map s, g(x·u) is s(x)·g(u) and
+    g(u·y) is g(u)·s(y); for an antimorphism g(x·u) is g(u)·s(x) and g(u·y)
+    is s(y)·g(u); and these are factors whenever x·u and u·y are, since the
+    factor set of order n + 1 is closed.  So g maps the one-letter
+    extensions of m one-to-one onto those of g(m), on the same side for a
+    morphism and on the other side for an antimorphism, and g^-1 maps them
+    back: #Lext and #Rext of g(m) are those of m, swapped for an
+    antimorphism.  (2) For a morphism g, g(m·c) is g(m)·s(c) and g(b·m) is
+    s(b)·g(m), the extension word of g(m) with the same shift, by (1); for
+    an antimorphism g(m·c) is s(c)·g(m) and g(b·m) is g(m)·s(b), the one
+    with the other shift.  (3) A member u at p is g(m) for some g, and g(e)
+    is u·c, Rext(u) = {c}, which occurs at p, or b·u, Lext(u) = {b}, which
+    occurs at p - 1.  Conversely an occurrence q of w puts the member of
+    shift s at q + s for each s in S(w).  A member unique on one side only
+    has one extension word, of one shift, so (q, s) is unique.  (4) The
+    occurrence q + s grows with q, and within one q with s, except that
+    q + 1 = q' + 0 for occurrences q < q' of C1 when a member reached twice
+    is at q + 1.  So consecutive occurrences of C come from one
+    occurrence q of a w with S(w) = {0, 1}, with return word w, or from
+    consecutive occurrences q < q' of C1, with return word v =
     ``text[q:q' + n + 1]``, from q + max S(v[:n+1]) to q' + min S(v[-n-1:])
-    + n, or touch an exception.
+    + n, or touch 0 or |text| - n.  Such a strip has n letters only for
+    q' = q + 1 around a member reached twice (|v| = n + 2,
+    max S(v[:n+1]) = 1 and min S(v[-n-1:]) = 0); it is that member, no
+    return word.
 
-    The boundary words of both lemmas are found by search.  A derived class
-    has a member with both extensions, so it occurs after 0 and before
-    |text| - n.  Holding ``text[:n]``, its return word from 0 is
-    ``text[:j + n]``, j >= 1 the least occurrence of a member
-    (``text.find(m, 1)``); holding ``text[-n:]``, its return word to the end
-    is ``text[i:]``, i <= |text| - n - 1 the greatest
-    (``text.rfind(m, 0, |text| - 1)``).  Adding one that (3) gave is harmless.
+    The boundary words are found by search.  A derived class has a member
+    with both extensions, so it occurs after 0 and before |text| - n.
+    Holding ``text[:n]``, its return word from 0 is ``text[:j + n]``, j >= 1
+    the least occurrence of a member (``text.find(m, 1)``); holding
+    ``text[-n:]``, its return word to the end is ``text[i:]``,
+    i <= |text| - n - 1 the greatest (``text.rfind(m, 0, |text| - 1)``).
+    Adding one that (4) gave from C1 is harmless.
 
     A derived class tests only its suspects, its boundary words and the
-    strips (:func:`_strip`) of its source's violations, as its other return
-    words are G-palindromes:
+    strips of its source's violations, as its other return words are
+    G-palindromes:
 
     * theta(a·u·b) = a·u·b implies theta(u) = u, so a word stripped on both
       sides (or on neither) from a G-palindrome is one again;
-    * a G-palindrome v of Lemma 2 is never stripped on one side only: an
-      antimorphism theta with theta(v) = v maps v[:n+1] to v[-n-1:], and
-      S(theta(w)) is {1 - s : s in S(w)} by (2), so max S(v[:n+1]) is
-      1 - min S(v[-n-1:]);
+    * a G-palindrome v is never stripped on one side only: an antimorphism
+      theta with theta(v) = v maps v[:n+1] to v[-n-1:], and S(theta(w)) is
+      {1 - s : s in S(w)} by (2), so max S(v[:n+1]) is 1 - min S(v[-n-1:]);
     * a w with S(w) = {0, 1} is a G-palindrome: by (2) it is g(e) = h(e)
-      for a morphism g and an antimorphism h, and h·g^-1 fixes it.
+      for a morphism g and an antimorphism h, and h·g^-1 fixes it;
+    * a strip of n letters is a member u = g(m) = g'(m), which g'·g^-1
+      fixes, so it is never a violation, and the strips need no filter.
 
-    Lemma 2 also holds for a class unique on both sides, with e = m·c, but
-    for strips of n letters, which are no return words; it serves order
-    n_hi - 1, where Lemma 1 has no order n + 2.  g(e) is g(m)·s(c), shift 0,
-    for a morphism g and s(c)·g(m), shift 1, for an antimorphism, and (2)-(4)
-    carry over but for one step: a member u = g(m) = g'(m), g a morphism and
-    g' an antimorphism, has both extension words, so an inner occurrence p
-    of u is reached as (p, 0) and as (p - 1, 1), q + 1 = q' + 0 happens in
-    (4) for q' = q + 1, and the return word b'·u·c' of that pair strips to u,
-    of n letters.  A strip has n letters only then (|v| = n + 2,
-    max S(v[:n+1]) = 1 and min S(v[-n-1:]) = 0), and g'·g^-1 fixes u, so u
-    is a G-palindrome, never a violation, and the strips need no filter.
-
-    Lemma 3 (a walk on the index).  Let the index have no closure additions,
+    Lemma 2 (a walk on the index).  Let the index have no closure additions,
     so that its level m is the set of length-m factors of the text for every
     m <= n_max, and let C be a class of order n.  A word f with |f| > n is a
     complete return word of C iff f is a factor, f[:n] and f[-n:] are
@@ -245,24 +209,23 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     r of a class of order n + 1 with violations.  Every other class C has
     none.  Proof.  Its representative m has a left extension, else it occurs
     only at 0 and is the head, and a right one, else it is the tail, and is
-    not bispecial.  So Lemma 2 applies to C (unique on both sides, with
-    e = m·c): as C holds neither the head nor the tail, its return words are
-    G-palindromes w with S(w) = {0, 1} and strips of the return words of the
-    class C1 of e, and a strip of a G-palindrome is one.  So a violation of
-    C strips one of C1, whose representative is an extension word u·c or b·u
-    of a member u of C, and C is a candidate.  This covers the classes that
-    Lemma 1 derives from a class with violations.
+    not bispecial.  So Lemma 1 applies to C: as C holds neither the head nor
+    the tail, its return words are G-palindromes w with S(w) = {0, 1} and
+    strips of the return words of the class C1 of e, and a strip of a
+    G-palindrome is one.  So a violation of C strips one of C1, whose
+    representative is an extension word u·c or b·u of a member u of C, and
+    C is a candidate.
 
-    The candidates that neither lemma derives (bispecial classes, classes
-    with no inner occurrence or a side with no extension, and all classes
-    when the language is not known to be closed under ``group``: an index
-    without a group, or for a group not containing ``group``) are walked
-    when the index has no closure additions; the top order, the walks that
-    fall back and indexes with closure additions are sliced.  ``text`` must
-    be ``index.text``.  Each order keeps the violations of its classes that
-    have any, and the two orders above map each factor to its class's
-    representative (:meth:`LanguageIndex.representatives`), so the head,
-    the tail, b·m·c and e find their classes by the factor itself.
+    The candidates that Lemma 1 does not derive (bispecial classes, classes
+    with a side with no extension, and all classes when the language is not
+    known to be closed under ``group``: an index without a group, or for a
+    group not containing ``group``) are walked when the index has no
+    closure additions; the top order, the walks that fall back and indexes
+    with closure additions are sliced.  ``text`` must be ``index.text``.
+    Each order maps each factor to its class's representative
+    (:meth:`LanguageIndex.representatives`), so that the head, the tail
+    and, one order down, e find their classes by the factor itself, and
+    keeps the violations of its classes that have any for the order below.
     """
     found = dict(_crw_orders(group, index, text, n_lo, n_hi))
     return [CrwRecord(n, *item) for n in range(n_lo, n_hi + 1) for item in found[n].items()]
@@ -280,29 +243,29 @@ def _crw_orders(group: SymmetryGroup, index: LanguageIndex, text: str, n_lo: int
                            f"(length {len(index.text)})")
     derive = index.g_closed and all(g in index.group for g in group.elements)
     walk = not index.closure_added
-    reps: dict[int, dict[str, str]] = {}  # orders n..n + 2: factor -> its class's representative
-    found: dict[int, dict[str, tuple[str, ...]]] = {}  # per order: representative -> violations
+    above: dict[str, str] = {}  # order n + 1: factor -> its class's representative
+    found: dict[str, tuple[str, ...]] = {}  # order n + 1: representative -> violations
     for n in range(n_hi, n_lo - 1, -1):
-        rep_of = reps[n] = dict(zip(index.sorted_factors(n), index.representatives(group, n)))
-        reps.pop(n + 3, None)
+        rep_of = dict(zip(index.sorted_factors(n), index.representatives(group, n)))
         head, tail = rep_of[text[:n]], rep_of[text[len(text) - n:]]
         below = derive and n < n_hi
         candidates = {head, tail, *map(rep_of.get, index.bispecials(n)), *(  # the candidate rule
-            rep_of[w] for r in found[n + 1] for w in (r[:n], r[1:]))} if below else set(rep_of.values())
+            rep_of[w] for r in found for w in (r[:n], r[1:]))} if below else set(rep_of.values())
         classes: dict[str, list[str]] = {}  # the candidates' members
         for w, rep in compress(rep_of.items(), map(candidates.__contains__, rep_of.values())):
             classes.setdefault(rep, []).append(w)
         suspects = []  # a set per class, each word starting with a member: none repeats
         for rep, members in classes.items():
-            if below and (source := _outer_entry(group, index, reps, found, rep)):
-                outer, shifts = source
-                words = _strip(found[len(outer)].get(outer, ()), n, shifts)
+            if below and (source := _outer_entry(group, index, above, found, rep)):  # Lemma 1
+                outer, starts, ends = source
+                words = {v[v[:n + 1] in starts:len(v) - (v[-n - 1:] in ends)]
+                         for v in found.get(outer, ())}
                 if rep == head:  # rep has a left extension, so the class occurs after 0
                     words.add(text[:min(j for m in members if (j := text.find(m, 1)) > 0) + n])
                 if rep == tail:  # and a right one, so it occurs before |text| - n
                     words.add(text[max(text.rfind(m, 0, len(text) - 1) for m in members):])
             else:
-                words = _walk_returns(index, members) if walk and n < n_hi else None  # Lemma 3
+                words = _walk_returns(index, members) if walk and n < n_hi else None  # Lemma 2
                 if words is None:
                     # distinct factors of one length never share a start position
                     occ = sorted(chain.from_iterable(map(index.occurrences, members)))
@@ -311,27 +274,22 @@ def _crw_orders(group: SymmetryGroup, index: LanguageIndex, text: str, n_lo: int
         violations: dict[str, list[str]] = {}
         for v in group.non_g_palindromes(suspects):
             violations.setdefault(rep_of[v[:n]], []).append(v)
-        found[n] = {rep: tuple(sorted(violations[rep])) for rep in sorted(violations)}
-        yield n, found[n]
+        above, found = rep_of, {rep: tuple(sorted(violations[rep])) for rep in sorted(violations)}
+        yield n, found
 
 
-def _outer_entry(group: SymmetryGroup, index: LanguageIndex, reps: dict[int, dict[str, str]],
-                 found: dict[int, dict[str, tuple[str, ...]]], rep: str):
-    """Where :func:`crw_records` derives the class of ``rep`` (order n) from:
-    for rep unique on both sides, the representative of the class of b·rep·c
-    at order n + 2 and None (Lemma 1); for rep special on one side only, or
-    unique on both when order n + 2 is not in ``reps``, the representative of
-    the class of its extension word e at order n + 1 and the shift table S of
-    that class (Lemma 2), read off e: g(e) takes the shift s0 of rep in e for
-    a morphism g and 1 - s0 for an antimorphism; empty when ``found`` gives
-    that class no violations.  None when rep is bispecial or has no extension
-    on a side, or for Lemma 1 when b·rep·c is no factor."""
+def _outer_entry(group: SymmetryGroup, index: LanguageIndex, above: dict[str, str],
+                 found: dict[str, tuple[str, ...]], rep: str):
+    """Where :func:`crw_records` derives the class of ``rep`` (order n) from
+    by Lemma 1: the representative of the class of its extension word e at
+    order n + 1, read from ``above`` (factor -> representative at n + 1),
+    and that class's shift table as two sets, the words w with 1 in S(w)
+    (max S(w) = 1) and those with 0 in S(w) (min S(w) = 0), read off e:
+    g(e) takes the shift s0 of rep in e for a morphism g and 1 - s0 for an
+    antimorphism.  The sets are empty when ``found`` gives that class no
+    violations.  None when rep is bispecial or has no extension on a side."""
     left, right = index.lext(rep), index.rext(rep)
-    if len(left) == 1 and len(right) == 1 and len(rep) + 2 in reps:
-        (b,), (c,) = left, right
-        outer = reps[len(rep) + 2].get(b + rep + c)  # none when b·rep·c is no factor
-        return (outer, None) if outer else None
-    if left and len(right) == 1:  # special on the left only, or at n_hi - 1 unique on both sides
+    if left and len(right) == 1:  # special on the left only, or unique on both sides
         (c,) = right
         e, s0 = rep + c, 0
     elif len(left) == 1 and len(right) >= 2:
@@ -339,25 +297,17 @@ def _outer_entry(group: SymmetryGroup, index: LanguageIndex, reps: dict[int, dic
         e, s0 = b + rep, 1
     else:
         return None
-    outer = reps[len(e)][e]
-    shifts: dict[str, set[int]] = {}
-    for g in group.elements if outer in found[len(e)] else ():  # a clean class strips nothing
-        shifts.setdefault(g.apply(e), set()).add(1 - s0 if g.antimorphic else s0)
-    return outer, shifts
-
-
-def _strip(words: Collection[str], n: int, shifts: dict[str, set[int]] | None) -> set[str]:
-    """The words of a class of order n that Lemma 1 (``shifts`` None) or
-    Lemma 2 (the shift table of :func:`_outer_entry`) derives from these
-    return words of its source class in :func:`crw_records`."""
-    if shifts is None:  # Lemma 1
-        return {v[1:-1] for v in words}
-    return {v[max(shifts[v[:n + 1]]):len(v) - 1 + min(shifts[v[-n - 1:]])] for v in words}  # Lemma 2
+    outer = above[e]
+    starts: set[str] = set()
+    ends: set[str] = set()
+    for g in group.elements if outer in found else ():  # a clean class strips nothing
+        (starts if s0 != g.antimorphic else ends).add(g.apply(e))
+    return outer, starts, ends
 
 
 def _walk_returns(index: LanguageIndex, members: list[str]) -> set[str] | None:
     """The complete return words of the class with these ``members`` (factors
-    of one length n), by the walk of Lemma 3 in :func:`crw_records`, or None
+    of one length n), by the walk of Lemma 2 in :func:`crw_records`, or None
     when the walk must fall back to slicing.  ``index`` must have no closure
     additions."""
     n = len(members[0])
@@ -732,7 +682,8 @@ def subgroup_scan(index: LanguageIndex) -> list[SubgroupResult]:
     palindromic-complexity identity.
 
     The index must be built with the full group, at order n_max + 2 for the
-    orders 1..n_max, as for :func:`verify_text`.  An index to which closure
+    orders 1..n_max, as for :func:`verify_text`, so at order 3 or more; a
+    lower order raises :class:`IndexRangeError`.  An index to which closure
     added factors raises, so no subgroup's report depends on the stability of
     the text under doubling.
 
@@ -748,19 +699,22 @@ def subgroup_scan(index: LanguageIndex) -> list[SubgroupResult]:
     group, n_max = index.group, index.n_max - 2
     if group is None:
         raise GroupError("subgroup scan needs an index built with a group")
+    if index.n_max < 3:
+        raise IndexRangeError(f"index of order {index.n_max} cannot support a subgroup scan; "
+                              f"it needs order >= 3")
     group.alphabet.check_word(index.text)
     if index.closure_added:
         raise InsufficientPrefixError(
             f"prefix does not close under the full group at lengths {sorted(index.closure_added)}"
         )
-    n0 = min_distinguishing(group, index, n_max)
     p = {t: index.palindromic_complexity(t) for t in group.involutive_antimorphisms}
 
     subs = [(sub, "{" + ",".join(e.name for e in sub.elements) + "}")
             for sub in group.subgroups() if sub.has_antimorphism]
-    full = None  # the index group's verdict: last in the list, of the largest order, made first
+    full = n0 = None  # of the index group: last in the list, of the largest order, reported first
     if subs:
-        full = verify_text(subs[-1][0], index, word_id="scan", group_id=subs[-1][1]).overall
+        report = verify_text(subs[-1][0], index, word_id="scan", group_id=subs[-1][1])
+        full, n0 = report.overall, report.min_distinguishing_n
     results = []
     for sub, sub_id in subs:
         proper = len(sub) < group.order
@@ -774,15 +728,10 @@ def subgroup_scan(index: LanguageIndex) -> list[SubgroupResult]:
         if proper and overall == RICH and n0 is not None:
             complement = [t for t in group.involutive_antimorphisms
                           if t not in sub.involutive_antimorphisms]
-            vals = []
-            ok = 2 * sub.order == group.order
-            for n in range(n0, n_max):
-                s = sum(p[t][n] + p[t][n + 1] for t in complement)
-                vals.append((n, s))
-                if s != group.order // 2:
-                    ok = False
-            identity_ok = ok
-            values = tuple(vals)
+            values = tuple((n, sum(p[t][n] + p[t][n + 1] for t in complement))
+                           for n in range(n0, n_max))
+            identity_ok = 2 * sub.order == group.order and all(
+                s == group.order // 2 for _, s in values)
         results.append(SubgroupResult(sub_id, sub.order, proper, overall, identity_ok, values))
     return results
 

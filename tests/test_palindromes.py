@@ -166,10 +166,10 @@ class TestDefect:
         scan = _linked_scan(id_r, word)
         node = scan.ends[0][3]
         assert (scan.length[node], scan.born[node]) == (1, 3)
-        assert _lacuna_profile(id_r, word, scan) == defect_profile(id_r, word)
+        assert _lacuna_profile(id_r, word, scan, id_r) == defect_profile(id_r, word)
         scan.born[node] = 1
         with pytest.raises(ConsistencyError, match=r"out of sync at position 3 of '0010'$"):
-            _lacuna_profile(id_r, word, scan)
+            _lacuna_profile(id_r, word, scan, id_r)
 
     def test_monotone_steps(self, i2_2):
         word = "01101001100101101"

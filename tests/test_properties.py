@@ -968,9 +968,9 @@ def preset_word(name):
 
 
 class TestCrwOnClosedLanguages:
-    """Return words derived from orders n + 1 and n + 2 against the
-    per-occurrence oracle, on closed languages, where the derivation applies;
-    below the top order, the classes that neither derives walk (Lemma 3)."""
+    """Return words derived from order n + 1 against the per-occurrence
+    oracle, on closed languages, where the derivation applies; below the top
+    order, the classes that it does not derive walk (Lemma 2)."""
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -992,8 +992,8 @@ class TestCrwOnClosedLanguages:
     @given(case=closed_word_st(), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_order_below_the_top(self, case, data):
-        # order n_hi - 1 has no order n + 2 to derive from, so its classes
-        # unique on both sides derive from order n_hi by Lemma 2
+        # the order just below the top, whose classes derive from the top
+        # order by Lemma 1
         group, sub, word, n_max = case
         n_hi = data.draw(st.integers(2, n_max))
         index = LanguageIndex(word, n_max, group)
@@ -1178,7 +1178,7 @@ def walk_case_st(draw):
 
 
 class TestCrwWalk:
-    """The walk of Lemma 3 in ``crw_records`` against the per-occurrence
+    """The walk of Lemma 2 in ``crw_records`` against the per-occurrence
     oracle.  An index built without a group has no closure additions and is
     not known to be closed, so every class below the top order tries the walk."""
 

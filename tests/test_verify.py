@@ -473,29 +473,29 @@ class TestCrw:
 
     def test_boundary_words_of_a_palindrome(self, derived, id_r):
         # 00 occurs at 0, 6 and 12 and is unique on both sides, so Lemma 1
-        # derives its class from order 4; its two return words, neither a
-        # palindrome, are the return word from 0 and the one to the end
+        # derives its class from the class of its extension word 001 at
+        # order 3; its two return words, neither a palindrome, are the return
+        # word from 0 and the one to the end
         text = "00101100110100"
         assert text == text[::-1]
         index = LanguageIndex(text, 14, id_r)
         assert index.g_closed
         records = crw_records(id_r, index, text, 1, 12)
         assert records == violating_crw_records(id_r, index, text, 1, 12)
-        assert derived["00"] and derived["00"][1] is None
+        assert derived["00"] and derived["00"][0] == "001"
         assert CrwRecord(2, "00", ("00101100", "00110100")) in records
         assert text.startswith("00101100") and text.endswith("00110100")
 
     @pytest.mark.parametrize("text, n_max, record, source", [
         # 010 is bispecial, and order 4 has no violation
         ("10101100100110101", 4, CrwRecord(3, "010", ("010011010", "010110010")), None),
-        # 001 is unique on the left only, so Lemma 2 derives it from the class
+        # 001 is unique on the left only, so Lemma 1 derives it from the class
         # of its extension word 0001, whose representative holds it as r[1:]
         ("00011010001011000", 4, CrwRecord(3, "001", ("00101100", "00110100")), "0001"),
         # 000 is unique on both sides, so Lemma 1 derives it from the class of
-        # 10001, but it is a candidate through order 4: the class of its
-        # extension word 0001 has violations and holds it as r[:3]
-        ("1000110100010110001", 5, CrwRecord(3, "000", ("0001011000", "0001101000")), "10001"),
-    ], ids=["bispecial", "lemma-2-shift-1", "lemma-1-through-order-4"])
+        # its extension word 0001, which has violations and holds it as r[:3]
+        ("1000110100010110001", 5, CrwRecord(3, "000", ("0001011000", "0001101000")), "0001"),
+    ], ids=["bispecial", "lemma-1-shift-1", "lemma-1-through-order-4"])
     def test_candidate_rule(self, derived, id_r, text, n_max, record, source):
         # each class is a candidate by one clause of the rule only: it holds
         # neither the head nor the tail of the palindrome
@@ -506,11 +506,25 @@ class TestCrw:
         assert record in records and record.representative not in (text[:3], text[-3:])
         assert (derived[record.representative] or (None,))[0] == source
 
+    def test_two_sided_class_with_no_inner_occurrence(self, derived, id_r):
+        # 00 is unique on both sides (1·00·1) but occurs only at 0 and at the
+        # end, so 1001 is no factor; Lemma 1 derives it from the class of its
+        # extension word 001 all the same, and its one return word, the whole
+        # text, is no palindrome
+        text = "0011011100"
+        index = LanguageIndex(text, 4, id_r)
+        assert index.g_closed and text != text[::-1]
+        assert index.lext("00") == index.rext("00") == {"1"} and "1001" not in index.factors(4)
+        records = crw_records(id_r, index, text, 1, 4)
+        assert records == violating_crw_records(id_r, index, text, 1, 4)
+        assert CrwRecord(2, "00", (text,)) in records
+        assert derived["00"] and derived["00"][0] == "001"
+
     def test_chain_of_lemma_1_sources(self, derived, id_r):
-        # every class of (0011)^k from order 4 up is unique on both sides, so
-        # order 2 derives from order 4, which derives from order 6, ... and
-        # order 298 from the top order 300; every source is clean, so no
-        # class below the top but the head's and the tail's is visited
+        # every class of (0011)^k from order 4 up is unique on both sides, and
+        # so is 00, so order 2 derives from order 3, which derives from order
+        # 4, ... and order 299 from the top order 300; every source is clean,
+        # so no class below the top but the head's and the tail's is visited
         text = PeriodicSource(BINARY, "0011").prefix(1200)
         index = LanguageIndex(text, 302, id_r)
         records = crw_records(id_r, index, text, 2, 300)
@@ -518,9 +532,9 @@ class TestCrw:
         assert set(derived) == {id_r.class_representative(text[:n]) for n in range(2, 300)} | {
             id_r.class_representative(text[-n:]) for n in range(2, 300)}
         chain, rep = 0, "00"
-        while len(rep) < 300 and (source := outer_entries(id_r, index, len(rep), 300)[rep]):
+        while len(rep) < 300 and (source := outer_entries(id_r, index, len(rep))[rep]):
             chain, rep = chain + 1, source[0]
-        assert chain == 149 and len(rep) == 300
+        assert chain == 298 and len(rep) == 300
 
 
 @pytest.fixture
@@ -530,24 +544,22 @@ def derived(monkeypatch):
     module = importlib.import_module("symrich.verify")
     real, found = module._outer_entry, {}
 
-    def spy(group, index, reps, violations, rep):
-        found[rep] = result = real(group, index, reps, violations, rep)
+    def spy(group, index, above, violations, rep):
+        found[rep] = result = real(group, index, above, violations, rep)
         return result
 
     monkeypatch.setattr(module, "_outer_entry", spy)
     return found
 
 
-def outer_entries(group, index, n, n_hi, violating=False):
-    """Per class representative of order n < n_hi: what ``_outer_entry``
-    gives it, called on every class with the maps of orders n + 1 and n + 2
-    (up to n_hi) read off the index.  With ``violating`` every class of order
-    n + 1 counts as one with violations, so that every Lemma 2 source comes
-    with its shift table."""
-    reps = {m: dict(zip(index.sorted_factors(m), index.representatives(group, m)))
-            for m in range(n + 1, min(n + 2, n_hi) + 1)}
-    found = {n + 1: dict.fromkeys(reps[n + 1].values(), ("",)) if violating else {}}
-    return {rep: _outer_entry(group, index, reps, found, rep)
+def outer_entries(group, index, n, violating=False):
+    """Per class representative of order n: what ``_outer_entry`` gives it,
+    called on every class with the map of order n + 1 read off the index.
+    With ``violating`` every class of order n + 1 counts as one with
+    violations, so that every source comes with its shift table."""
+    above = dict(zip(index.sorted_factors(n + 1), index.representatives(group, n + 1)))
+    found = dict.fromkeys(above.values(), ("",)) if violating else {}
+    return {rep: _outer_entry(group, index, above, found, rep)
             for rep in set(index.representatives(group, n))}
 
 
@@ -579,8 +591,8 @@ class TestCrwOneSided:
         assert group.equivalence_class("1001011") == ("0010110", "1001011")
         assert index.rext("1001011") == {"0"} and len(index.lext("1001011")) == 2
         assert index.lext("0010110") == {"1"} and len(index.rext("0010110")) == 2
-        _, shifts = derived["0010110"]
-        assert shifts["10010110"] == {0, 1}
+        _, starts, ends = derived["0010110"]
+        assert "10010110" in starts and "10010110" in ends  # S = {0, 1}
         # the class occurs at q and q + 1 for each occurrence q of 10010110, so
         # that is a return word, and a G-palindrome, which no strip needs to give
         assert "10010110" in complete_g_return_words(group, "0010110", tm_text)
@@ -600,26 +612,25 @@ class TestCrwOneSided:
         suspects = set(tested)
         assert records == violating_crw_records(id_r, index, text, 1, 4)
         rep = id_r.class_representative(boundary[:3])
-        _, shifts = derived[rep]
-        assert shifts is not None  # derived from order 4
+        assert len(derived[rep][0]) == 4  # derived from order 4
         assert boundary in suspects and id_r.is_g_palindrome(boundary)
         assert boundary in complete_g_return_words(id_r, rep, text)
 
 
 def doubly_reached(group, text, source, n):
-    """The return words (by the oracle) of the class C1 that ``source`` (a
-    Lemma 2 source of a class of order n under ``group``) names whose
-    consecutive occurrences q and q + 1 reach one occurrence q + 1 of a member
-    u twice: b'·u at q and u·c' at q + 1."""
-    outer, shifts = source
+    """The return words (by the oracle) of the class C1 that ``source`` (the
+    source of a class of order n under ``group``) names whose consecutive
+    occurrences q and q + 1 reach one occurrence q + 1 of a member u twice:
+    b'·u at q and u·c' at q + 1."""
+    outer, starts, ends = source
     return [v for v in complete_g_return_words(group, outer, text)
-            if len(v) == n + 2 and 1 in shifts[v[:n + 1]] and 0 in shifts[v[1:]]]
+            if len(v) == n + 2 and v[:n + 1] in starts and v[1:] in ends]
 
 
 class TestCrwBelowTop:
-    """Classes unique on both sides at order n_hi - 1, where Lemma 1 has no
-    order n + 2: Lemma 2 derives them from order n_hi, with e = m·c and shift
-    0, and drops the words of at most n letters."""
+    """Classes unique on both sides, at order n_hi - 1 and below: Lemma 1
+    derives them from order n + 1, with e = m·c and shift 0, and its strips
+    of n letters are G-palindromes."""
 
     @pytest.mark.parametrize("text, group, rep", [
         (fibonacci_source().prefix(200), reversal_group(BINARY), "0010100"),
@@ -632,8 +643,8 @@ class TestCrwBelowTop:
         records = crw_records(group, index, text, 1, 8)
         assert records == violating_crw_records(group, index, text, 1, 8)
         assert len(index.lext(rep)) == len(index.rext(rep)) == 1
-        source = outer_entries(group, index, 7, 8, violating=True)[rep]
-        assert source[1]  # Lemma 2, from order 8
+        source = outer_entries(group, index, 7, violating=True)[rep]
+        assert source[1] and len(source[0]) == 8  # from order 8
         # C1 occurs at q and q + 1, so the strip of its return word is rep's
         # member u, of 7 letters, which is no return word but a G-palindrome,
         # so never a violation
@@ -648,8 +659,8 @@ class TestCrwBelowTop:
         for sub in hexa_group().subgroups():
             assert crw_records(sub, index, text, 1, 8) == violating_crw_records(sub, index, text, 1, 8)
             reached += any(doubly_reached(sub, text, source, 7)
-                           for source in outer_entries(sub, index, 7, 8, violating=True).values()
-                           if source and source[1] is not None)
+                           for source in outer_entries(sub, index, 7, violating=True).values()
+                           if source)
         assert reached == 10  # of 15 subgroups
 
     @pytest.mark.parametrize("text, group, index_group", [
@@ -659,20 +670,20 @@ class TestCrwBelowTop:
         (hexa_text(500), hexa_subgroup(0), hexa_group()),
     ], ids=["tm", "fib", "t33", "hexa-psi0-psi1"])
     def test_every_two_sided_class_gets_a_source(self, text, group, index_group):
-        # Lemma 1 up to order n_hi - 2 where b·m·c is a factor, Lemma 2 at n_hi - 1
+        # Lemma 1 at every order below n_hi: the class of m·c at order n + 1
         index = LanguageIndex(text, 20, index_group or group)
         assert index.g_closed
         n_hi = 16
         sources = {}
         for n in range(1, n_hi):
-            sources.update(outer_entries(group, index, n, n_hi))
+            sources.update(outer_entries(group, index, n))
         two_sided = [rep for rep in sources if len(index.lext(rep)) == len(index.rext(rep)) == 1]
         below = [rep for rep in two_sided if len(rep) == n_hi - 1]
-        assert below and all(sources[rep] and sources[rep][1] is not None for rep in below)
+        assert below and all(sources[rep] and len(sources[rep][0]) == n_hi for rep in below)
         assert any(sources[rep] for rep in two_sided if len(rep) < n_hi - 1)
         for rep in two_sided:
-            if len(rep) < n_hi - 1 and sources[rep]:
-                assert sources[rep][1] is None
+            (c,) = index.rext(rep)
+            assert sources[rep][0] == group.class_representative(rep + c)
 
     def test_deep_index_order_59_is_not_sliced(self, monkeypatch):
         text = thue_morse_source().prefix(32000)
@@ -688,7 +699,7 @@ class TestCrwBelowTop:
         monkeypatch.setattr(index, "occurrences", occurrences)
         crw_records(group, index, text, 1, 60)
         assert sorted(sliced) == [24, 32, 48, 60]
-        at_59 = outer_entries(group, index, 59, 60)
+        at_59 = outer_entries(group, index, 59)
         assert sum(len(index.lext(rep)) == len(index.rext(rep)) == 1 for rep in at_59) == 44
         assert all(at_59.values())
 
@@ -708,8 +719,8 @@ class TestCrwBelowTop:
 
 
 class TestCrwWalk:
-    """Return words of the classes that neither lemma derives, by the walk of
-    Lemma 3 on the index, and its two ways of falling back to slicing."""
+    """Return words of the classes that Lemma 1 does not derive, by the walk
+    of Lemma 2 on the index, and its two ways of falling back to slicing."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -880,6 +891,14 @@ class TestSubgroupScan:
     def test_index_without_group_rejected(self):
         with pytest.raises(GroupError, match="index built with a group"):
             subgroup_scan(LanguageIndex(thue_morse_source().prefix(200), 12))
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_index_of_too_low_an_order(self, order):
+        # the orders checked are 1..order - 2, so none below order 3
+        index = LanguageIndex(thue_morse_source().prefix(50), order, binary_full_group())
+        with pytest.raises(IndexRangeError, match=rf"^index of order {order} cannot support a "
+                                                  r"subgroup scan; it needs order >= 3$"):
+            subgroup_scan(index)
 
     def test_closure_additions_rejected(self, i2_2):
         index = LanguageIndex("00010", 4, i2_2)
