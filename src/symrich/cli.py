@@ -34,6 +34,7 @@ from .errors import (
     ClosureError,
     ConfigError,
     ConsistencyError,
+    GroupError,
     InsufficientPrefixError,
     SourceError,
     SymrichError,
@@ -163,7 +164,10 @@ def _parse_group(raw, alphabet: Alphabet) -> SymmetryGroup:
             src: _as_glyph(dst, f"group generator #{i} image")
             for src, dst in _parse_arrow_pairs(entry.get("map"), f"group generator #{i} map").items()
         }
-        generators.append(SymmetryMap.from_mapping(alphabet, mapping, kind == "antimorphism"))
+        try:
+            generators.append(SymmetryMap.from_mapping(alphabet, mapping, kind == "antimorphism"))
+        except GroupError as exc:  # a map that misses a glyph, names a foreign one or is no bijection
+            raise ConfigError(f"group generator #{i} map: {exc}") from exc
     return SymmetryGroup.close(generators)
 
 

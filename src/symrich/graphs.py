@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ClosureError, ConsistencyError, IndexRangeError, InsufficientPrefixError
+from .errors import ClosureError, ConsistencyError, IndexRangeError
 from .index import LanguageIndex
 from .symmetry import SymmetryGroup
 
@@ -126,11 +126,9 @@ def _vertex_classes(
     group: SymmetryGroup, index: LanguageIndex, n: int
 ) -> tuple[tuple[tuple[str, ...], ...], dict[str, str]]:
     """The sorted orbit classes of the special factors of length n, and the
-    class representative of every special factor.
-
-    Requires the factor data to be closed under the group at length n, and
-    checks that orbit classes of special factors consist of special factors.
-    """
+    class representative of every special factor.  The index is closed under
+    the group (:meth:`LanguageIndex.check_closed`); the orbit classes of
+    special factors must consist of special factors."""
     specials = index.special_rows(n)
     classes = []
     rep_of: dict[str, str] = {}
@@ -138,12 +136,7 @@ def _vertex_classes(
         if w in rep_of:
             continue
         for m in members:
-            if m not in specials:  # every special factor is a factor
-                if not index.is_factor(m):
-                    raise ClosureError(
-                        f"orbit member {m!r} of special factor {w!r} is not an indexed factor; "
-                        f"the language is not closed under the group at length {n}"
-                    )
+            if m not in specials:
                 raise ConsistencyError(
                     f"orbit member {m!r} of special factor {w!r} is not special; "
                     "closure or extension data is inconsistent"
@@ -161,16 +154,13 @@ def _edges(group: SymmetryGroup, index: LanguageIndex, n: int, undirected: bool)
     factor (:meth:`LanguageIndex.edge_labels`), so every edge label is a
     genuine factor of the analyzed prefix.  The walks do not depend on the
     group; only their endpoints are labelled by its classes, and the sorted
-    pair of them is invariant on an edge class."""
+    pair of them is invariant on an edge class.  The index must pass
+    :meth:`LanguageIndex.check_closed` for ``group``."""
     if n < 1:
         raise IndexRangeError("symmetry graphs are built for orders n >= 1")
     if n + 1 > index.n_max:
         raise IndexRangeError(f"order {n} needs factors of length {n + 1}")
-    if index.closure_added:
-        raise InsufficientPrefixError(
-            "group closure had to add factors "
-            f"(lengths {sorted(index.closure_added)}); the prefix is too short for graph analysis"
-        )
+    index.check_closed(group)
     vertex_classes, rep_of = _vertex_classes(group, index, n)
     labels = index.edge_labels(n)
     directed = sorted([(rep_of[label[:n]], rep_of[label[-n:]], label) for label in labels])
@@ -302,12 +292,6 @@ def _tree(vertices, edges) -> tuple[bool, str | None]:
     if cycle is not None:
         return False, f"cycle through {cycle}"
     return True, None
-
-
-def _tree_check(graph: SymmetryGraph) -> tuple[bool, str | None]:
-    """:func:`_tree` on the objects of an undirected graph of symmetries."""
-    edges = [(e.endpoints, e.representative) for e in graph.non_loop_edges()]
-    return _tree(graph.vertex_representatives, edges)
 
 
 def tls_verdict(group: SymmetryGroup, index: LanguageIndex, n: int) -> TlsVerdict:

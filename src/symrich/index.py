@@ -17,6 +17,13 @@ order, with the empty run ``(0, 0)``, on its first ordered read (sorted
 factors, extension tables, columns, specials, palindromes); the other
 queries read them beside the level.
 
+Precondition of the analyses.  The source paper states the tree-like
+structure and the return-word characterization for languages closed under
+the group, so the graphs of symmetries, the return words and the subgroup
+scan take only an index built with a group containing the analysed one, to
+which closure added nothing (:meth:`LanguageIndex.check_closed`): each level
+is then the set of the text's factors of its length, closed under the group.
+
 Lemma (top-order closure).  Let F_m be the set of length-m factors of the
 text, m <= N <= |text|, and G a group of morphisms and antimorphisms.
 
@@ -205,6 +212,17 @@ class LanguageIndex:
     def g_closed(self) -> bool:
         """True when a group was supplied and closure added no factor."""
         return self.group is not None and not self.closure_added
+
+    def check_closed(self, group: SymmetryGroup) -> None:
+        """Raise unless the index meets the precondition of the analyses under
+        ``group`` (module docstring)."""
+        if self.group is None or any(g not in self.group for g in group.elements):
+            raise GroupError(f"index group {self.group!r} does not contain the group {group!r}")
+        if not self.g_closed:
+            raise InsufficientPrefixError(
+                f"group closure added factors at lengths {sorted(self.closure_added)}, so the "
+                "prefix is not closed under the group; extend the prefix"
+            )
 
     def _check_n(self, n: int, *, room: int = 0) -> None:
         if not 0 <= n <= self.n_max - room:

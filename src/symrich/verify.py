@@ -181,11 +181,11 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     * a strip of n letters is a member u = g(m) = g'(m), which g'·g^-1
       fixes, so it is never a violation, and the strips need no filter.
 
-    Lemma 2 (a walk on the index).  Let the index have no closure additions,
-    so that its level m is the set of length-m factors of the text for every
-    m <= n_max, and let C be a class of order n.  A word f with |f| > n is a
-    complete return word of C iff f is a factor, f[:n] and f[-n:] are
-    members of C, and no other length-n window of f is a member.
+    Lemma 2 (a walk on the index).  Let C be a class of order n.  A word f
+    with |f| > n is a complete return word of C iff f is a factor, f[:n] and
+    f[-n:] are members of C, and no other length-n window of f is a member.
+    On the index, level m is the set of length-m factors of the text for
+    every m <= n_max, as closure added nothing to it.
 
     Proof.  The return word ``text[i:j + n]`` of consecutive occurrences
     i < j is a factor longer than n that starts and ends with a member; a
@@ -202,30 +202,28 @@ def crw_records(group: SymmetryGroup, index: LanguageIndex, text: str,
     visited more words than C has occurrences, so it never costs more than
     slicing.
 
-    Candidates.  Below the top order, on an index whose language is known to
-    be closed under ``group``, only these classes of order n are visited:
-    those of the head ``text[:n]``, of the tail ``text[-n:]`` and of the
-    bispecial factors, and those of r[:n] and r[1:] for each representative
-    r of a class of order n + 1 with violations.  Every other class C has
-    none.  Proof.  Its representative m has a left extension, else it occurs
-    only at 0 and is the head, and a right one, else it is the tail, and is
-    not bispecial.  So Lemma 1 applies to C: as C holds neither the head nor
-    the tail, its return words are G-palindromes w with S(w) = {0, 1} and
-    strips of the return words of the class C1 of e, and a strip of a
-    G-palindrome is one.  So a violation of C strips one of C1, whose
-    representative is an extension word u·c or b·u of a member u of C, and
-    C is a candidate.
+    Candidates.  Below the top order, only these classes of order n are
+    visited: those of the head ``text[:n]``, of the tail ``text[-n:]`` and
+    of the bispecial factors, and those of r[:n] and r[1:] for each
+    representative r of a class of order n + 1 with violations.  Every other
+    class C has none.  Proof.  Its representative m has a left extension,
+    else it occurs only at 0 and is the head, and a right one, else it is the
+    tail, and is not bispecial.  So Lemma 1 applies to C: as C holds neither
+    the head nor the tail, its return words are G-palindromes w with
+    S(w) = {0, 1} and strips of the return words of the class C1 of e, and a
+    strip of a G-palindrome is one.  So a violation of C strips one of C1,
+    whose representative is an extension word u·c or b·u of a member u of C,
+    and C is a candidate.
 
-    The candidates that Lemma 1 does not derive (bispecial classes, classes
-    with a side with no extension, and all classes when the language is not
-    known to be closed under ``group``: an index without a group, or for a
-    group not containing ``group``) are walked when the index has no
-    closure additions; the top order, the walks that fall back and indexes
-    with closure additions are sliced.  ``text`` must be ``index.text``.
-    Each order maps each factor to its class's representative
-    (:meth:`LanguageIndex.representatives`), so that the head, the tail
-    and, one order down, e find their classes by the factor itself, and
-    keeps the violations of its classes that have any for the order below.
+    The candidates that Lemma 1 does not derive, bispecial classes and
+    classes with a side with no extension, are walked; the top order and the
+    walks that fall back are sliced.  The index must pass
+    :meth:`LanguageIndex.check_closed` for ``group``, which the lemmas need,
+    and ``text`` must be ``index.text``.  Each order maps each factor to its
+    class's representative (:meth:`LanguageIndex.representatives`), so that
+    the head, the tail and, one order down, e find their classes by the
+    factor itself, and keeps the violations of its classes that have any for
+    the order below.
     """
     found = dict(_crw_orders(group, index, text, n_lo, n_hi))
     return [CrwRecord(n, *item) for n in range(n_lo, n_hi + 1) for item in found[n].items()]
@@ -241,14 +239,13 @@ def _crw_orders(group: SymmetryGroup, index: LanguageIndex, text: str, n_lo: int
     if text != index.text:  # O(1) when both are one object
         raise SymrichError(f"text of length {len(text)} is not the indexed text "
                            f"(length {len(index.text)})")
-    derive = index.g_closed and all(g in index.group for g in group.elements)
-    walk = not index.closure_added
+    index.check_closed(group)
     above: dict[str, str] = {}  # order n + 1: factor -> its class's representative
     found: dict[str, tuple[str, ...]] = {}  # order n + 1: representative -> violations
     for n in range(n_hi, n_lo - 1, -1):
         rep_of = dict(zip(index.sorted_factors(n), index.representatives(group, n)))
         head, tail = rep_of[text[:n]], rep_of[text[len(text) - n:]]
-        below = derive and n < n_hi
+        below = n < n_hi
         candidates = {head, tail, *map(rep_of.get, index.bispecials(n)), *(  # the candidate rule
             rep_of[w] for r in found for w in (r[:n], r[1:]))} if below else set(rep_of.values())
         classes: dict[str, list[str]] = {}  # the candidates' members
@@ -265,7 +262,7 @@ def _crw_orders(group: SymmetryGroup, index: LanguageIndex, text: str, n_lo: int
                 if rep == tail:  # and a right one, so it occurs before |text| - n
                     words.add(text[max(text.rfind(m, 0, len(text) - 1) for m in members):])
             else:
-                words = _walk_returns(index, members) if walk and n < n_hi else None  # Lemma 2
+                words = _walk_returns(index, members) if below else None  # Lemma 2
                 if words is None:
                     # distinct factors of one length never share a start position
                     occ = sorted(chain.from_iterable(map(index.occurrences, members)))
@@ -308,8 +305,7 @@ def _outer_entry(group: SymmetryGroup, index: LanguageIndex, above: dict[str, st
 def _walk_returns(index: LanguageIndex, members: list[str]) -> set[str] | None:
     """The complete return words of the class with these ``members`` (factors
     of one length n), by the walk of Lemma 2 in :func:`crw_records`, or None
-    when the walk must fall back to slicing.  ``index`` must have no closure
-    additions."""
+    when the walk must fall back to slicing."""
     n = len(members[0])
     inside = set(members)
     budget = sum(map(index.occurrence_count, members))
@@ -440,11 +436,6 @@ def verify_text(
         raise IndexRangeError(f"index of order {index.n_max} cannot support verification; "
                               f"it needs order >= 2")
     _check_inputs(group, text, threshold, n_max)
-    if index.group is None or any(g not in index.group for g in group.elements):
-        raise GroupError(f"index group {index.group!r} does not contain the verified group {group!r}")
-    if index.closure_added and index.group != group:
-        raise GroupError(f"closure under index group {index.group!r} added factors at lengths "
-                         f"{sorted(index.closure_added)}; index the text with the verified group")
     if group_id is None:
         group_id = f"order{group.order}"
 
@@ -455,6 +446,9 @@ def verify_text(
     )
 
     if index.closure_added:
+        if index.group != group:
+            raise GroupError(f"closure under index group {index.group!r} added factors at lengths "
+                             f"{sorted(index.closure_added)}; index the text with the verified group")
         n_bad = min(index.closure_added)
         witness = sorted(index.closure_added[n_bad])[0]
         if stability is not True:
@@ -478,6 +472,7 @@ def verify_text(
             contradiction=None,
             overall=REFUTED,
         )
+    index.check_closed(group)
 
     tls_results = tuple(tls_verdict(group, index, n) for n in range(1, n_max + 1))
     crw = tuple(crw_records(group, index, text, 1, n_max))
@@ -683,9 +678,9 @@ def subgroup_scan(index: LanguageIndex) -> list[SubgroupResult]:
 
     The index must be built with the full group, at order n_max + 2 for the
     orders 1..n_max, as for :func:`verify_text`, so at order 3 or more; a
-    lower order raises :class:`IndexRangeError`.  An index to which closure
-    added factors raises, so no subgroup's report depends on the stability of
-    the text under doubling.
+    lower order raises :class:`IndexRangeError`.  The index must pass
+    :meth:`LanguageIndex.check_closed`, so no subgroup's report depends on the
+    stability of the text under doubling.
 
     A result keeps only the overall verdict.  The index group G gets its
     full :func:`verify_text` report, first, so every check runs at every
@@ -703,10 +698,7 @@ def subgroup_scan(index: LanguageIndex) -> list[SubgroupResult]:
         raise IndexRangeError(f"index of order {index.n_max} cannot support a subgroup scan; "
                               f"it needs order >= 3")
     group.alphabet.check_word(index.text)
-    if index.closure_added:
-        raise InsufficientPrefixError(
-            f"prefix does not close under the full group at lengths {sorted(index.closure_added)}"
-        )
+    index.check_closed(group)
     p = {t: index.palindromic_complexity(t) for t in group.involutive_antimorphisms}
 
     subs = [(sub, "{" + ",".join(e.name for e in sub.elements) + "}")

@@ -8,7 +8,6 @@ import bisect
 from collections import namedtuple
 
 from symrich import (
-    ClosureError,
     ConsistencyError,
     GroupError,
     IndexRangeError,
@@ -16,7 +15,7 @@ from symrich import (
     SymmetryGroup,
     apply_morphism,
 )
-from symrich.graphs import DirectedEdge, LoopCheck, TlsVerdict, _tree_check, undirected_symmetry_graph
+from symrich.graphs import DirectedEdge, LoopCheck, TlsVerdict, _tree, undirected_symmetry_graph
 from symrich.verify import RICH, CrwRecord, SubgroupResult, min_distinguishing, verify_text
 
 
@@ -184,16 +183,22 @@ def non_g_palindromes(group, words):
     return [w for w in words if not group.is_g_palindrome(w)]
 
 
+def tree_check(graph):
+    """``graphs._tree`` on the objects of an undirected graph of symmetries."""
+    edges = [(e.endpoints, e.representative) for e in graph.non_loop_edges()]
+    return _tree(graph.vertex_representatives, edges)
+
+
 def graph_tls_verdict(group, index, n):
     """Oracle for ``tls_verdict``: the verdict recomputed from the graph
     objects of ``undirected_symmetry_graph``, its loops by ``graph.loops()``,
     their fixers by applying every antimorphism, and the tree check by
-    ``_tree_check(graph)``."""
+    ``tree_check(graph)``."""
     graph = undirected_symmetry_graph(group, index, n)
     checks = tuple(LoopCheck(e.representative, tuple(
         t.name for t in group.antimorphisms if t.apply(e.representative) == e.representative
     )) for e in graph.loops())
-    tree_ok, tree_witness = _tree_check(graph)
+    tree_ok, tree_witness = tree_check(graph)
     return TlsVerdict(n, checks, tree_ok, tree_witness, all(c.ok for c in checks) and tree_ok)
 
 
@@ -244,21 +249,12 @@ def position_walk_edges(group, index, n):
         raise IndexRangeError("symmetry graphs are built for orders n >= 1")
     if n + 1 > index.n_max:
         raise IndexRangeError(f"order {n} needs factors of length {n + 1}")
-    if index.closure_added:
-        raise InsufficientPrefixError(
-            "group closure had to add factors "
-            f"(lengths {sorted(index.closure_added)}); the prefix is too short for graph analysis"
-        )
+    index.check_closed(group)
     specials = index.special_rows(n)
     rep_of = {}
     for w in specials:
         members = group.equivalence_class(w)
         for m in members:
-            if not index.is_factor(m):
-                raise ClosureError(
-                    f"orbit member {m!r} of special factor {w!r} is not an indexed factor; "
-                    f"the language is not closed under the group at length {n}"
-                )
             if m not in specials:
                 raise ConsistencyError(
                     f"orbit member {m!r} of special factor {w!r} is not special; "
@@ -346,10 +342,7 @@ def subgroup_scan_reference(index, reports=None):
     if group is None:
         raise GroupError("subgroup scan needs an index built with a group")
     group.alphabet.check_word(index.text)
-    if index.closure_added:
-        raise InsufficientPrefixError(
-            f"prefix does not close under the full group at lengths {sorted(index.closure_added)}"
-        )
+    index.check_closed(group)
     n0 = min_distinguishing(group, index, n_max)
     p = {t: index.palindromic_complexity(t) for t in group.involutive_antimorphisms}
     results = []

@@ -310,6 +310,55 @@ class TestExitCodes:
         code, _, err = run(capsys, "--config", str(path), "word")
         assert code == EXIT_CONFIG and "bijection" in err
 
+    GENERATOR = '  - kind: antimorphism\n    map: ["0 -> 1", "1 -> 0"]\n'  # TM_CONFIG's second
+
+    @pytest.mark.parametrize("config, argv, named", [
+        pytest.param(TM_CONFIG.replace('"0 -> 1", "1 -> 0"', '"0 -> 1"'), ["word"],
+                     "group generator #1 map: map does not cover glyphs ['1']", id="map-misses-a-glyph"),
+        pytest.param(TM_CONFIG.replace('"0 -> 1", "1 -> 0"', '"0 -> 1", "1 -> 0", "2 -> 2"'), ["word"],
+                     "group generator #1 map: map defined on foreign glyphs", id="map-foreign-glyph"),
+        pytest.param(TM_CONFIG.replace('"0 -> 1", "1 -> 0"', '"0 -> 1", "1 -> 1"'), ["word"],
+                     "group generator #1 map: map ('1', '1') is not a bijection", id="map-no-bijection"),
+        pytest.param(TM_CONFIG.replace('alphabet: "01"', 'alphabet: ["0", "01"]'), ["word"],
+                     "alphabet entry", id="alphabet-list-entry-of-two-glyphs"),
+        pytest.param(FIB_CONFIG.replace('rules: ["0 -> 01", "1 -> 0"]', 'rules: "0 -> 01"'), ["word"],
+                     "word.rules must be a list", id="rules-not-a-list"),
+        pytest.param(FIB_CONFIG.replace('"1 -> 0"]', '"1"]'), ["word"],
+                     "word.rules entry '1'", id="rules-entry-without-arrow"),
+        pytest.param(FIB_CONFIG.replace('"1 -> 0"]', '"10 -> 0"]'), ["word"],
+                     "word.rules entry '10 -> 0'", id="rules-entry-of-two-glyphs"),
+        pytest.param(FIB_CONFIG.replace('"1 -> 0"]', '"0 -> 0"]'), ["word"],
+                     "word.rules maps glyph '0' twice", id="rules-glyph-twice"),
+        pytest.param(TM_CONFIG.replace('alphabet: "01"\n', ""), ["word"],
+                     "alphabet", id="no-alphabet"),
+        pytest.param(TM_CONFIG.replace("word:\n  kind: digit-sum", 'word: "0110"\nold:\n  kind: digit-sum'),
+                     ["word"], "section 'word'", id="word-not-a-mapping"),
+        pytest.param(TM_CONFIG.replace('alphabet: "01"', 'alphabet: "012"'), ["word"],
+                     "digit-sum word needs alphabet", id="digit-sum-alphabet"),
+        pytest.param(TM_CONFIG.replace("kind: digit-sum", "kind: spiral"), ["word"],
+                     "word kind 'spiral'", id="unknown-word-kind"),
+        pytest.param(TM_CONFIG.split("group:")[0] + "group: []\n", ["word"],
+                     "section 'group'", id="no-generator"),
+        pytest.param(TM_CONFIG.replace(GENERATOR, "  - [0, 1]\n"), ["word"],
+                     "group generator #1 must be a mapping", id="generator-not-a-mapping"),
+        pytest.param(TM_CONFIG.replace(GENERATOR, GENERATOR.replace("antimorphism", "involution")),
+                     ["word"], "group generator #1: kind", id="generator-kind"),
+        pytest.param(None, ["word"], "cannot read config", id="unreadable-file"),
+        pytest.param("- 1\n- 2\n", ["word"], "config must be a YAML mapping", id="config-not-a-mapping"),
+        pytest.param(TM_CONFIG.replace("analysis:\n  length: 600\n  n_max: 10\n", "analysis: [600]\n"),
+                     ["word"], "section 'analysis'", id="analysis-not-a-mapping"),
+        pytest.param(TM_CONFIG, ["lps", "601"], "prefix length 601 exceeds configured length 600",
+                     id="lps-beyond-the-length"),
+        pytest.param(TM_CONFIG, ["graph", "rauzy"], "--n", id="graph-without-order"),
+    ])
+    def test_config_error_names_its_field(self, capsys, tmp_path, config, argv, named):
+        path = tmp_path / "config.yaml"
+        if config is not None:  # else the file does not exist
+            path.write_text(config)
+        code, out, err = run(capsys, "--config", str(path), *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: ") and named in err and "Traceback" not in err
+
     def test_insufficient_prefix(self, capsys, tmp_path):
         path = tmp_path / "short.yaml"
         path.write_text(

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import connected
+from oracles import connected, tree_check
 from symrich import (
+    GroupError,
     IndexRangeError,
     InsufficientPrefixError,
     LanguageIndex,
@@ -18,7 +19,7 @@ from symrich import (
     undirected_symmetry_graph,
 )
 from symrich.cli import main
-from symrich.graphs import DirectedEdge, SymmetryGraph, TlsVerdict, UndirectedEdge, _tree_check
+from symrich.graphs import DirectedEdge, SymmetryGraph, TlsVerdict, UndirectedEdge
 from symrich.presets import (
     BINARY,
     binary_full_group,
@@ -151,15 +152,29 @@ class TestEdgeWalkPerIndex:
         assert reads == {**dict.fromkeys(range(1, 20), 4), 20: 11}
 
     def test_walk_off_the_prefix_raises_for_every_group(self, walks):
-        index = LanguageIndex(thue_morse_source().prefix(13), 6)
-        message = ("edge walk from special factor '1001' with extension '0' runs off "
+        # the factors of 00101100 up to length 3 are closed under the full group
+        index = LanguageIndex("00101100", 3, binary_full_group())
+        assert index.g_closed
+        message = ("edge walk from special factor '10' with extension '0' runs off "
                    "the prefix before reaching another special factor; extend the prefix")
         for group in (reversal_group(BINARY), binary_full_group(), reversal_group(BINARY)):
             with pytest.raises(InsufficientPrefixError) as error:
-                directed_symmetry_graph(group, index, 4)
+                directed_symmetry_graph(group, index, 2)
             assert str(error.value) == message
         # a failed walk is not kept: each group's call walks the order again
-        assert walks == {(id(index), 4): 3}
+        assert walks == {(id(index), 2): 3}
+
+    def test_index_not_closed_rejected(self, walks):
+        # LanguageIndex.check_closed comes before any walk: an index built with
+        # no group or a smaller one, and one that closure added to
+        text = thue_morse_source().prefix(13)
+        for index_group in (None, reversal_group(BINARY)):
+            with pytest.raises(GroupError, match="does not contain"):
+                directed_symmetry_graph(binary_full_group(), LanguageIndex(text, 6, index_group), 4)
+        with pytest.raises(InsufficientPrefixError, match=r"^group closure added factors at "
+                                                          r"lengths \[4, 5, 6\], so the prefix"):
+            undirected_symmetry_graph(binary_full_group(), LanguageIndex(text, 6, binary_full_group()), 4)
+        assert walks == {}
 
 
 class TestUndirectedGraphs:
@@ -271,15 +286,15 @@ def multigraph_st(draw):
 class TestTreeCheckWitness:
     def test_parallel_edges_before_disconnection(self):
         graph = hand_built("abcd", [("x", "a", "b"), ("y", "a", "b")])
-        assert _tree_check(graph) == (False, "parallel edge classes [x] and [y] between [a] and [b]")
+        assert tree_check(graph) == (False, "parallel edge classes [x] and [y] between [a] and [b]")
 
     def test_disconnection_before_cycle(self):
         graph = hand_built("abcd", [("x", "a", "b"), ("y", "b", "c"), ("z", "a", "c")])
-        assert _tree_check(graph) == (False, "loop-free graph is disconnected")
+        assert tree_check(graph) == (False, "loop-free graph is disconnected")
 
     def test_cycle_in_connected_graph(self):
         graph = hand_built("abc", [("x", "a", "b"), ("y", "b", "c"), ("z", "a", "c")])
-        assert _tree_check(graph) == (False, "cycle through ['a', 'b', 'c', 'a']")
+        assert tree_check(graph) == (False, "cycle through ['a', 'b', 'c', 'a']")
 
     @pytest.mark.parametrize("vertices, pairs, kind", [
         ("abcd", [("x", "a", "b"), ("y", "a", "b")], "parallel"),
@@ -287,7 +302,7 @@ class TestTreeCheckWitness:
         ("abc", [("x", "a", "b"), ("y", "b", "c"), ("z", "a", "c")], "cycle"),
     ])
     def test_verdict_witness_names_the_failure(self, vertices, pairs, kind):
-        tree_ok, tree_witness = _tree_check(hand_built(vertices, pairs))
+        tree_ok, tree_witness = tree_check(hand_built(vertices, pairs))
         verdict = TlsVerdict(1, (), tree_ok, tree_witness, False)
         assert not tree_ok and kind in tree_witness
         assert verdict.witness == tree_witness
@@ -300,7 +315,7 @@ class TestTreeCheckWitness:
         links = [(a, b) for _, a, b in pairs if a != b]
         parallel = len(set(links)) < len(links)
         joined = connected(graph)
-        tree_ok, witness = _tree_check(graph)
+        tree_ok, witness = tree_check(graph)
         # a graph with no vertices counts as a tree
         assert tree_ok == (not parallel and joined and len(links) == max(len(vertices) - 1, 0))
         if tree_ok:
@@ -316,9 +331,9 @@ class TestTreeCheckWitness:
             assert all(tuple(sorted(step)) in links for step in zip(walk, walk[1:]))
 
     def test_small_graphs_are_trees(self):
-        assert _tree_check(hand_built("", [])) == (True, None)
-        assert _tree_check(hand_built("a", [("x", "a", "a")])) == (True, None)
-        assert _tree_check(hand_built("ab", [("x", "a", "b")])) == (True, None)
+        assert tree_check(hand_built("", [])) == (True, None)
+        assert tree_check(hand_built("a", [("x", "a", "a")])) == (True, None)
+        assert tree_check(hand_built("ab", [("x", "a", "b")])) == (True, None)
 
 
 class TestBispecial:

@@ -712,9 +712,13 @@ class TestIndexDifferential:
         word = data.draw(word_st(group.alphabet, min_size=1) | closure_word_st(group))
         n_max = data.draw(st.integers(1, len(word)))
         index = LanguageIndex(word, n_max, group)
-        assert crw_records(group, index, word, 1, n_max) == violating_crw_records(
-            group, index, word, 1, n_max
-        )
+        if index.closure_added:  # the lemmas need a closed language
+            with pytest.raises(InsufficientPrefixError, match="group closure added factors"):
+                crw_records(group, index, word, 1, n_max)
+        else:
+            assert crw_records(group, index, word, 1, n_max) == violating_crw_records(
+                group, index, word, 1, n_max
+            )
 
 
 @st.composite
@@ -1161,10 +1165,10 @@ class TestWitnessRule:
 @st.composite
 def walk_case_st(draw):
     """A group (random, or generated by one antimorphism that need not be an
-    involution), a word over its alphabet, and orders n_lo <= n_hi <= n_max <=
-    |word|.  The word is random, grown by closure, or a repeated block, whose
-    classes recur at short distances, so that many walks end within their
-    budget."""
+    involution), a word over its alphabet whose factors up to order n_max are
+    closed under the group, and n_max.  The word is random, grown by closure,
+    or a repeated block, whose classes recur at short distances, so that many
+    walks end within their budget, and is then saturated."""
     if draw(st.booleans()):
         group = draw(group_st())
     else:
@@ -1172,25 +1176,14 @@ def walk_case_st(draw):
     block = draw(word_st(group.alphabet, min_size=1, max_size=5))
     word = draw(word_st(group.alphabet, min_size=1) | closure_word_st(group)
                 | st.integers(1, 40).map(lambda size: (block * size)[:size]))
-    n_max = draw(st.integers(1, len(word)))
-    n_hi = draw(st.integers(1, n_max))
-    return group, word, draw(st.integers(1, n_hi)), n_hi, n_max
+    size = len(group.alphabet.glyphs)
+    n_max = draw(st.integers(1, min(len(word), max(k for k in range(1, 10) if size ** k <= 300))))
+    return group, saturate(word, group, n_max, draw(st.sampled_from([min, max]))), n_max
 
 
 class TestCrwWalk:
-    """The walk of Lemma 2 in ``crw_records`` against the per-occurrence
-    oracle.  An index built without a group has no closure additions and is
-    not known to be closed, so every class below the top order tries the walk."""
-
-    @given(case=walk_case_st())
-    @settings(max_examples=200, deadline=None)
-    def test_index_without_group(self, case):
-        group, word, n_lo, n_hi, n_max = case
-        index = LanguageIndex(word, n_max)
-        assert not index.closure_added
-        assert crw_records(group, index, word, n_lo, n_hi) == violating_crw_records(
-            group, index, word, n_lo, n_hi
-        )
+    """The walk of Lemma 2 in ``crw_records``: every class below the top
+    order that Lemma 1 does not derive tries it."""
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -1200,10 +1193,11 @@ class TestCrwWalk:
         # costs more than slicing the class
         if data.draw(st.booleans()):
             group, sub, word, n_max = data.draw(closed_word_st())
-            index = LanguageIndex(word, n_max, group)
         else:
-            sub, word, _, _, n_max = data.draw(walk_case_st())
-            index = LanguageIndex(word, n_max)
+            sub, word, n_max = data.draw(walk_case_st())
+            group = sub
+        index = LanguageIndex(word, n_max, group)
+        assert index.g_closed
         module = importlib.import_module("symrich.verify")
         real_walk, real_rext = module._walk_returns, index.rext
         reads, walks = [0], []
@@ -1236,8 +1230,8 @@ def edges_or_error(build, group, index, n):
 
 class TestEdgeWalkDifferential:
     """The forward edge walk of ``directed_symmetry_graph`` against the
-    sorted-position oracle, on preset words indexed under their full group and
-    with no group; only a group-less index lets the walk run off the prefix."""
+    sorted-position oracle, on preset words indexed under their full group;
+    a short prefix can be closed and still let a walk run off it."""
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
@@ -1247,23 +1241,24 @@ class TestEdgeWalkDifferential:
         text = text[:data.draw(st.integers(12, 600))]
         sub = data.draw(st.sampled_from(subgroups))
         n_max = data.draw(st.integers(2, 12))
-        for index in (LanguageIndex(text, n_max, group), LanguageIndex(text, n_max)):
-            for n in range(1, n_max):
-                assert edges_or_error(directed_symmetry_graph, sub, index, n) == edges_or_error(
-                    position_walk_edges, sub, index, n
-                )
+        index = LanguageIndex(text, n_max, group)
+        for n in range(1, n_max):
+            assert edges_or_error(directed_symmetry_graph, sub, index, n) == edges_or_error(
+                position_walk_edges, sub, index, n
+            )
 
     def test_walk_runs_off_the_prefix(self):
-        text, group, _ = preset_word("tm")
-        index = LanguageIndex(text[:13], 6)
+        # 0110 is a palindrome, so its factors are closed under reversal
         reversal = reversal_group(BINARY)
-        assert edges_or_error(directed_symmetry_graph, reversal, index, 4) == (
+        index = LanguageIndex("0110", 2, reversal)
+        assert index.g_closed
+        assert edges_or_error(directed_symmetry_graph, reversal, index, 1) == (
             InsufficientPrefixError,
-            "edge walk from special factor '1001' with extension '0' runs off "
+            "edge walk from special factor '1' with extension '0' runs off "
             "the prefix before reaching another special factor; extend the prefix",
         )
-        assert edges_or_error(position_walk_edges, reversal, index, 4) == edges_or_error(
-            directed_symmetry_graph, reversal, index, 4
+        assert edges_or_error(position_walk_edges, reversal, index, 1) == edges_or_error(
+            directed_symmetry_graph, reversal, index, 1
         )
 
 

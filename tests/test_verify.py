@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import logging
 from collections import Counter
@@ -38,9 +39,11 @@ from symrich.repro import repro_hexa
 from symrich.symmetry import SymmetryGroup, dihedral_group
 from symrich.verify import (
     ALMOST,
+    INCONSISTENT,
     REFUTED,
     RICH,
     CrwRecord,
+    _decide,
     _outer_entry,
     complete_return_words,
     crw_records,
@@ -276,6 +279,28 @@ class TestThresholds:
         assert rep.witnesses["return-words"].startswith("class [0010110011] ")
 
 
+class TestContradiction:
+    """Every characterization passes under a group that its involutive
+    antimorphisms do not generate, which richness would force: the report is
+    inconsistent and says why."""
+
+    TEXT = ("all characterizations pass but the group is not generated by its involutive "
+            "antimorphisms, which richness would force")
+
+    def test_decide(self):
+        highest = dict.fromkeys(["tls", "return-words", "lps", "defect", "complexity", "bispecial"])
+        assert _decide(highest, 1, 16, False) == (
+            dict.fromkeys(highest, True), True, 1, self.TEXT, INCONSISTENT)
+        assert _decide(highest, 1, 16, True) == (dict.fromkeys(highest, True), True, 1, None, RICH)
+
+    def test_report_prints_it(self, tm_rich_report):
+        report = dataclasses.replace(tm_rich_report, contradiction=self.TEXT, overall=INCONSISTENT)
+        lines = report.to_text().splitlines()
+        assert lines[lines.index(f"  CONTRADICTION: {self.TEXT}") + 1] == "  overall: inconsistent"
+        assert f"contradiction = {self.TEXT}" in lines and "overall = inconsistent" in lines
+        assert "CONTRADICTION" not in tm_rich_report.to_text()
+
+
 class CountingSource(WordSource):
     """A source that counts the prefixes generated from the one it wraps."""
 
@@ -402,6 +427,8 @@ class TestInputChecks:
             subgroup_scan(LanguageIndex(self.FOREIGN, 12, binary_full_group()))
 
     def test_threshold_above_n_max_rejected(self, i2_2):
+        with pytest.raises(GroupError, match="^threshold must be >= 1, got 0$"):
+            verify_text(i2_2, LanguageIndex(self.TM, 12, i2_2), threshold=0, stability=True)
         with pytest.raises(GroupError, match="threshold 11 exceeds n_max=10"):
             verify_text(i2_2, LanguageIndex(self.TM, 12, i2_2), threshold=11, stability=True)
         with pytest.raises(GroupError, match="threshold 11 exceeds n_max=10"):
@@ -767,14 +794,30 @@ class TestCrwWalk:
             assert (walks[24, "011010011001011001101001"] is not None) is ended
 
     def test_walk_over_its_budget(self, walks, id_r):
-        # 0 occurs 3 times, and its return words of 12 letters need 12 visits
-        text = "0" + "1" * 10 + "0" + "1" * 10 + "0"
-        index = LanguageIndex(text, len(text))
+        # the palindrome is closed under reversal; its bispecial class 0 occurs
+        # 6 times, and its return word of 12 letters needs 11 visits
+        text = "00" + "1" * 10 + "00" + "1" * 10 + "00"
+        index = LanguageIndex(text, len(text), id_r)
+        assert index.g_closed and index.is_bispecial("0")
         records = crw_records(id_r, index, text, 1, 2)
         assert records == violating_crw_records(id_r, index, text, 1, 2)
         assert walks[1, "0"] is None
         assert (1, "0") not in {(r.n, r.representative) for r in records}
-        assert complete_g_return_words(id_r, "0", text) == {"011111111110"}
+        assert complete_g_return_words(id_r, "0", text) == {"00", "011111111110"}
+
+    def test_index_not_closed_rejected(self, walks, id_r, i2_2):
+        # LanguageIndex.check_closed comes before any class is visited: an
+        # index built with no group or a smaller one, and one that closure
+        # added to; the text is closed under reversal but not under exchange
+        text = "0" + "1" * 10 + "0" + "1" * 10 + "0"
+        for index_group in (None, id_r):
+            with pytest.raises(GroupError, match="does not contain"):
+                crw_records(i2_2, LanguageIndex(text, 4, index_group), text, 1, 2)
+        index = LanguageIndex(text, 4, i2_2)
+        with pytest.raises(InsufficientPrefixError, match=r"^group closure added factors at "
+                                                          r"lengths \[2, 3, 4\], so the prefix"):
+            crw_records(id_r, index, text, 1, 2)
+        assert walks == {}
 
     def test_first_occurrence_over_all_members(self, walks):
         # the head 15 of the hexa text is special on the left only, so under
@@ -904,7 +947,8 @@ class TestSubgroupScan:
         index = LanguageIndex("00010", 4, i2_2)
         assert index.closure_added
         with pytest.raises(InsufficientPrefixError,
-                           match=r"does not close under the full group at lengths \[2, 3, 4\]"):
+                           match=r"^group closure added factors at lengths \[2, 3, 4\], so the "
+                                 r"prefix is not closed under the group; extend the prefix$"):
             subgroup_scan(index)
 
 
